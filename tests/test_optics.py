@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from touchlab import errors
 from touchlab.optics import (
+    SWEEP_CONTACTS,
     Contact,
     LedRing,
     ScatterSurface,
@@ -125,6 +127,74 @@ class TestRender:
                        c.angular_radius_rad / (np.pi / 2.0))
         delta = np.abs(cn - bg)
         assert delta[roi].mean() > 3.0 * delta[~roi & fov_mask(120)].mean()
+
+
+class TestPinnedDigests:
+    """SHA-256 of render and sampler outputs for fixed seeds and shard plans.
+
+    Any change to the tracer that reorders floating-point work or RNG draws
+    shows up here; a change meant to keep the data must leave these alone.
+    """
+
+    SURFACES = {
+        "specular": ScatterSurface.specular(),
+        "gaussian1": ScatterSurface.gaussian(1.0),
+        "gaussian20": ScatterSurface.gaussian(20.0),
+        "lambertian": ScatterSurface.lambertian(),
+    }
+
+    @staticmethod
+    def digest(a):
+        return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+    @pytest.mark.parametrize("surface,contacts,want", [
+        ("specular", False,
+         "db5720b647a9823422a157d3d69676bd75a4d3e71714594458fd20022c041646"),
+        ("specular", True,
+         "a017849460485a148c12effd17fb67de04bcf788f71a14a8eece019e667d7267"),
+        ("gaussian1", False,
+         "267197e9457b6f2b78a877e2aab474efbfe0309395f27498b93467b71cee3117"),
+        ("gaussian1", True,
+         "0f309a4189bd02a0cb127917a6a7367435aee08f8f0ccea6cc530f103b464c48"),
+        ("gaussian20", False,
+         "a062ce1b8eb6a3f4d36463de631bc2f0b83233711be7b118cd5ded35932f70a5"),
+        ("gaussian20", True,
+         "5fcc6ad5d870bb4dcd059c8ac4e475663f1ae7e35b2e35cade5bc35810445fdf"),
+        ("lambertian", False,
+         "5a369a11ce0fafdbc0570031cc9eb0f0d5888aa4bdfc063cb3a05a76bb7a5555"),
+        ("lambertian", True,
+         "85bbff0dc28d67f549770de7bba8c28354a668d9a80994eacff57fdfdc4cbc23"),
+    ])
+    def test_render(self, surface, contacts, want):
+        img = render(self.SURFACES[surface],
+                     contacts=SWEEP_CONTACTS if contacts else (),
+                     photons=100_000, seed=5)
+        assert self.digest(img.values) == want
+
+    def test_render_non_uniform_rgb_sharded(self):
+        leds = LedRing(rgb=np.linspace(0.1, 1.0, 24).reshape(8, 3))
+        img = render(ScatterSurface.gaussian(10.0), leds=leds,
+                     contacts=SWEEP_CONTACTS[:3], photons=100_000, seed=2,
+                     shards=3)
+        assert self.digest(img.values) == \
+            "c6632ee99031cc0a741b9991768bc0e5b1617d78684e2e0d6fd501d82cc636b4"
+
+    @pytest.mark.parametrize("surface,want", [
+        ("specular",
+         "1c3b9011a2e02aec834e02b53f50a70db8f89450a041e070e2e2ffbe5359d379"),
+        ("gaussian20",
+         "f6db6ef86376cff44e6dea05d843f664981b2e293e38fc8ea42a8aa1e187302b"),
+        ("lambertian",
+         "3bbadfa0c9270c676e466d297865a10eaaf25d8180b8c1f151657e81410bd826"),
+    ])
+    def test_sample_bsdf(self, surface, want):
+        # Random incident directions: about half point away from the normal,
+        # so the fold back onto the reflective side is exercised too.
+        d = np.random.default_rng(4).normal(size=(1000, 3))
+        d /= np.linalg.norm(d, axis=1)[:, None]
+        out = sample_bsdf(self.SURFACES[surface], d, np.random.default_rng(9),
+                          normal=(0.2, -0.1, 1.0))
+        assert self.digest(out) == want
 
 
 class TestUniformityMetrics:
