@@ -196,8 +196,7 @@ def _read_log_checked(path):
         return read_log(path)
     except OSError as exc:
         raise CliError(f"cannot read log: {exc}", EXIT_IO) from exc
-    except (errors.BadMagic, errors.VersionMismatch,
-            errors.TruncatedChunk) as exc:
+    except errors.TouchlabError as exc:
         raise CliError(f"{path}: {exc}", EXIT_CONFIG) from exc
 
 

@@ -213,7 +213,7 @@ class RecordLog:
     def add_stream(self, desc: StreamDescriptor) -> None:
         validate_descriptor(desc)
         if desc.stream_id in self.descriptors:
-            raise ValueError(f"duplicate stream_id {desc.stream_id}")
+            raise errors.DuplicateStream(f"duplicate stream_id {desc.stream_id}")
         self.descriptors[desc.stream_id] = desc
 
     def append(self, sample: ModalitySample) -> None:

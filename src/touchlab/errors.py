@@ -23,6 +23,10 @@ class UnknownKind(TouchlabError, ValueError):
     pass
 
 
+class DuplicateStream(TouchlabError, ValueError):
+    pass
+
+
 # --- record log --------------------------------------------------------------
 
 class BadMagic(TouchlabError, ValueError):

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+import scipy.ndimage
 import scipy.signal
 
 from . import errors
@@ -162,88 +163,67 @@ class TaxelImage:
 
 
 # --- direction sampling ---------------------------------------------------------
+#
+# Vector fields are tuples of three 1-D arrays (x, y, z), one contiguous
+# column per axis, rather than (m, 3) arrays whose columns are strided.
 
 
-def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.empty_like(a)
-    out[:, 0] = a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1]
-    out[:, 1] = a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2]
-    out[:, 2] = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
-    return out
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1],
+            a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0])
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2]
+def _dot(a, b) -> np.ndarray:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def _orthonormal_basis(n: np.ndarray):
-    """Tangent frames (t1, t2) for an array of unit vectors n, shape (m, 3)."""
+def _orthonormal_basis(n):
+    """Tangent frames (t1, t2) for a field of unit vectors n."""
     # Pick a helper axis that is never parallel to n.
-    helper = np.where(np.abs(n[:, 2:3]) < 0.9,
-                      np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
+    small = np.abs(n[2]) < 0.9
+    helper = (np.where(small, 0.0, 1.0), 0.0, np.where(small, 1.0, 0.0))
     t1 = _cross(helper, n)
-    t1 /= np.sqrt(_dot(t1, t1))[:, None]
-    t2 = _cross(n, t1)
-    return t1, t2
+    norm = np.sqrt(_dot(t1, t1))
+    t1 = tuple(c / norm for c in t1)
+    return t1, _cross(n, t1)
 
 
-def _cosine_z_up(m: int, rng) -> np.ndarray:
-    """Cosine-weighted hemisphere samples about +z, shape (m, 3)."""
-    u = rng.random(m)
-    phi = 2.0 * np.pi * rng.random(m)
-    sz = np.sqrt(1.0 - u)
-    out = np.empty((m, 3))
-    out[:, 0] = sz * np.cos(phi)
-    out[:, 1] = sz * np.sin(phi)
-    out[:, 2] = np.sqrt(u)
-    return out
+def _reflect(d, n):
+    k = 2.0 * _dot(d, n)
+    return tuple(dc - k * nc for dc, nc in zip(d, n))
 
 
-def _cosine_about(n: np.ndarray, rng) -> np.ndarray:
-    """Cosine-weighted hemisphere samples about each normal in n, (m, 3)."""
-    m = n.shape[0]
-    u = rng.random(m)
-    phi = 2.0 * np.pi * rng.random(m)
-    cz = np.sqrt(u)
-    sz = np.sqrt(1.0 - u)
-    t1, t2 = _orthonormal_basis(n)
-    return (t1 * (sz * np.cos(phi))[:, None]
-            + t2 * (sz * np.sin(phi))[:, None]
-            + n * cz[:, None])
-
-
-def _rotate_about(m_dirs: np.ndarray, delta: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Rotate each unit vector by polar angle delta toward azimuth psi."""
-    t1, t2 = _orthonormal_basis(m_dirs)
-    sd = np.sin(delta)
-    return (m_dirs * np.cos(delta)[:, None]
-            + (t1 * np.cos(psi)[:, None] + t2 * np.sin(psi)[:, None]) * sd[:, None])
-
-
-def _reflect(d: np.ndarray, n: np.ndarray) -> np.ndarray:
-    return d - (2.0 * _dot(d, n))[:, None] * n
-
-
-def _sample_scatter(surface: ScatterSurface, d: np.ndarray, n: np.ndarray,
-                    rng) -> np.ndarray:
-    """Batched BSDF direction sampling; d is the incoming propagation
-    direction, n the (unit) surface normal on the incoming side."""
-    mirror = _reflect(d, n)
+def _scatter(surface: ScatterSurface, mirror, n, rng):
+    """Batched BSDF direction sampling about the mirror direction (unused by
+    Lambertian) and the unit surface normal n on the incoming side."""
+    m = n[0].shape[0]
     if surface.mode == SPECULAR:
         out = mirror
     elif surface.mode == GAUSSIAN:
-        m = d.shape[0]
+        # Polar angle delta from the mirror direction toward azimuth psi.
         delta = np.abs(rng.normal(0.0, surface.sigma_rad, size=m))
         psi = 2.0 * np.pi * rng.random(m)
-        out = _rotate_about(mirror, delta, psi)
+        t1, t2 = _orthonormal_basis(mirror)
+        cd, cp, sp, sd = np.cos(delta), np.cos(psi), np.sin(psi), np.sin(delta)
+        out = tuple(mc * cd + (a * cp + b * sp) * sd
+                    for mc, a, b in zip(mirror, t1, t2))
     else:
-        out = _cosine_about(n, rng)
+        # Cosine-weighted hemisphere about n.
+        u = rng.random(m)
+        phi = 2.0 * np.pi * rng.random(m)
+        cz = np.sqrt(u)
+        sz = np.sqrt(1.0 - u)
+        t1, t2 = _orthonormal_basis(n)
+        a_w, b_w = sz * np.cos(phi), sz * np.sin(phi)
+        out = tuple(a * a_w + b * b_w + nc * cz for a, b, nc in zip(t1, t2, n))
     # Keep directions on the reflective side of the surface.
-    below = _dot(out, n) < 0
-    if np.any(below):
-        out = out.copy()
-        out[below] = out[below] - (2.0 * _dot(out[below], n[below]))[:, None] \
-            * n[below]
+    below = np.flatnonzero(_dot(out, n) < 0)
+    if below.size:
+        fixed = _reflect(tuple(c[below] for c in out), tuple(c[below] for c in n))
+        out = tuple(c.copy() for c in out)
+        for c, f in zip(out, fixed):
+            c[below] = f
     return out
 
 
@@ -260,21 +240,20 @@ def sample_bsdf(surface: ScatterSurface, incident_dir, rng,
     """
     d = np.asarray(incident_dir, dtype=np.float64)
     single = d.ndim == 1
-    d = d.reshape(-1, 3)
-    norms = np.sqrt(_dot(d, d))
-    if np.any(np.abs(norms - 1.0) > 1e-6):
+    d = d.reshape(-1, 3).T
+    if np.any(np.abs(np.sqrt(_dot(d, d)) - 1.0) > 1e-6):
         raise ValueError("incident_dir must be unit length")
-    n = np.asarray(normal, dtype=np.float64).reshape(-1, 3)
-    n = n / np.sqrt(_dot(n, n))[:, None]
-    if n.shape[0] == 1 and d.shape[0] > 1:
-        n = np.broadcast_to(n, d.shape)
-    out = _sample_scatter(surface, d, np.ascontiguousarray(n), rng)
+    n = np.asarray(normal, dtype=np.float64).reshape(-1, 3).T
+    n = n / np.sqrt(_dot(n, n))
+    d, n = (np.ascontiguousarray(a) for a in np.broadcast_arrays(d, n))
+    out = np.stack(_scatter(surface, _reflect(d, n), n, rng), axis=1)
     return out[0] if single else out
 
 
-def _bsdf_toward(surface: ScatterSurface, d: np.ndarray, n: np.ndarray,
-                 toward: np.ndarray, glint_tol_rad: float) -> np.ndarray:
-    """Batched BSDF density from incoming direction d into ``toward``.
+def _bsdf_toward(surface: ScatterSurface, mirror, n, toward,
+                 glint_tol_rad: float) -> np.ndarray:
+    """Batched BSDF density into ``toward`` for light leaving along
+    ``mirror`` (the reflected incoming direction) off normal n.
 
     For the Gaussian mode the small-angle solid-angle density
     exp(-delta^2 / 2 sigma^2) / (2 pi sigma^2) is used; specular uses a
@@ -282,9 +261,7 @@ def _bsdf_toward(surface: ScatterSurface, d: np.ndarray, n: np.ndarray,
     """
     if surface.mode == LAMBERTIAN:
         return np.maximum(_dot(toward, n), 0.0) / np.pi
-    mirror = _reflect(d, n)
-    cosd = np.clip(_dot(mirror, toward), -1.0, 1.0)
-    delta = np.arccos(cosd)
+    delta = np.arccos(np.clip(_dot(mirror, toward), -1.0, 1.0))
     if surface.mode == SPECULAR:
         cap = 2.0 * np.pi * (1.0 - math.cos(glint_tol_rad))
         return (delta < glint_tol_rad) / cap
@@ -295,50 +272,58 @@ def _bsdf_toward(surface: ScatterSurface, d: np.ndarray, n: np.ndarray,
 # --- contacts -------------------------------------------------------------------
 
 
-def _perturb_normals(n_in: np.ndarray, p_unit: np.ndarray,
-                     contacts) -> np.ndarray:
-    """Tilt inward normals inside contact footprints.
+def _perturb_normals(p_unit, contacts):
+    """Inward normals at dome points ``p_unit``, tilted inside contact
+    footprints.
 
     The dent profile is depth * cos^2(pi gamma / 2 rho) over angular distance
     gamma from the contact centre; normals lean toward the centre by the
     local wall slope.  Overlapping contacts resolve to the nearest centre.
     """
+    n = tuple(-c for c in p_unit)
     if not contacts:
-        return n_in
+        return n
     centers = np.stack([c.center_unit() for c in contacts])  # (k, 3)
     rhos = np.array([c.angular_radius_rad for c in contacts])
     depths = np.array([c.depth_mm for c in contacts])
-    cosg = np.clip(p_unit @ centers.T, -1.0, 1.0)  # (m, k)
+    cosg = np.stack(p_unit, axis=1) @ centers.T  # (m, k)
     nearest = np.argmax(cosg, axis=1)
-    cos_near = cosg[np.arange(cosg.shape[0]), nearest]
-    gamma = np.arccos(cos_near)
-    rho = rhos[nearest]
-    inside = gamma < rho
-    if not np.any(inside):
-        return n_in
+    cos_near = np.clip(cosg[np.arange(cosg.shape[0]), nearest], -1.0, 1.0)
+    del cosg
+    # gamma < rho implies cos gamma > cos rho_max; the margin absorbs the
+    # rounding of cos and arccos, so only these candidates need the arccos.
+    cand = np.flatnonzero(cos_near > math.cos(rhos.max()) - 1e-9)
+    gamma = np.arccos(cos_near[cand])
+    inside = gamma < rhos[nearest[cand]]
+    idx = cand[inside]
+    if idx.size == 0:
+        return n
 
-    n_out = n_in.copy()
     g = gamma[inside]
-    rho_i = rho[inside]
-    slope = depths[nearest[inside]] * (np.pi / (2.0 * rho_i)) \
+    near = nearest[idx]
+    rho_i = rhos[near]
+    slope = depths[near] * (np.pi / (2.0 * rho_i)) \
         * np.sin(np.pi * g / rho_i) / DOME_RADIUS_MM
     beta = np.arctan(slope)
     # Tangent direction at P pointing toward the contact centre.
-    e = centers[nearest[inside]] - cos_near[inside, None] * p_unit[inside]
-    norm = np.sqrt(_dot(e, e))[:, None]
+    c = cos_near[idx]
+    e = tuple(centers[near, j] - c * p_unit[j][idx] for j in range(3))
+    norm = np.sqrt(_dot(e, e))
     norm[norm < 1e-12] = 1.0
-    e /= norm
-    tilted = n_out[inside] * np.cos(beta)[:, None] + e * np.sin(beta)[:, None]
-    n_out[inside] = tilted / np.sqrt(_dot(tilted, tilted))[:, None]
-    return n_out
+    cb, sb = np.cos(beta), np.sin(beta)
+    tilted = tuple(nc[idx] * cb + (ec / norm) * sb for nc, ec in zip(n, e))
+    norm = np.sqrt(_dot(tilted, tilted))
+    for nc, tc in zip(n, tilted):
+        nc[idx] = tc / norm
+    return n
 
 
 # --- rendering -------------------------------------------------------------------
 
 
-def _pixel_index(p: np.ndarray, size: int) -> np.ndarray:
-    theta = np.arccos(np.clip(p[:, 2] / DOME_RADIUS_MM, -1.0, 1.0))
-    phi = np.arctan2(p[:, 1], p[:, 0])
+def _pixel_index(p, size: int) -> np.ndarray:
+    theta = np.arccos(np.clip(p[2] / DOME_RADIUS_MM, -1.0, 1.0))
+    phi = np.arctan2(p[1], p[0])
     r = theta / (np.pi / 2.0)
     u = r * np.cos(phi)
     v = r * np.sin(phi)
@@ -366,9 +351,10 @@ def render(surface: ScatterSurface, leds: LedRing = LedRing(),
            shards: int = 1, region: int = 1) -> TaxelImage:
     """Path-trace the dome interior and return the camera's taxel image.
 
-    Deterministic for a fixed (seed, shards) plan: shard images are summed
-    in shard order, so a parallel execution with the same plan reproduces the
-    single-context result bit for bit.
+    The photon budget is split into ``shards`` shards, each with its own
+    child seed of ``seed``; the shards run one after another in this process
+    and their images are summed in shard order.  The output is bit-identical
+    for a fixed (seed, shards) plan.
     """
     if photons < MIN_PHOTONS:
         raise errors.BudgetTooSmall(f"photon budget {photons} < {MIN_PHOTONS}")
@@ -388,65 +374,69 @@ def render(surface: ScatterSurface, leds: LedRing = LedRing(),
 
 def _render_shard(surface, leds, contacts, photons, rng, size,
                   max_bounces, reflectivity, glint_tol_rad) -> np.ndarray:
-    led_pos = leds.positions()
+    """Wavefront tracer: each bounce advances every live photon at once,
+    then keeps only the photons that hit the dome, in their original order.
+    Every RNG draw is sized by the live count, so the draws, and the order in
+    which ``bincount`` sums each pixel, do not depend on the compaction."""
     n_led = leds.count
     counts = np.full(n_led, photons // n_led)
     counts[:photons % n_led] += 1
     led_idx = np.repeat(np.arange(n_led), counts)
 
-    pos = led_pos[led_idx]
+    pos = tuple(c[led_idx] for c in leds.positions().T)
     # When every LED shares one RGB vector the per-channel accumulations are
     # proportional; accumulate once and scale.
     uniform_rgb = bool(np.all(leds.rgb == leds.rgb[0]))
-    w_rgb = leds.rgb[led_idx]
-    dirs = _cosine_z_up(photons, rng)
+    w_rgb = () if uniform_rgb else tuple(c[led_idx] for c in leds.rgb.T)
+    u = rng.random(photons)
+    phi = 2.0 * np.pi * rng.random(photons)
+    sz = np.sqrt(1.0 - u)
+    dirs = (sz * np.cos(phi), sz * np.sin(phi), np.sqrt(u))
+    del u, phi, sz
 
     img = np.zeros((size * size, 3))
     weight = np.ones(photons)
-    alive = np.ones(photons, dtype=bool)
 
     for _ in range(max_bounces):
-        if not np.any(alive):
-            break
-        p = pos[alive]
-        d = dirs[alive]
-        b = _dot(p, d)
-        c = _dot(p, p) - DOME_RADIUS_MM ** 2
-        disc = np.maximum(b * b - c, 0.0)
-        t_sph = -b + np.sqrt(disc)
+        b = _dot(pos, dirs)
+        c = _dot(pos, pos) - DOME_RADIUS_MM ** 2
+        t_sph = -b + np.sqrt(np.maximum(b * b - c, 0.0))
         with np.errstate(divide="ignore", invalid="ignore"):
-            t_base = np.where(d[:, 2] < 0.0, -p[:, 2] / d[:, 2], np.inf)
+            t_base = np.where(dirs[2] < 0.0, -pos[2] / dirs[2], np.inf)
         hits = (t_sph > 1e-9) & (t_sph < t_base)
-
-        alive_idx = np.nonzero(alive)[0]
-        dead = alive_idx[~hits]
-        alive[dead] = False
-        if dead.size == alive_idx.size:
+        del b, c, t_base
+        if not hits.any():
             break
-        keep = alive_idx[hits]
+        t = t_sph[hits]
+        d = tuple(dc[hits] for dc in dirs)
+        hit_p = tuple(p[hits] + t * dc for p, dc in zip(pos, d))
+        weight = weight[hits]
+        w_rgb = tuple(w[hits] for w in w_rgb)
+        del pos, dirs, t_sph, hits, t
 
-        hit_p = p[hits] + t_sph[hits, None] * d[hits]
-        p_unit = hit_p / DOME_RADIUS_MM
-        n_in = -p_unit
-        n_eff = _perturb_normals(n_in, p_unit, contacts)
-
-        toward = CAMERA_POS_MM[None, :] - hit_p
-        toward /= np.sqrt(_dot(toward, toward))[:, None]
-        f = _bsdf_toward(surface, d[hits], n_eff, toward, glint_tol_rad)
-        contrib = weight[keep] * f
+        n_eff = _perturb_normals(tuple(h / DOME_RADIUS_MM for h in hit_p),
+                                 contacts)
+        toward = tuple(cam - h for cam, h in zip(CAMERA_POS_MM, hit_p))
+        norm = np.sqrt(_dot(toward, toward))
+        toward = tuple(tc / norm for tc in toward)
+        mirror = None if surface.mode == LAMBERTIAN else _reflect(d, n_eff)
+        del d, norm
+        contrib = weight * _bsdf_toward(surface, mirror, n_eff, toward,
+                                        glint_tol_rad)
         pix = _pixel_index(hit_p, size)
         if uniform_rgb:
             acc = np.bincount(pix, weights=contrib, minlength=size * size)
             img += acc[:, None] * leds.rgb[0][None, :]
         else:
             for ch in range(3):
-                img[:, ch] += np.bincount(pix, weights=contrib * w_rgb[keep, ch],
+                img[:, ch] += np.bincount(pix, weights=contrib * w_rgb[ch],
                                           minlength=size * size)
+        del toward, contrib, pix
 
-        new_dirs = _sample_scatter(surface, d[hits], n_eff, rng)
-        pos[keep] = hit_p + 1e-7 * new_dirs
-        dirs[keep] = new_dirs
-        weight[keep] *= reflectivity
+        dirs = _scatter(surface, mirror, n_eff, rng)
+        pos = tuple(p + 1e-7 * dc for p, dc in zip(hit_p, dirs))
+        weight = weight * reflectivity
+        del hit_p, mirror, n_eff
     return img
 
 

@@ -1,9 +1,12 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
+from touchlab import recordlog
 from touchlab.cli import EXIT_CONFIG, EXIT_EMPTY, EXIT_OK, main
+from touchlab.core import ModalityKind, ModalitySample, RecordLog, StreamDescriptor
 
 SCENARIO = {
     "seed": 11,
@@ -79,6 +82,31 @@ class TestRecordReplay:
 
     def test_missing_file_exit_3(self, tmp_path):
         assert main(["replay", str(tmp_path / "nope.d36r")]) == 3
+
+    # Offsets into a two-stream D36R file: 8-byte header, then 18-byte
+    # descriptors (stream_id u16, kind u8, rate f64, channels u16, ...),
+    # then 14-byte chunk headers (stream_id u16, t_ns u64, length u32).
+    @pytest.mark.parametrize("offset,raw", [
+        (8 + 2, bytes([99])),                      # unknown kind code
+        (8 + 18, struct.pack("<H", 2)),            # duplicate stream id
+        (8 + 3, struct.pack("<d", 0.0)),           # zero rate
+        (8 + 11, struct.pack("<H", 0)),            # zero channels
+        (8 + 2 * 18 + (14 + 16) + 2, struct.pack("<Q", 0)),  # t goes back
+    ], ids=["unknown_kind", "duplicate_stream", "zero_rate", "zero_channels",
+            "backwards_timestamp"])
+    def test_malformed_log_exit_2(self, tmp_path, offset, raw):
+        log = RecordLog()
+        for sid, kind in ((2, ModalityKind.SURFACE_PRESSURE),
+                          (3, ModalityKind.INERTIAL)):
+            log.add_stream(StreamDescriptor.default(sid, kind))
+        for k in range(1, 3):
+            log.append(ModalitySample(2, k * 1_000_000, np.full(4, k, dtype="<f4")))
+        log.append(ModalitySample(3, 5_000_000, np.zeros(3, dtype="<f4")))
+        data = bytearray(recordlog.log_to_bytes(log))
+        data[offset:offset + len(raw)] = raw
+        path = tmp_path / "bad.d36r"
+        path.write_bytes(bytes(data))
+        assert main(["replay", str(path)]) == EXIT_CONFIG
 
 
 class TestBenchCommands:

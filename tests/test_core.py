@@ -72,6 +72,12 @@ class TestRecordLogModel:
         log.append(ModalitySample(0, 0, np.zeros(3, dtype="<f4")))
         assert len(log.samples) == 1
 
+    def test_duplicate_stream_rejected(self):
+        log = RecordLog()
+        log.add_stream(StreamDescriptor.default(0, ModalityKind.HEAT))
+        with pytest.raises(errors.DuplicateStream):
+            log.add_stream(StreamDescriptor.default(0, ModalityKind.GAS))
+
     def test_unknown_stream_rejected(self):
         log = RecordLog()
         with pytest.raises(KeyError):
