@@ -397,6 +397,8 @@ def _render_shard(surface, leds, contacts, photons, rng, size,
     img = np.zeros((size * size, 3))
     weight = np.ones(photons)
 
+    # Each full-length array is dropped as soon as it has been compacted or
+    # used, which keeps peak memory near one bounce's live set.
     for _ in range(max_bounces):
         b = _dot(pos, dirs)
         c = _dot(pos, pos) - DOME_RADIUS_MM ** 2
