@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from touchlab.core import ModalityKind
 from touchlab.experiments import (
     FINGER_DEPENDENT,
     FINGER_INDEPENDENT,
+    MODALITY_NAMES,
     MultiHeadClassifier,
     analyze_liquid,
     classify_fill,
@@ -101,6 +104,46 @@ class TestFusionExperiment:
         res = fusion_experiment(windows, max_epochs=40)
         assert res.confusion_action.sum() == res.n_test
         assert res.confusion_material.sum() == res.n_test
+
+
+class TestPinnedFusionDigests:
+    """SHA-256 of every reported ``FusionResult`` field for a fixed window set.
+
+    A change to feature encoding, row assembly or training that alters any
+    accuracy, the selected learning rate, the split sizes or a confusion
+    matrix shows up here; a change meant to keep the fits must leave these
+    alone.  The fits go through BLAS matrix products, so another numpy build
+    or CPU may need its own digests.
+    """
+
+    @staticmethod
+    def digest(r):
+        h = hashlib.sha256(repr((r.action_accuracy, r.material_accuracy, r.lr,
+                                 r.n_train, r.n_test)).encode())
+        h.update(np.ascontiguousarray(r.confusion_action).tobytes())
+        h.update(np.ascontiguousarray(r.confusion_material).tobytes())
+        return h.hexdigest()
+
+    @pytest.mark.parametrize("mode,modalities,shuffle,want", [
+        (FINGER_DEPENDENT, MODALITY_NAMES, False,
+         "a6d3aa8263b76968e22e9e950cb6a740f37f361c8e1d61c6f035eb369890c079"),
+        (FINGER_DEPENDENT, ("visuotactile",), False,
+         "c7a76fb0dedd532acfc194346770cf10a5d7cffb74e9e1e9f6a56581298b1a1a"),
+        (FINGER_DEPENDENT, ("audio",), False,
+         "b890c4de7d6dc50587c4bec8db2b1f8fad4e55f075e3b41964f2fa9d84d481ee"),
+        (FINGER_DEPENDENT, ("inertial",), False,
+         "e32582b56c7ffe1f75a0c59f903e3ede6329615be56d8cbc255570ba29a26e7f"),
+        (FINGER_DEPENDENT, ("pressure",), False,
+         "02d87262c622bc0d65fe69aaa803f6b851cedd2c7ffd552dc0789c359389dc8a"),
+        (FINGER_INDEPENDENT, ("pressure",), False,
+         "7b72f9774e91bb143cfb56c15488335a63ef56109addb3805bd3562537d580bf"),
+        (FINGER_DEPENDENT, MODALITY_NAMES, True,
+         "e98b88e7c9d883baa624f1123d921a1b8b2e345a30c5fd12b3dba240c9c1aa1f"),
+    ])
+    def test_fit(self, windows, mode, modalities, shuffle, want):
+        res = fusion_experiment(windows, mode=mode, modalities=modalities,
+                                max_epochs=40, shuffle_labels=shuffle)
+        assert self.digest(res) == want
 
 
 class TestMultiHeadGradients:
