@@ -258,6 +258,13 @@ def cmd_bench_reflex(args) -> int:
     return EXIT_OK
 
 
+def _float_token(token: str, flag: str) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        raise CliError(f"{flag}: not a number: {token!r}", EXIT_CONFIG) from None
+
+
 def _parse_alphas(text: str):
     alphas = []
     for token in text.split(","):
@@ -265,7 +272,7 @@ def _parse_alphas(text: str):
         if not token:
             continue
         alphas.append(token if token in (optics.LAMBERTIAN, optics.SPECULAR)
-                      else float(token))
+                      else _float_token(token, "--alpha-sweep"))
     if not alphas:
         raise CliError("empty --alpha-sweep", EXIT_CONFIG)
     return alphas
@@ -291,7 +298,8 @@ def cmd_bench_optics(args) -> int:
 
 
 def cmd_bench_mtf(args) -> int:
-    spacings = [float(s) for s in args.spacings.split(",") if s.strip()]
+    spacings = [_float_token(s, "--spacings")
+                for s in args.spacings.split(",") if s.strip()]
     rows = []
     for region in (1, 2, 3) if args.region == 0 else (args.region,):
         sigma = optics.region_psf_sigma_um(region)
@@ -309,7 +317,8 @@ def cmd_bench_mtf(args) -> int:
 
 
 def cmd_train_gas(args) -> int:
-    times = [float(t) for t in args.integration.split(",") if t.strip()]
+    times = [_float_token(t, "--integration")
+             for t in args.integration.split(",") if t.strip()]
     data = experiments.make_gas_dataset(n_per_material=args.approaches,
                                         duration_s=args.duration,
                                         seed=args.seed)
@@ -499,6 +508,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except errors.ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

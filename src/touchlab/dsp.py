@@ -10,6 +10,7 @@ features (interpolated peak frequency, fitted decay time).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,8 +112,13 @@ def mel_band_edges(n_bands: int, fmin_hz: float, fmax_hz: float) -> np.ndarray:
     return mel_to_hz(np.linspace(hz_to_mel(fmin_hz), hz_to_mel(fmax_hz), n_bands + 2))
 
 
+@functools.lru_cache(maxsize=8)
 def mel_filterbank(n_bands: int, n_fft: int, rate_hz: float) -> np.ndarray:
-    """Triangular mel filterbank, shape (n_bands, n_fft//2 + 1)."""
+    """Triangular mel filterbank, shape (n_bands, n_fft//2 + 1).
+
+    Cached per argument triple and returned read-only, since every caller
+    gets the same array.
+    """
     edges = mel_band_edges(n_bands, 0.0, rate_hz / 2)
     freqs = np.fft.rfftfreq(n_fft, d=1.0 / rate_hz)
     fb = np.zeros((n_bands, freqs.size))
@@ -124,6 +130,7 @@ def mel_filterbank(n_bands: int, n_fft: int, rate_hz: float) -> np.ndarray:
             fb[m, up] = (freqs[up] - lo) / (mid - lo)
         if hi > mid:
             fb[m, down] = (hi - freqs[down]) / (hi - mid)
+    fb.flags.writeable = False
     return fb
 
 

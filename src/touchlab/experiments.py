@@ -97,7 +97,7 @@ def gas_experiment(dataset: GasDataset, integration_time_s: float,
         raise errors.EmptyDataset("no materials")
     max_dur = min(s.shape[0] for s in dataset.series) / dataset.rate_hz
     if integration_time_s > max_dur + 1e-9:
-        raise ValueError(
+        raise errors.ConfigError(
             f"integration time {integration_time_s}s exceeds approach "
             f"duration {max_dur}s")
     n_keep = max(int(round(integration_time_s * dataset.rate_hz)), 1)
@@ -206,8 +206,25 @@ ENCODERS = {
 }
 
 
-def encode_window(window) -> dict:
-    return {name: enc(window) for name, enc in ENCODERS.items()}
+def encode_window(window, modalities=MODALITY_NAMES) -> dict:
+    """Feature vector of each of ``modalities`` for one window, by name."""
+    return {name: ENCODERS[name](window) for name in modalities}
+
+
+def _window_features(window, modalities) -> dict:
+    """The window's feature memo, filled for ``modalities``.
+
+    Each (window, modality) vector is encoded at most once and kept,
+    read-only, in a ``_features`` dict on the window instance itself
+    (``WindowSample`` is frozen and unhashable, so it cannot key a dict).
+    """
+    memo = window.__dict__.setdefault("_features", {})
+    missing = [m for m in modalities if m not in memo]
+    if missing:
+        for name, vec in encode_window(window, missing).items():
+            vec.flags.writeable = False
+            memo[name] = vec
+    return memo
 
 
 # --- fusion dataset --------------------------------------------------------------
@@ -370,9 +387,12 @@ def fusion_experiment(windows, mode: str = FINGER_DEPENDENT,
     ``windows`` is an iterable of WindowSample or (trial, WindowSample)
     pairs.  Finger-independent mode treats each finger's window as its own
     sample; finger-dependent mode concatenates the four fingers' features
-    per (trial, window-start).  Selects the Adam learning rate by a grid
-    search on a validation split of the training set, retrains on the full
-    training set, and reports held-out accuracies plus confusion matrices.
+    per (trial, window-start).  Features are encoded lazily: only the
+    requested modalities, each at most once per window, memoized on the
+    window so later calls over the same windows reuse them.  Selects the
+    Adam learning rate by a grid search on a validation split of the
+    training set, retrains on the full training set, and reports held-out
+    accuracies plus confusion matrices.
     """
     modalities = tuple(modalities)
     if not modalities:
@@ -385,7 +405,7 @@ def fusion_experiment(windows, mode: str = FINGER_DEPENDENT,
     labels = {}
     for item in windows:
         trial, w = item if isinstance(item, tuple) else (0, item)
-        enc = encode_window(w)
+        enc = _window_features(w, modalities)
         vec = np.concatenate([enc[m] for m in modalities])
         key = (trial, w.window_start_ns)
         feats.setdefault(key, {})[w.finger_id] = vec

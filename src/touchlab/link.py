@@ -245,7 +245,7 @@ def run_pipeline(path: PathProfile, workload: Workload = Workload(),
     decomposition consistency the isolation experiments rely on).
     """
     if n_runs < 1:
-        raise ValueError("n_runs must be >= 1")
+        raise errors.ConfigError("n_runs must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence((0x11A7, seed)))
     stages = _draw_stage_samples(path, workload, n_runs, rng)
 

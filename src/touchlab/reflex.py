@@ -242,7 +242,7 @@ def reflex_benchmark(path: str | ReflexPathProfile, n_trials: int = 2000,
     """
     profile = REFLEX_PATHS[path] if isinstance(path, str) else path
     if n_trials < 100:
-        raise ValueError("n_trials must be >= 100")
+        raise errors.ConfigError("n_trials must be >= 100")
     latencies = np.empty(n_trials)
     for i in range(n_trials):
         rng = np.random.default_rng(np.random.SeedSequence((0x4EF1, seed, i)))

@@ -171,6 +171,23 @@ class TestBenchCommands:
     def test_report_empty_exit_4(self, tmp_path):
         assert main(["report", str(tmp_path / "none.json")]) == EXIT_EMPTY
 
+    @pytest.mark.parametrize("argv", [
+        ["bench-reflex", "--trials", "5"],
+        ["bench-latency", "--runs", "0"],
+        ["train-gas", "--approaches", "2", "--duration", "10",
+         "--integration", "20"],
+        ["train-gas", "--approaches", "2", "--duration", "10",
+         "--integration", "5,x"],
+        ["bench-mtf", "--spacings", "x"],
+        ["bench-optics", "--alpha-sweep", "5,x"],
+    ])
+    def test_bad_flag_value_exit_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "report.json"
+        assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestAnalyzeLiquid:
     def test_full_bottle(self, tmp_path, capsys):

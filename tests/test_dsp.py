@@ -278,3 +278,10 @@ class TestMelScaleHelpers:
         fb = mel_filterbank(64, 2048, 48_000.0)
         assert fb.shape == (64, 1025)
         assert np.all(fb >= 0)
+
+    def test_filterbank_cached_read_only(self):
+        fb = mel_filterbank(64, 2048, 24_000.0)
+        assert mel_filterbank(64, 2048, 24_000.0) is fb
+        assert not fb.flags.writeable
+        fresh = mel_filterbank.__wrapped__(64, 2048, 24_000.0)
+        assert fresh is not fb and fresh.tobytes() == fb.tobytes()

@@ -1,9 +1,11 @@
+import dataclasses
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from touchlab import errors
+from touchlab import errors, experiments
 from touchlab.core import ModalityKind
 from touchlab.experiments import (
     FINGER_DEPENDENT,
@@ -104,6 +106,58 @@ class TestFusionExperiment:
         res = fusion_experiment(windows, max_epochs=40)
         assert res.confusion_action.sum() == res.n_test
         assert res.confusion_material.sum() == res.n_test
+
+
+def fresh(windows):
+    """New instances of the same windows, with empty feature memos."""
+    return [(trial, dataclasses.replace(w)) for trial, w in windows]
+
+
+class TestFeatureMemo:
+    FAST = {"max_epochs": 5, "lr_grid": (0.01,)}
+
+    @pytest.fixture
+    def vt_calls(self, monkeypatch):
+        calls = Counter()
+        encode = experiments.ENCODERS["visuotactile"]
+
+        def counted(w):
+            calls[id(w)] += 1
+            return encode(w)
+
+        monkeypatch.setitem(experiments.ENCODERS, "visuotactile", counted)
+        return calls
+
+    def test_visuotactile_encoded_once_per_window(self, windows, vt_calls):
+        ws = fresh(windows)
+        fusion_experiment(ws, **self.FAST)
+        fusion_experiment(ws, modalities=("pressure",), **self.FAST)
+        fusion_experiment(ws, mode=FINGER_INDEPENDENT, modalities=("pressure",),
+                          **self.FAST)
+        fusion_experiment(ws, shuffle_labels=True, **self.FAST)
+        assert set(vt_calls) == {id(w) for _, w in ws}
+        assert set(vt_calls.values()) == {1}
+
+    def test_pressure_only_never_encodes_visuotactile(self, windows, vt_calls):
+        ws = fresh(windows)
+        fusion_experiment(ws, modalities=("pressure",), **self.FAST)
+        fusion_experiment(ws, mode=FINGER_INDEPENDENT, modalities=("pressure",),
+                          **self.FAST)
+        assert not vt_calls
+        assert all(set(w._features) == {"pressure"} for _, w in ws)
+
+    def test_memo_matches_encode_window(self, windows):
+        ws = fresh(windows)
+        fusion_experiment(ws, modalities=("pressure", "audio"), **self.FAST)
+        fusion_experiment(ws, **self.FAST)
+        for _, w in ws:
+            want = encode_window(w)
+            assert list(w._features) == ["pressure", "audio", "visuotactile",
+                                         "inertial"]
+            for m, vec in w._features.items():
+                assert not vec.flags.writeable
+                assert vec.dtype == want[m].dtype and vec.shape == want[m].shape
+                assert vec.tobytes() == want[m].tobytes()
 
 
 class TestPinnedFusionDigests:
