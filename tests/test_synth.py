@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from touchlab import errors, optics
+from touchlab import errors, experiments, optics
 from touchlab.core import ModalityKind, stream_id_for
 from touchlab.dsp import decay_time, peak_frequency
 from touchlab.recordlog import log_to_bytes
@@ -99,6 +101,30 @@ class TestRunScenario:
         ta = np.arange(audio.size) / 8000.0
         peak_a = ta[np.argmax(np.abs(audio))]
         assert 0.5 <= peak_a <= 0.6
+
+
+class TestPinnedLogDigests:
+    """SHA-256 of whole recorded logs for fixed scenarios.
+
+    Any change to synthesis that alters a sample, or the order or size of
+    the random draws, shows up here; a change meant to keep the data must
+    leave these alone.  Pinned with numpy 2.4.6 on x86_64; another numpy
+    build or CPU may need its own digests.
+    """
+
+    def test_fusion_trial(self):
+        script = experiments.fusion_trial_script("slide", "silicone", seed=7)
+        assert hashlib.sha256(log_to_bytes(run_scenario(script))).hexdigest() == \
+            "fb567b7bfa3b8ef6b92cba1dc28d6782737aab0c72c3553ae99e6bf71089f515"
+
+    def test_default_frame_rate_two_fingers(self):
+        script = ScenarioScript(
+            seed=3, duration_s=0.6, fingers=(0, 1),
+            rates={ModalityKind.SURFACE_AUDIO: 8000.0},
+            events=[Event(0.1, 0.16, "tap", ObjectSpec("wood"), (0,)),
+                    Event(0.2, 0.5, "slide", ObjectSpec("plastic"), (1,))])
+        assert hashlib.sha256(log_to_bytes(run_scenario(script))).hexdigest() == \
+            "24971b2fb38361768b24000bd5241ce8a1efe6cc40c7e45901c3413fb3ddc36e"
 
 
 class TestGenRingdown:
