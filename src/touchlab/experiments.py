@@ -217,6 +217,8 @@ def _window_features(window, modalities) -> dict:
     Each (window, modality) vector is encoded at most once and kept,
     read-only, in a ``_features`` dict on the window instance itself
     (``WindowSample`` is frozen and unhashable, so it cannot key a dict).
+    The window's arrays must not be written after its first encode: the
+    memo would not see the change.
     """
     memo = window.__dict__.setdefault("_features", {})
     missing = [m for m in modalities if m not in memo]

@@ -524,9 +524,9 @@ def _synth_visuotactile(script, finger, events_scales, rng):
               if finger in ed.event.finger_ids and ed.event.kind != APPROACH]
 
     frames = np.empty((n, size, size, 3), dtype=np.uint8)
-    # Frames per pass: each float64 temporary holds 8 frames (2.8 MB), not a
-    # stream's worth.  Noise is drawn in the same order, so frames do not
-    # depend on the block size.
+    # Frames per pass: the float64 temporaries below hold 8 frames (2.8 MB
+    # each).  Noise is drawn in the same order whatever the block size, so
+    # the frames do not depend on it.
     block = 8
     for b0 in range(0, n, block):
         b1 = min(b0 + block, n)
