@@ -28,10 +28,10 @@ script = ScenarioScript(
 )
 
 log = run_scenario(script)
-print(f"synthesized {len(log.samples)} samples on {len(log.descriptors)} streams")
+print(f"synthesized {log.chunk_streams.size} samples on {len(log.descriptors)} streams")
 for sid in sorted(log.descriptors):
     d = log.descriptors[sid]
-    n = len(log.stream_samples(sid))
+    n = len(log.stream(sid))
     print(f"  stream {sid:2d}  {d.kind.name.lower():17s} {d.rate_hz:8g} Hz  "
           f"{n:6d} samples")
 

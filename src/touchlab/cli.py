@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__, errors, experiments, link, optics, reflex, synth
 from .core import ModalityKind
-from .recordlog import log_to_bytes, read_log, write_log
+from .recordlog import read_log, write_log
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -186,7 +186,7 @@ def cmd_record(args) -> int:
         n = write_log(log, args.out)
     except OSError as exc:
         raise CliError(f"cannot write log: {exc}", EXIT_IO) from exc
-    print(f"wrote {args.out}: {n} bytes, {len(log.samples)} samples, "
+    print(f"wrote {args.out}: {n} bytes, {log.chunk_streams.size} samples, "
           f"{len(log.descriptors)} streams")
     return EXIT_OK
 
@@ -204,19 +204,15 @@ def cmd_replay(args) -> int:
     log = _read_log_checked(args.log)
     if args.out:
         try:
-            with open(args.out, "wb") as fh:
-                fh.write(log_to_bytes(log))
+            write_log(log, args.out)
         except OSError as exc:
             raise CliError(f"cannot write log: {exc}", EXIT_IO) from exc
-    per_stream = {}
-    for s in log.samples:
-        per_stream[s.stream_id] = per_stream.get(s.stream_id, 0) + 1
-    print(f"{args.log}: {len(log.samples)} samples over "
+    print(f"{args.log}: {log.chunk_streams.size} samples over "
           f"{len(log.descriptors)} streams")
     for sid in sorted(log.descriptors):
         d = log.descriptors[sid]
         print(f"  stream {sid}: {d.kind.name.lower()} @ {d.rate_hz:g} Hz "
-              f"x{d.channels}, {per_stream.get(sid, 0)} samples")
+              f"x{d.channels}, {len(log.stream(sid))} samples")
     if args.out:
         print(f"replayed to {args.out}")
     return EXIT_OK

@@ -1,12 +1,13 @@
 """Core data model shared by every other module.
 
 Streams are identified by a small integer id and described by a
-:class:`StreamDescriptor` (modality kind, rate, channel count).  Individual
-measurements travel as :class:`ModalitySample` records carrying a monotonic
-nanosecond timestamp and a numpy payload whose shape is fixed by the
-descriptor.  Training samples are :class:`WindowSample` records with the
-fixed per-modality tensor layouts used throughout the classification
-pipeline.
+:class:`StreamDescriptor` (modality kind, rate, channel count).  A recorded
+session is a :class:`RecordLog` holding each stream's chunks as columns
+(:class:`StreamColumns`): monotonic nanosecond timestamps and one stacked
+payload array whose row shape is fixed by the descriptor.  A single
+measurement can also travel as a :class:`ModalitySample`.  Training samples
+are :class:`WindowSample` records with the fixed per-modality tensor layouts
+used throughout the classification pipeline.
 
 All types are immutable after construction and safe to share across
 threads/processes.
@@ -15,7 +16,7 @@ threads/processes.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -157,31 +158,12 @@ PAYLOAD_DTYPES = {
 }
 
 
-def check_payload(desc: StreamDescriptor, payload: np.ndarray) -> None:
-    """Verify that ``payload`` matches the descriptor's shape contract.
-
-    Image streams carry (height, width, channels) uint8 frames; audio carries
-    (n, channels) int16 blocks of any block length n >= 1; the remaining
-    modalities carry one (channels,) float32 vector per sample.
-    """
-    expected_dtype = PAYLOAD_DTYPES[desc.kind]
-    if payload.dtype != expected_dtype:
-        raise errors.ShapeMismatch(
-            f"stream {desc.stream_id}: payload dtype {payload.dtype} != {expected_dtype}")
+def row_shape(desc: StreamDescriptor) -> tuple:
+    """Shape of one payload row: a whole (height, width, channels) image,
+    one audio frame or one vector, each of ``channels`` values."""
     if desc.kind is ModalityKind.VISUOTACTILE:
-        want = (desc.height, desc.width, desc.channels)
-        if payload.shape != want:
-            raise errors.ShapeMismatch(
-                f"stream {desc.stream_id}: image shape {payload.shape} != {want}")
-    elif desc.kind is ModalityKind.SURFACE_AUDIO:
-        if payload.ndim != 2 or payload.shape[1] != desc.channels or payload.shape[0] < 1:
-            raise errors.ShapeMismatch(
-                f"stream {desc.stream_id}: audio block shape {payload.shape} "
-                f"!= (n, {desc.channels})")
-    else:
-        if payload.shape != (desc.channels,):
-            raise errors.ShapeMismatch(
-                f"stream {desc.stream_id}: vector shape {payload.shape} != ({desc.channels},)")
+        return (desc.height, desc.width, desc.channels)
+    return (desc.channels,)
 
 
 @dataclass(frozen=True)
@@ -199,44 +181,167 @@ class ModalitySample:
         self.payload.setflags(write=False)
 
 
-@dataclass
-class RecordLog:
-    """In-memory form of a recorded session: descriptors plus samples.
+@dataclass(frozen=True)
+class StreamColumns:
+    """One stream's chunks as columns, after the Arrow columnar layout.
 
-    ``samples`` keeps global file order (interleaved streams); timestamps are
-    non-decreasing within each stream.
+    ``t_ns`` holds every chunk's timestamp (uint64) and ``payload`` the
+    chunks' rows (:func:`row_shape`) stacked in the canonical dtype.  A
+    chunk is one row, except that audio chunk k is the block of frames
+    ``payload[offsets[k]:offsets[k + 1]]``.  The arrays are made read-only,
+    not copied.
     """
 
-    descriptors: dict[int, StreamDescriptor] = field(default_factory=dict)
-    samples: list[ModalitySample] = field(default_factory=list)
+    t_ns: np.ndarray
+    payload: np.ndarray
+    offsets: np.ndarray | None = None
+
+    def __post_init__(self):
+        for arr in (self.t_ns, self.payload, self.offsets):
+            if arr is not None:
+                arr.setflags(write=False)
+
+    def __len__(self) -> int:
+        return self.t_ns.size
+
+    def chunk(self, k: int) -> np.ndarray:
+        if self.offsets is None:
+            return self.payload[k]
+        return self.payload[self.offsets[k]:self.offsets[k + 1]]
+
+    def check(self, desc: StreamDescriptor) -> None:
+        """Raise ShapeMismatch unless the columns follow ``desc``'s contract."""
+        n, o = len(self), self.offsets
+        rows = n
+        if desc.kind is ModalityKind.SURFACE_AUDIO:
+            tiled = o is not None and o.shape == (n + 1,) and o[0] == 0 and np.all(o[1:] > o[:-1])
+            rows = o[-1] if tiled else -1
+        elif o is not None:
+            rows = -1
+        if (self.t_ns.dtype != np.uint64 or self.t_ns.shape != (n,)
+                or self.payload.dtype != PAYLOAD_DTYPES[desc.kind]
+                or self.payload.shape != (rows, *row_shape(desc))):
+            raise errors.ShapeMismatch(
+                f"stream {desc.stream_id}: columns do not hold {PAYLOAD_DTYPES[desc.kind]} "
+                f"rows of shape {row_shape(desc)}")
+
+
+class RecordLog:
+    """In-memory form of a recorded session: the stream descriptors plus
+    each stream's chunks as :class:`StreamColumns`.
+
+    ``chunk_streams`` holds the stream id of every chunk in file order
+    (interleaved streams); timestamps are non-decreasing within each stream.
+    ``append`` adds one :class:`ModalitySample` at the end; appended samples
+    are folded into the columns when the log is next read.  ``samples`` and
+    ``stream_samples`` build ModalitySample views of the columns.
+    """
+
+    def __init__(self):
+        self.descriptors: dict[int, StreamDescriptor] = {}
+        self._columns: dict[int, StreamColumns] = {}
+        self._chunk_streams = np.empty(0, dtype=np.uint16)
+        self._pending: list[tuple[int, StreamColumns]] = []
+
+    @classmethod
+    def from_columns(cls, descriptors, columns: dict,
+                     chunk_streams: np.ndarray | None = None) -> "RecordLog":
+        """A log of ``descriptors`` whose streams are handed over whole:
+        ``columns`` maps stream id to StreamColumns (a stream left out has no
+        chunks).  ``chunk_streams`` gives the file order; by default chunks
+        are ordered by (t_ns, stream_id) with a stable sort."""
+        log = cls()
+        for desc in descriptors:
+            log.add_stream(desc)
+        for sid, cols in columns.items():
+            cols.check(log.descriptors[sid])
+            log._columns[sid] = cols
+        sids = np.concatenate([np.full(len(c), sid, dtype=np.uint16)
+                               for sid, c in log._columns.items()] or [log._chunk_streams])
+        if chunk_streams is None:
+            t_ns = np.concatenate([c.t_ns for c in log._columns.values()] or [sids])
+            chunk_streams = sids[np.lexsort((sids, t_ns))]
+        elif not np.array_equal(np.sort(chunk_streams), np.sort(sids)):
+            raise errors.ShapeMismatch("chunk_streams does not match the stream columns")
+        log._chunk_streams = np.array(chunk_streams, dtype=np.uint16)
+        log._chunk_streams.setflags(write=False)
+        return log
 
     def add_stream(self, desc: StreamDescriptor) -> None:
         validate_descriptor(desc)
         if desc.stream_id in self.descriptors:
             raise errors.DuplicateStream(f"duplicate stream_id {desc.stream_id}")
         self.descriptors[desc.stream_id] = desc
+        audio = desc.kind is ModalityKind.SURFACE_AUDIO
+        self._columns[desc.stream_id] = StreamColumns(
+            np.empty(0, dtype=np.uint64),
+            np.empty((0, *row_shape(desc)), dtype=PAYLOAD_DTYPES[desc.kind]),
+            np.zeros(1, dtype=np.int64) if audio else None)
 
     def append(self, sample: ModalitySample) -> None:
         desc = self.descriptors.get(sample.stream_id)
         if desc is None:
             raise KeyError(f"no descriptor for stream {sample.stream_id}")
-        check_payload(desc, sample.payload)
-        self.samples.append(sample)
+        p, t_ns = sample.payload, np.array([sample.t_ns], dtype=np.uint64)
+        if desc.kind is ModalityKind.SURFACE_AUDIO:
+            one = StreamColumns(t_ns, p, np.array([0, p.shape[0] if p.ndim else 0]))
+        else:
+            one = StreamColumns(t_ns, p[None])
+        one.check(desc)
+        self._pending.append((sample.stream_id, one))
+
+    def _flush(self) -> None:
+        """Fold appended samples into the columns, one concatenation per stream."""
+        if not self._pending:
+            return
+        pending, self._pending = self._pending, []
+        parts: dict[int, list[StreamColumns]] = {}
+        for sid, one in pending:
+            parts.setdefault(sid, [self._columns[sid]]).append(one)
+        for sid, cols in parts.items():
+            offsets = None
+            if cols[0].offsets is not None:
+                lengths = np.concatenate([np.diff(c.offsets) for c in cols])
+                offsets = np.concatenate([[0], np.cumsum(lengths)])
+            self._columns[sid] = StreamColumns(np.concatenate([c.t_ns for c in cols]),
+                                               np.concatenate([c.payload for c in cols]),
+                                               offsets)
+        self._chunk_streams = np.concatenate([
+            self._chunk_streams, np.array([sid for sid, _ in pending], dtype=np.uint16)])
+        self._chunk_streams.setflags(write=False)
+
+    def stream(self, stream_id: int) -> StreamColumns:
+        self._flush()
+        return self._columns[stream_id]
+
+    @property
+    def chunk_streams(self) -> np.ndarray:
+        self._flush()
+        return self._chunk_streams
+
+    @property
+    def samples(self) -> list[ModalitySample]:
+        """Every chunk as a ModalitySample, in file order."""
+        per_stream = {sid: iter(self.stream_samples(sid)) for sid in self.descriptors}
+        return [next(per_stream[sid]) for sid in self.chunk_streams.tolist()]
 
     def stream_samples(self, stream_id: int) -> list[ModalitySample]:
-        return [s for s in self.samples if s.stream_id == stream_id]
+        if stream_id not in self.descriptors:
+            return []
+        cols = self.stream(stream_id)
+        return [ModalitySample(stream_id, t, cols.chunk(k))
+                for k, t in enumerate(cols.t_ns.tolist())]
 
     def streams_of_kind(self, kind: ModalityKind) -> list[StreamDescriptor]:
         return [d for d in self.descriptors.values() if d.kind is kind]
 
     def validate_sorted(self) -> None:
-        last: dict[int, int] = {}
-        for s in self.samples:
-            prev = last.get(s.stream_id)
-            if prev is not None and s.t_ns < prev:
+        for sid in self.descriptors:
+            t = self.stream(sid).t_ns
+            back = np.flatnonzero(t[1:] < t[:-1])
+            if back.size:
                 raise errors.UnsortedSamples(
-                    f"stream {s.stream_id}: timestamp {s.t_ns} after {prev}")
-            last[s.stream_id] = s.t_ns
+                    f"stream {sid}: timestamp {t[back[0] + 1]} after {t[back[0]]}")
 
 
 # --- training windows ---------------------------------------------------------

@@ -14,7 +14,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.signal
 
 from . import errors
 from .core import (
@@ -59,12 +58,16 @@ class FilterSpec:
             raise ValueError("order must be >= 1")
 
     def sos(self) -> np.ndarray:
+        import scipy.signal
+
         return scipy.signal.butter(2 * self.order, self.fc_hz, btype=self.kind,
                                    fs=self.sample_rate_hz, output="sos")
 
 
 def apply_filter(series: np.ndarray, spec: FilterSpec) -> np.ndarray:
     """Filter ``series`` (1-D, or 2-D filtered along axis 0)."""
+    import scipy.signal
+
     series = np.asarray(series, dtype=np.float64)
     return scipy.signal.sosfilt(spec.sos(), series, axis=0)
 
@@ -211,6 +214,8 @@ def decay_time(series: np.ndarray, rate_hz: float,
     ``onset_snr`` times the pre-onset floor), and least-squares fits the
     log envelope slope over the decaying section.
     """
+    import scipy.signal
+
     series = np.asarray(series, dtype=np.float64).ravel()
     if series.size < 64:
         raise errors.NoOnset("series too short for onset detection")
@@ -258,19 +263,14 @@ def _stack_series(log: RecordLog, desc: StreamDescriptor):
     Audio blocks are expanded to per-sample rows with timestamps
     reconstructed from the block start time and the stream rate.
     """
-    samples = log.stream_samples(desc.stream_id)
+    cols = log.stream(desc.stream_id)
+    times = cols.t_ns / 1e9
     if desc.kind is ModalityKind.SURFACE_AUDIO:
-        times, rows = [], []
-        for s in samples:
-            n = s.payload.shape[0]
-            times.append(s.t_ns / 1e9 + np.arange(n) / desc.rate_hz)
-            rows.append(s.payload)
-        if not rows:
-            return np.empty(0), np.empty((0, desc.channels))
-        return np.concatenate(times), np.concatenate(rows).astype(np.float64)
-    times = np.array([s.t_ns / 1e9 for s in samples])
-    values = np.stack([s.payload for s in samples]) if samples else np.empty((0,))
-    return times, values
+        starts, lengths = cols.offsets[:-1], np.diff(cols.offsets)
+        within = np.arange(cols.offsets[-1]) - np.repeat(starts, lengths)
+        times = np.repeat(times, lengths) + within / desc.rate_hz
+        return times, cols.payload.astype(np.float64)
+    return times, cols.payload
 
 
 def _uniform_indices(n: int, t: int) -> np.ndarray:
@@ -332,8 +332,8 @@ def build_windows(log: RecordLog, stride_s: float = WINDOW_DURATION_S,
                 raise errors.MissingModality(
                     f"finger {finger_id} is missing {kind.name}")
 
-        vt_samples = log.stream_samples(streams[ModalityKind.VISUOTACTILE].stream_id)
-        vt_times = np.array([s.t_ns / 1e9 for s in vt_samples])
+        vt_frames = log.stream(streams[ModalityKind.VISUOTACTILE].stream_id)
+        vt_times = vt_frames.t_ns / 1e9
         au_times, au_values = _stack_series(log, streams[ModalityKind.SURFACE_AUDIO])
         pr_times, pr_values = _stack_series(log, streams[ModalityKind.SURFACE_PRESSURE])
         in_times, in_values = _stack_series(log, streams[ModalityKind.INERTIAL])
@@ -362,7 +362,7 @@ def build_windows(log: RecordLog, stride_s: float = WINDOW_DURATION_S,
                     f"finger {finger_id}: only {vt_idx.size} visuotactile frames "
                     f"in window at {start:.3f}s")
             sel = vt_idx[_uniform_indices(vt_idx.size, WINDOW_T)]
-            vt = np.stack([vt_samples[i].payload for i in sel]).astype("u1")
+            vt = vt_frames.payload[sel]
 
             au_idx = np.nonzero((au_times >= start) & (au_times < stop))[0]
             if au_idx.size < SpectrogramSpec().n_fft:

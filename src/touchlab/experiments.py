@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.signal
 
 from . import errors, nn, synth
 from .core import ACTIONS, MATERIALS as CLS_MATERIALS, ModalityKind, RecordLog
@@ -504,6 +503,8 @@ FILL_LEVELS = {"empty": 0.0, "half": 0.5, "full": 1.0}
 def find_tap_episodes(audio: np.ndarray, rate_hz: float,
                       threshold_rel: float = 6.0, min_gap_s: float = 0.1):
     """Locate ring-down episodes from the smoothed envelope."""
+    import scipy.signal
+
     env = np.abs(scipy.signal.hilbert(audio))
     win = max(int(rate_hz * 0.002), 1)
     kernel = np.ones(win) / win
@@ -549,10 +550,10 @@ def analyze_liquid(log: RecordLog, finger_id: int = 0,
     if not descs:
         raise errors.MissingModality(f"no audio stream for finger {finger_id}")
     desc = descs[0]
-    blocks = [s.payload[:, 0] for s in log.stream_samples(desc.stream_id)]
-    if not blocks:
+    frames = log.stream(desc.stream_id).payload
+    if not len(frames):
         raise errors.NoTapsFound("audio stream is empty")
-    audio = np.concatenate(blocks).astype(np.float64)
+    audio = frames[:, 0].astype(np.float64)
     episodes = find_tap_episodes(audio, desc.rate_hz)
     results = []
     for i0, i1 in episodes:

@@ -431,20 +431,34 @@ def save_model(model: MlpModel, path) -> int:
 
 
 def load_model(path) -> MlpModel:
+    """Read a file written by :func:`save_model`.  A short or overlong file
+    raises TruncatedChunk, an unknown activation or head code UnknownKind."""
     import struct
 
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != WEIGHTS_MAGIC:
         raise errors.BadMagic(f"bad weights magic {data[:4]!r}")
+    if len(data) < 10:
+        raise errors.TruncatedChunk("weights header truncated")
     version, act_c, head_c, n_sizes = struct.unpack_from("<HBBH", data, 4)
     if version != WEIGHTS_VERSION:
         raise errors.VersionMismatch(f"unsupported weights version {version}")
     off = 4 + 6
+    if len(data) < off + 4 * n_sizes:
+        raise errors.TruncatedChunk("weights layer-size table truncated")
     sizes = struct.unpack_from(f"<{n_sizes}I", data, off)
     off += 4 * n_sizes
-    act = {v: k for k, v in _ACT_CODES.items()}[act_c]
-    head = {v: k for k, v in _HEAD_CODES.items()}[head_c]
+    act = {v: k for k, v in _ACT_CODES.items()}.get(act_c)
+    head = {v: k for k, v in _HEAD_CODES.items()}.get(head_c)
+    if act is None or head is None:
+        raise errors.UnknownKind(f"unknown activation/head code {act_c}/{head_c}")
+    n_params = sum(a * b + b for a, b in zip(sizes[:-1], sizes[1:]))
+    if len(data) != off + 8 * n_params:
+        raise errors.TruncatedChunk(
+            f"weights file is {len(data)} bytes, its layer sizes need {off + 8 * n_params}")
+    if n_sizes < 2 or 0 in sizes:
+        raise errors.ShapeMismatch(f"bad layer sizes {sizes}")
     model = MlpModel(MlpSpec(sizes, activation=act, head=head), seed=0)
     for i, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
         n_w = n_in * n_out
@@ -454,8 +468,6 @@ def load_model(path) -> MlpModel:
         off += 8 * n_out
         model.weights[i] = w.reshape(n_in, n_out).copy()
         model.biases[i] = b.copy()
-    if off != len(data):
-        raise errors.TruncatedChunk("trailing bytes in weights file")
     return model
 
 

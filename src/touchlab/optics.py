@@ -30,8 +30,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.ndimage
-import scipy.signal
 
 from . import errors
 
@@ -465,6 +463,8 @@ def count_glints(img: TaxelImage, rel_median: float = 10.0,
 def count_components(mask: np.ndarray, merge_px: int = 0) -> int:
     """8-connected component count, optionally merging blobs within
     ``merge_px`` pixels of each other."""
+    import scipy.ndimage
+
     if merge_px:
         mask = scipy.ndimage.binary_dilation(mask, iterations=merge_px)
     _, n = scipy.ndimage.label(mask, structure=np.ones((3, 3), dtype=int))
@@ -679,6 +679,8 @@ def mtf_resolvable(profile: np.ndarray, threshold: float = 0.5) -> dict:
     peak scores mtf = 0 (not resolvable), two peaks score by the valley
     between them.
     """
+    import scipy.signal
+
     profile = np.asarray(profile, dtype=np.float64).ravel()
     if profile.size < 8 or profile.max() <= 0:
         raise errors.NoPeaksFound("profile has no peaks")

@@ -31,18 +31,23 @@ No compression, no alignment padding.
 
 from __future__ import annotations
 
-import io
+import itertools
+import math
+import mmap
+import os
 import struct
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import errors
 from .core import (
     PAYLOAD_DTYPES,
     ModalityKind,
-    ModalitySample,
     RecordLog,
+    StreamColumns,
     StreamDescriptor,
+    row_shape,
     validate_descriptor,
 )
 
@@ -52,31 +57,59 @@ VERSION = 1
 _HEADER = struct.Struct("<4sHH")
 _DESC = struct.Struct("<HBdHBHH")
 _CHUNK = struct.Struct("<HQI")
+_CHUNK_DTYPE = np.dtype([("stream_id", "<u2"), ("t_ns", "<u8"), ("payload_len", "<u4")])
+
+
+def _pieces(log: RecordLog):
+    """Check ``log`` and return an iterator over the bytes of its file: the
+    header and descriptor table, then every chunk's header and payload.
+    Payloads are views of the columns; nothing is copied here."""
+    for desc in log.descriptors.values():
+        validate_descriptor(desc)
+    log.validate_sorted()
+    head = [_HEADER.pack(MAGIC, VERSION, len(log.descriptors))]
+    for sid in sorted(log.descriptors):
+        d = log.descriptors[sid]
+        head.append(_DESC.pack(d.stream_id, d.kind.value, d.rate_hz, d.channels,
+                               d.sample_bits, d.width, d.height))
+
+    order = log.chunk_streams
+    heads = np.empty(order.size, dtype=_CHUNK_DTYPE)
+    heads["stream_id"] = order
+    start = np.empty(order.size, dtype=np.int64)  # payload offset in its column
+    views = {}
+    for sid in log.descriptors:
+        cols = log.stream(sid)
+        rows = cols.offsets if cols.offsets is not None else np.arange(len(cols) + 1)
+        edges = rows * (cols.payload.itemsize * math.prod(cols.payload.shape[1:]))
+        at = np.flatnonzero(order == sid)
+        heads["t_ns"][at], heads["payload_len"][at], start[at] = \
+            cols.t_ns, np.diff(edges), edges[:-1]
+        views[sid] = memoryview(np.ascontiguousarray(cols.payload).reshape(-1).view(np.uint8))
+    raw_heads = memoryview(heads.view(np.uint8))
+
+    def chunks():
+        step = _CHUNK.size
+        for i, (sid, a, n) in enumerate(zip(order.tolist(), start.tolist(),
+                                            heads["payload_len"].tolist())):
+            yield raw_heads[i * step:(i + 1) * step]
+            yield views[sid][a:a + n]
+
+    return itertools.chain(head, chunks())
 
 
 def log_to_bytes(log: RecordLog) -> bytes:
     """Serialize a RecordLog; raises if any invariant is violated."""
-    for desc in log.descriptors.values():
-        validate_descriptor(desc)
-    log.validate_sorted()
-
-    buf = io.BytesIO()
-    buf.write(_HEADER.pack(MAGIC, VERSION, len(log.descriptors)))
-    for sid in sorted(log.descriptors):
-        d = log.descriptors[sid]
-        buf.write(_DESC.pack(d.stream_id, d.kind.value, d.rate_hz, d.channels,
-                             d.sample_bits, d.width, d.height))
-    for s in log.samples:
-        desc = log.descriptors[s.stream_id]
-        payload = np.ascontiguousarray(s.payload, dtype=PAYLOAD_DTYPES[desc.kind])
-        raw = payload.tobytes()
-        buf.write(_CHUNK.pack(s.stream_id, s.t_ns, len(raw)))
-        buf.write(raw)
-    return buf.getvalue()
+    return b"".join(_pieces(log))
 
 
-def log_from_bytes(data: bytes) -> RecordLog:
-    """Parse bytes produced by :func:`log_to_bytes`."""
+def log_from_bytes(data) -> RecordLog:
+    """Parse bytes produced by :func:`log_to_bytes`.
+
+    ``data`` is any buffer (bytes, bytearray, mmap).  Every payload is
+    copied out of it into the log's columns, so the log does not alias
+    ``data``.
+    """
     if len(data) < _HEADER.size:
         raise errors.TruncatedChunk("file shorter than header")
     magic, version, n_streams = _HEADER.unpack_from(data, 0)
@@ -86,7 +119,7 @@ def log_from_bytes(data: bytes) -> RecordLog:
         raise errors.VersionMismatch(f"unsupported version {version}, expected {VERSION}")
 
     off = _HEADER.size
-    log = RecordLog()
+    table = RecordLog()  # checks every descriptor, in file order
     for _ in range(n_streams):
         if off + _DESC.size > len(data):
             raise errors.TruncatedChunk("descriptor table truncated")
@@ -96,54 +129,86 @@ def log_from_bytes(data: bytes) -> RecordLog:
             kind = ModalityKind(kind_v)
         except ValueError as exc:
             raise errors.UnknownKind(f"unknown modality code {kind_v}") from exc
-        log.add_stream(StreamDescriptor(sid, kind, rate, channels, bits, width, height))
+        table.add_stream(StreamDescriptor(sid, kind, rate, channels, bits, width, height))
 
-    while off < len(data):
-        if off + _CHUNK.size > len(data):
+    # The one sequential pass: each chunk header gives the next one's offset.
+    starts = []
+    end = len(data)
+    while off < end:
+        if off + _CHUNK.size > end:
             raise errors.TruncatedChunk(f"chunk header truncated at offset {off}")
-        sid, t_ns, payload_len = _CHUNK.unpack_from(data, off)
-        off += _CHUNK.size
-        if off + payload_len > len(data):
-            raise errors.TruncatedChunk(f"chunk payload truncated at offset {off}")
-        desc = log.descriptors.get(sid)
-        if desc is None:
-            raise errors.TruncatedChunk(f"chunk references unknown stream {sid}")
-        raw = data[off:off + payload_len]
-        off += payload_len
-        payload = _decode_payload(desc, raw)
-        log.append(ModalitySample(sid, t_ns, payload))
+        starts.append(off)
+        off += _CHUNK.size + _CHUNK.unpack_from(data, off)[2]
+    if off > end:
+        raise errors.TruncatedChunk(f"chunk payload truncated at offset {starts[-1]}")
+
+    starts = np.array(starts, dtype=np.int64)
+    heads = _gather(data, starts, _CHUNK.size).view(_CHUNK_DTYPE)[:, 0]
+    chunk_streams = heads["stream_id"]
+    unknown = ~np.isin(chunk_streams, list(table.descriptors))
+    if unknown.any():
+        raise errors.TruncatedChunk(
+            f"chunk references unknown stream {chunk_streams[unknown][0]}")
+    columns = {}
+    for sid, desc in table.descriptors.items():
+        mine = chunk_streams == sid
+        columns[sid] = _decode_stream(desc, data, starts[mine] + _CHUNK.size,
+                                      heads["payload_len"][mine].astype(np.int64),
+                                      heads["t_ns"][mine])
+    log = RecordLog.from_columns(table.descriptors.values(), columns, chunk_streams)
     log.validate_sorted()
     return log
 
 
-def _decode_payload(desc: StreamDescriptor, raw: bytes) -> np.ndarray:
+def _gather(data, starts: np.ndarray, size: int) -> np.ndarray:
+    """Copy ``size`` bytes at each offset in ``starts`` out of ``data``: a
+    (n, size) array.  No view of ``data`` outlives the call."""
+    if size == 0 or starts.size == 0:
+        return np.zeros((starts.size, size), dtype=np.uint8)
+    return sliding_window_view(np.frombuffer(data, dtype=np.uint8), size)[starts]
+
+
+def _decode_stream(desc: StreamDescriptor, data, starts: np.ndarray,
+                   lengths: np.ndarray, t_ns: np.ndarray) -> StreamColumns:
+    """Copy one stream's payloads into columns, checking every length: one
+    row per chunk, or for audio a whole number of frame rows."""
     dtype = PAYLOAD_DTYPES[desc.kind]
-    flat = np.frombuffer(raw, dtype=dtype)
-    if desc.kind is ModalityKind.VISUOTACTILE:
-        want = desc.height * desc.width * desc.channels
-        if flat.size != want:
-            raise errors.TruncatedChunk(
-                f"stream {desc.stream_id}: image payload {flat.size} != {want} values")
-        return flat.reshape(desc.height, desc.width, desc.channels)
-    if desc.kind is ModalityKind.SURFACE_AUDIO:
-        if flat.size == 0 or flat.size % desc.channels:
-            raise errors.TruncatedChunk(
-                f"stream {desc.stream_id}: audio payload not a whole block")
-        return flat.reshape(-1, desc.channels)
-    if flat.size != desc.channels:
+    row = dtype.itemsize * math.prod(row_shape(desc))
+    audio = desc.kind is ModalityKind.SURFACE_AUDIO
+    bad = (lengths == 0) | (lengths % row != 0) if audio else lengths != row
+    if bad.any():
         raise errors.TruncatedChunk(
-            f"stream {desc.stream_id}: vector payload {flat.size} != {desc.channels}")
-    return flat
+            f"stream {desc.stream_id}: payload of {lengths[bad][0]} bytes is not "
+            f"{'a whole number of' if audio else 'one'} {row}-byte row")
+    sizes = np.unique(lengths).tolist()
+    if len(sizes) <= 1:  # one payload size: the gathered rows are the column
+        flat = _gather(data, starts, sizes[0] if sizes else row)
+    else:
+        flat = np.empty(int(lengths.sum()), dtype=np.uint8)
+        dest = np.cumsum(lengths) - lengths
+        for size in sizes:
+            same = lengths == size
+            sliding_window_view(flat, size, writeable=True)[dest[same]] = \
+                _gather(data, starts[same], size)
+    n_rows = int(lengths.sum()) // row if audio else starts.size
+    payload = flat.view(dtype).reshape(n_rows, *row_shape(desc))
+    offsets = np.concatenate([[0], np.cumsum(lengths // row)]) if audio else None
+    return StreamColumns(t_ns, payload, offsets)
 
 
 def write_log(log: RecordLog, path) -> int:
-    """Write ``log`` to ``path``; returns bytes written."""
-    data = log_to_bytes(log)
+    """Write ``log`` to ``path`` chunk by chunk; returns bytes written."""
+    pieces = _pieces(log)  # checks the log before the file is touched
     with open(path, "wb") as fh:
-        fh.write(data)
-    return len(data)
+        fh.writelines(pieces)
+        return fh.tell()
 
 
 def read_log(path) -> RecordLog:
+    """Read a log file through a read-only memory map.  Payloads are copied
+    out of the mapping, so the log stays valid when the file is rewritten."""
     with open(path, "rb") as fh:
-        return log_from_bytes(fh.read())
+        if os.fstat(fh.fileno()).st_size == 0:
+            return log_from_bytes(b"")
+        with mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as data:
+            return log_from_bytes(data)

@@ -25,14 +25,13 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.signal
 
 from . import errors, optics
 from .core import (
     DEFAULT_RATES,
     ModalityKind,
-    ModalitySample,
     RecordLog,
+    StreamColumns,
     StreamDescriptor,
     stream_id_for,
 )
@@ -394,6 +393,8 @@ def _imprint_path(kind: str, t_rel: np.ndarray, duration: float,
 
 def _bandpass_noise(n: int, rate_hz: float, center_hz: float, rng) -> np.ndarray:
     """Unit-rms noise band around center_hz (clipped to the Nyquist range)."""
+    import scipy.signal
+
     nyq = rate_hz / 2.0
     lo = min(max(center_hz * 0.7, 1.0), nyq * 0.8)
     hi = min(center_hz * 1.3, nyq * 0.95)
@@ -606,8 +607,9 @@ AUDIO_BLOCK_S = 0.01
 def run_scenario(script: ScenarioScript) -> RecordLog:
     """Synthesize every stream of a scenario into an in-memory RecordLog.
 
-    One stream per (finger, modality); identical (script, seed) produce
-    byte-identical logs.
+    One stream per (finger, modality), each handed to the log as whole
+    columns; chunks are then ordered by (t_ns, stream_id).  Identical
+    (script, seed) produce byte-identical logs.
     """
     script.validate()
     # Per-event randomization shared across fingers: a global amplitude
@@ -623,64 +625,30 @@ def run_scenario(script: ScenarioScript) -> RecordLog:
             depth_scale=ev_rng.uniform(0.7, 1.3),
         ))
 
-    log = RecordLog()
-    samples = []
+    descs, columns = [], {}
     for finger in script.fingers:
-        descs = {}
         for kind in ModalityKind:
             desc = StreamDescriptor.default(
                 stream_id_for(finger, kind), kind, rate_hz=script.rate(kind))
-            log.add_stream(desc)
-            descs[kind] = desc
+            descs.append(desc)
+            rng = _stream_rng(script.seed, desc.stream_id)
+            t, payload = _SYNTHS[kind](script, finger, events_scales, rng)
+            offsets = None
+            if kind is ModalityKind.SURFACE_AUDIO:
+                block = max(int(round(AUDIO_BLOCK_S * desc.rate_hz)), 1)
+                offsets = np.append(np.arange(0, payload.shape[0], block),
+                                    payload.shape[0])
+                t = t[offsets[:-1]]
+            t_ns = np.round(t * 1e9).astype(np.uint64)
+            columns[desc.stream_id] = StreamColumns(t_ns, payload, offsets)
+    return RecordLog.from_columns(descs, columns)
 
-        rngs = {kind: _stream_rng(script.seed, descs[kind].stream_id)
-                for kind in ModalityKind}
 
-        t_p, pressure = _synth_pressure(script, finger, events_scales,
-                                        rngs[ModalityKind.SURFACE_PRESSURE])
-        for i in range(t_p.size):
-            samples.append(ModalitySample(
-                descs[ModalityKind.SURFACE_PRESSURE].stream_id,
-                int(round(t_p[i] * 1e9)), pressure[i]))
-
-        t_i, inertial = _synth_inertial(script, finger, events_scales,
-                                        rngs[ModalityKind.INERTIAL])
-        for i in range(t_i.size):
-            samples.append(ModalitySample(
-                descs[ModalityKind.INERTIAL].stream_id,
-                int(round(t_i[i] * 1e9)), inertial[i]))
-
-        t_a, audio = _synth_audio(script, finger, events_scales,
-                                  rngs[ModalityKind.SURFACE_AUDIO])
-        rate_a = script.rate(ModalityKind.SURFACE_AUDIO)
-        block = max(int(round(AUDIO_BLOCK_S * rate_a)), 1)
-        for start in range(0, audio.shape[0], block):
-            samples.append(ModalitySample(
-                descs[ModalityKind.SURFACE_AUDIO].stream_id,
-                int(round(t_a[start] * 1e9)), audio[start:start + block]))
-
-        t_v, frames = _synth_visuotactile(script, finger, events_scales,
-                                          rngs[ModalityKind.VISUOTACTILE])
-        for i in range(t_v.size):
-            samples.append(ModalitySample(
-                descs[ModalityKind.VISUOTACTILE].stream_id,
-                int(round(t_v[i] * 1e9)), frames[i]))
-
-        t_g, gas = _synth_gas(script, finger, events_scales,
-                              rngs[ModalityKind.GAS])
-        for i in range(t_g.size):
-            samples.append(ModalitySample(
-                descs[ModalityKind.GAS].stream_id,
-                int(round(t_g[i] * 1e9)), gas[i]))
-
-        t_h, heat = _synth_heat(script, finger, events_scales,
-                                rngs[ModalityKind.HEAT])
-        for i in range(t_h.size):
-            samples.append(ModalitySample(
-                descs[ModalityKind.HEAT].stream_id,
-                int(round(t_h[i] * 1e9)), heat[i]))
-
-    samples.sort(key=lambda s: (s.t_ns, s.stream_id))
-    for s in samples:
-        log.append(s)
-    return log
+_SYNTHS = {
+    ModalityKind.VISUOTACTILE: _synth_visuotactile,
+    ModalityKind.SURFACE_AUDIO: _synth_audio,
+    ModalityKind.SURFACE_PRESSURE: _synth_pressure,
+    ModalityKind.INERTIAL: _synth_inertial,
+    ModalityKind.GAS: _synth_gas,
+    ModalityKind.HEAT: _synth_heat,
+}

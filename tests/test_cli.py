@@ -1,9 +1,14 @@
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import touchlab
 from touchlab import recordlog
 from touchlab.cli import EXIT_CONFIG, EXIT_EMPTY, EXIT_OK, main
 from touchlab.core import ModalityKind, ModalitySample, RecordLog, StreamDescriptor
@@ -46,6 +51,24 @@ class TestRecordReplay:
         assert main(["record", scenario, "--out", str(log1)]) == EXIT_OK
         assert main(["replay", str(log1), "--out", str(log2)]) == EXIT_OK
         assert log1.read_bytes() == log2.read_bytes()
+
+    def test_replay_in_place_byte_identical(self, tmp_path):
+        scenario = write_scenario(tmp_path, SCENARIO)
+        path = tmp_path / "a.d36r"
+        assert main(["record", scenario, "--out", str(path)]) == EXIT_OK
+        before = path.read_bytes()
+        assert main(["replay", str(path), "--out", str(path)]) == EXIT_OK
+        assert path.read_bytes() == before
+
+    def test_partial_item_payload_exit_2(self, tmp_path):
+        log = RecordLog()
+        log.add_stream(StreamDescriptor.default(3, ModalityKind.INERTIAL))
+        log.append(ModalitySample(3, 0, np.zeros(3, dtype="<f4")))
+        data = bytearray(recordlog.log_to_bytes(log)[:-1])
+        struct.pack_into("<I", data, len(data) - 11 - 4, 11)  # an 11-byte chunk
+        path = tmp_path / "partial.d36r"
+        path.write_bytes(bytes(data))
+        assert main(["replay", str(path)]) == EXIT_CONFIG
 
     def test_same_seed_identical_files(self, tmp_path):
         scenario = write_scenario(tmp_path, SCENARIO)
@@ -244,3 +267,12 @@ class TestReportMetadata:
                      "--format", "json"])
         assert code == EXIT_OK
         assert (tmp_path / "bench-mtf-0.json").exists()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = ("import sys, touchlab.cli; "
+            "print([m for m in ('scipy.signal', 'scipy.ndimage') if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": str(Path(touchlab.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

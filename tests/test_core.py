@@ -8,6 +8,7 @@ from touchlab.core import (
     ModalityKind,
     ModalitySample,
     RecordLog,
+    StreamColumns,
     StreamDescriptor,
     WindowSample,
     frame_delay,
@@ -90,6 +91,32 @@ class TestRecordLogModel:
         log.append(ModalitySample(0, 5, np.zeros(1, dtype="<f4")))
         with pytest.raises(errors.UnsortedSamples):
             log.validate_sorted()
+
+
+class TestFromColumns:
+    DESCS = (StreamDescriptor.default(2, ModalityKind.SURFACE_PRESSURE),
+             StreamDescriptor.default(1, ModalityKind.SURFACE_AUDIO))
+
+    def _columns(self):
+        pressure = StreamColumns(np.array([0, 5, 5], dtype=np.uint64),
+                                 np.arange(12, dtype="<f4").reshape(3, 4))
+        audio = StreamColumns(np.array([5, 9], dtype=np.uint64),
+                              np.zeros((7, 4), dtype="<i2"), np.array([0, 4, 7]))
+        return {2: pressure, 1: audio}
+
+    def test_default_order_is_time_then_stream(self):
+        log = RecordLog.from_columns(self.DESCS, self._columns())
+        assert log.chunk_streams.tolist() == [2, 1, 2, 2, 1]
+        assert [s.payload.shape for s in log.samples] == [(4,), (4, 4), (4,), (4,), (3, 4)]
+
+    def test_mismatched_columns_rejected(self):
+        with pytest.raises(errors.ShapeMismatch):
+            RecordLog.from_columns(self.DESCS, self._columns(),
+                                   chunk_streams=np.array([2, 2, 2, 1], dtype=np.uint16))
+        cols = self._columns()
+        cols[1] = StreamColumns(cols[1].t_ns, cols[1].payload, np.array([0, 4, 6]))
+        with pytest.raises(errors.ShapeMismatch):
+            RecordLog.from_columns(self.DESCS, cols)
 
 
 def _window_kwargs(**over):

@@ -247,10 +247,11 @@ class TestBuildWindows:
         assert len(build_windows(log, stride_s=1.33)) == 2
 
     def test_missing_modality(self):
-        log = make_log(duration_s=3.0)
+        full = make_log(duration_s=3.0)
         pid = stream_id_for(0, ModalityKind.SURFACE_PRESSURE)
-        log.samples = [s for s in log.samples if s.stream_id != pid]
-        del log.descriptors[pid]
+        log = RecordLog.from_columns(
+            [d for sid, d in full.descriptors.items() if sid != pid],
+            {sid: full.stream(sid) for sid in full.descriptors if sid != pid})
         with pytest.raises(errors.MissingModality):
             build_windows(log)
 

@@ -226,3 +226,18 @@ class TestWeightSerialization:
         path.write_bytes(bytes(data))
         with pytest.raises(errors.VersionMismatch):
             load_model(path)
+
+    @pytest.mark.parametrize("damage,error", [
+        (lambda data: data[:7], "TruncatedChunk"),            # header cut short
+        (lambda data: data[:-8], "TruncatedChunk"),           # last bias missing
+        (lambda data: data[:6] + b"\x09" + data[7:], "UnknownKind"),  # activation code 9
+    ], ids=["truncated_header", "truncated_weights", "unknown_activation"])
+    def test_corrupt_file_named_error(self, tmp_path, damage, error):
+        from touchlab import errors
+        from touchlab.nn import load_model, save_model
+
+        path = tmp_path / "model.tlnn"
+        save_model(MlpModel(MlpSpec((3, 4, 2)), seed=1), path)
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(getattr(errors, error)):
+            load_model(path)

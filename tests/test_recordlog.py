@@ -1,8 +1,13 @@
+import os
+import struct
+import tempfile
+from contextlib import redirect_stdout
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from touchlab import errors
+from touchlab import cli, errors
 from touchlab.core import ModalityKind, ModalitySample, RecordLog, StreamDescriptor
 from touchlab.recordlog import (
     MAGIC,
@@ -111,3 +116,103 @@ class TestCorruption:
         log.append(ModalitySample(sid, 50, np.zeros(3, dtype="<f4")))
         with pytest.raises(errors.UnsortedSamples):
             log_to_bytes(log)
+
+    def test_partial_item_payload(self):
+        with pytest.raises(errors.TruncatedChunk):
+            log_from_bytes(partial_item_log())
+
+
+def partial_item_log() -> bytes:
+    """A one-chunk inertial log whose chunk holds 11 bytes, not three
+    whole float32 values."""
+    log = RecordLog()
+    log.add_stream(StreamDescriptor.default(3, ModalityKind.INERTIAL))
+    log.append(ModalitySample(3, 0, np.zeros(3, dtype="<f4")))
+    data = bytearray(log_to_bytes(log)[:-1])
+    struct.pack_into("<I", data, len(data) - 11 - 4, 11)  # payload_len
+    return bytes(data)
+
+
+def _small_log() -> bytes:
+    """Every modality kind, 4x3 images, and audio blocks of 1, 4 and 7 frames."""
+    log = RecordLog()
+    for sid, kind in enumerate(ModalityKind):
+        if kind is ModalityKind.VISUOTACTILE:
+            log.add_stream(StreamDescriptor(sid, kind, 30.0, 3, 8, width=4, height=3))
+        else:
+            log.add_stream(StreamDescriptor.default(sid, kind))
+    rng = np.random.default_rng(3)
+    for k in range(3):
+        for sid, desc in log.descriptors.items():
+            if desc.kind is ModalityKind.SURFACE_AUDIO:
+                payload = rng.integers(-99, 99, size=(1 + 3 * k, desc.channels)).astype("<i2")
+            elif desc.kind is ModalityKind.VISUOTACTILE:
+                payload = rng.integers(0, 256, size=(3, 4, 3), dtype=np.uint8)
+            else:
+                payload = rng.normal(size=desc.channels).astype("<f4")
+            log.append(ModalitySample(sid, 1000 * k + sid, payload))
+    return log_to_bytes(log)
+
+
+SMALL_LOG = _small_log()
+
+
+def _mutated(edits):
+    data = bytearray(SMALL_LOG)
+    for pos, value in edits:
+        data[pos] = value
+    return bytes(data)
+
+
+damaged_logs = st.one_of(
+    st.integers(0, len(SMALL_LOG) - 1).map(lambda n: SMALL_LOG[:n]),
+    st.lists(st.tuples(st.integers(0, len(SMALL_LOG) - 1), st.integers(0, 255)),
+             min_size=1, max_size=4).map(_mutated),
+)
+
+
+class TestDamagedLogs:
+    """A truncated or mutated log either parses, and then re-encodes, or
+    raises a TouchlabError; ``touchlab replay`` exits 0 or 2."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=damaged_logs)
+    def test_parse_or_named_error(self, data):
+        try:
+            back = log_from_bytes(data)
+        except errors.TouchlabError:
+            return
+        log_to_bytes(back)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=damaged_logs)
+    def test_replay_exit_code(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "damaged.d36r")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            with open(os.devnull, "w") as sink, redirect_stdout(sink):
+                code = cli.main(["replay", path, "--out", os.path.join(tmp, "again.d36r")])
+        assert code in (cli.EXIT_OK, cli.EXIT_CONFIG)
+
+
+class TestNoAliasing:
+    def test_buffer_mutation_leaves_payloads(self):
+        log = _random_log(seed=5, n_samples=200)
+        buf = bytearray(log_to_bytes(log))
+        back = log_from_bytes(buf)
+        buf[:] = bytes(len(buf))
+        buf.clear()  # a payload still viewing ``buf`` would make this raise
+        assert _logs_equal(log, back)
+
+    def test_payloads_read_only(self, tmp_path):
+        path = tmp_path / "log.d36r"
+        write_log(_random_log(seed=6, n_samples=100), path)
+        back = read_log(path)
+        for sid in back.descriptors:
+            cols = back.stream(sid)
+            assert not cols.payload.flags.writeable
+            assert not cols.t_ns.flags.writeable
+        sample = back.samples[0]
+        with pytest.raises(ValueError):
+            sample.payload[...] = 0
