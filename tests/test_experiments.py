@@ -200,6 +200,75 @@ class TestPinnedFusionDigests:
         assert self.digest(res) == want
 
 
+def fit_digest(params, losses) -> str:
+    """SHA-256 over a fit's parameters (layer by layer, weight then bias,
+    float64 little-endian) followed by its per-epoch losses."""
+    h = hashlib.sha256()
+    for p in params:
+        h.update(np.ascontiguousarray(p, dtype="<f8").tobytes())
+    h.update(np.asarray(losses, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+class TestPinnedFitDigests:
+    """Bit identity of the trained networks themselves, not only of the
+    accuracies they reach: every fit ``fusion_experiment`` makes (each
+    learning-rate candidate, then the final fit, with the trunk layers
+    before the action and material heads) and the gas classifier.  Like
+    ``TestPinnedFusionDigests`` these go through BLAS, so another numpy
+    build or CPU may need its own digests."""
+
+    @pytest.fixture
+    def fusion_fits(self, monkeypatch):
+        fits = []
+        train = experiments._train_multihead
+
+        def recorded(*args, **kwargs):
+            model, losses = train(*args, **kwargs)
+            weights = model.trunk_w + [model.head_a[0], model.head_m[0]]
+            biases = model.trunk_b + [model.head_a[1], model.head_m[1]]
+            params = [p for wb in zip(weights, biases) for p in wb]
+            fits.append(fit_digest(params, losses))
+            return model, losses
+
+        monkeypatch.setattr(experiments, "_train_multihead", recorded)
+        return fits
+
+    @pytest.mark.parametrize("modalities,want", [
+        (MODALITY_NAMES, [
+            "af335838bdd3f6a0d0eb7091f2197e72f58a323624070306a935f9613ab21a76",
+            "d47f192e19d941d1eabb656ebff59e915767493d6cbf1dca558b4c2c438e6652",
+            "aec7f6ea8b07fc61ad5c9775be36a60efe706ca8b96e6bcf3205c4993068e0cd",
+            "4c5a7110e4f7b0695ecb4f4cf8c6cb5548cbb07bc16dbfee44a215b118d33ac1"]),
+        (("pressure",), [
+            "ea2df6ff0276aca081680ce4ba762b4cb2ba0e342e50568c345544b916bb93bf",
+            "97671a787eab3161dda19f4cac91f086b0c9d18fca5519e01f247b72c04e4f65",
+            "4fbd6b883583312bec9fbc9a17f41a335d0775014096aefc302b1327e7b0d3bf",
+            "da43a009b5604251fb93794cba08e8980b0e49ca408171ed14d00e1db0326b23"]),
+    ], ids=["all", "pressure"])
+    def test_fusion_fits(self, windows, fusion_fits, modalities, want):
+        fusion_experiment(windows, mode=FINGER_INDEPENDENT,
+                          modalities=modalities, max_epochs=40)
+        assert fusion_fits == want
+
+    def test_gas_fit(self, monkeypatch):
+        fits = []
+        train = experiments.nn.train
+
+        def recorded(*args, **kwargs):
+            res = train(*args, **kwargs)
+            params = [p for wb in zip(res.model.weights, res.model.biases)
+                      for p in wb]
+            fits.append(fit_digest(params, res.losses))
+            return res
+
+        monkeypatch.setattr(experiments.nn, "train", recorded)
+        data = make_gas_dataset(n_per_material=10, duration_s=30.0, seed=2)
+        gas_experiment(data, 20.0, seed=2, max_epochs=80)
+        assert fits == [
+            "838129b4a96e87d977b161bde9c037ada33bfaee04f1c7c5965c0604e749629c"]
+
+
 class TestMultiHeadGradients:
     def test_against_finite_differences(self):
         rng = np.random.default_rng(0)

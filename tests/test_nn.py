@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -126,6 +128,42 @@ class TestTrain:
         first = np.mean(res.losses[:40])
         last = np.mean(res.losses[-40:])
         assert last < first
+
+
+class TestPinnedTrainDigests:
+    """SHA-256 of the trained parameters (layer by layer, weight then
+    bias) and per-epoch losses of two ``train`` runs: shuffled minibatches
+    through a ReLU net with cross-entropy, and a tanh net with a linear
+    head under MSE.  The products go through BLAS, so another numpy build
+    or CPU may need its own digests."""
+
+    @staticmethod
+    def digest(res):
+        h = hashlib.sha256()
+        for w, b in zip(res.model.weights, res.model.biases):
+            h.update(np.ascontiguousarray(w, dtype="<f8").tobytes())
+            h.update(np.ascontiguousarray(b, dtype="<f8").tobytes())
+        h.update(np.asarray(res.losses, dtype="<f8").tobytes())
+        return h.hexdigest()
+
+    def test_minibatch_relu(self):
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(50, 4))
+        y = (x[:, 0] + x[:, 1] * x[:, 2] > 0).astype(int) + (x[:, 3] > 1)
+        res = train((x, y), MlpSpec((4, 10, 7, 3)),
+                    TrainConfig(lr=0.02, max_epochs=30, batch_size=8, seed=3))
+        assert self.digest(res) == (
+            "f5ea4279766b973d3893129b59eb3d1d951ec9769d5a3782bac9851c579d5af2")
+
+    def test_tanh_mse(self):
+        rng = np.random.default_rng(22)
+        x = rng.normal(size=(40, 3))
+        y = np.stack([np.sin(x[:, 0]) + x[:, 1], x[:, 2] ** 2], axis=1)
+        res = train((x, y), MlpSpec((3, 9, 2), activation="tanh", head="linear"),
+                    TrainConfig(lr=0.01, max_epochs=40, batch_size=16, seed=4,
+                                loss=MSE))
+        assert self.digest(res) == (
+            "bde2f197bfa72c6869216cfbba068c61f8794245da6edfba21dd03772172e6df")
 
 
 class TestGradCheck:
