@@ -6,6 +6,8 @@ bench-mtf, train-gas, train-fusion, analyze-liquid, report.
 Reports are machine-first (CSV or JSON) and embed the seed, a hash of the
 effective configuration, and the artifact version.  Exit codes are stable:
 0 success, 2 configuration/parse error, 3 I/O error, 4 empty result.
+``main`` is the one error boundary: ``OSError`` exits 3, a library
+``TouchlabError`` 2, or 4 for an empty dataset or a log without taps.
 """
 
 from __future__ import annotations
@@ -77,11 +79,8 @@ def _emit(report: dict, out: str | None, fmt: str) -> None:
             out = os.path.join(out_dir, name)
     text = _render(report, fmt)
     if out:
-        try:
-            with open(out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise CliError(f"cannot write report: {exc}", EXIT_IO) from exc
+        with open(out, "w") as fh:
+            fh.write(text)
         print(f"wrote {out}")
     else:
         print(text)
@@ -127,11 +126,8 @@ def _jsonable(obj):
 
 def load_scenario(path: str) -> synth.ScenarioScript:
     """Parse a scenario description (JSON, schema in the README)."""
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise CliError(f"cannot read scenario: {exc}", EXIT_IO) from exc
+    with open(path) as fh:
+        text = fh.read()
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -182,31 +178,16 @@ def cmd_record(args) -> int:
     if args.seed is not None:
         script.seed = args.seed
     log = synth.run_scenario(script)
-    try:
-        n = write_log(log, args.out)
-    except OSError as exc:
-        raise CliError(f"cannot write log: {exc}", EXIT_IO) from exc
+    n = write_log(log, args.out)
     print(f"wrote {args.out}: {n} bytes, {log.chunk_streams.size} samples, "
           f"{len(log.descriptors)} streams")
     return EXIT_OK
 
 
-def _read_log_checked(path):
-    try:
-        return read_log(path)
-    except OSError as exc:
-        raise CliError(f"cannot read log: {exc}", EXIT_IO) from exc
-    except errors.TouchlabError as exc:
-        raise CliError(f"{path}: {exc}", EXIT_CONFIG) from exc
-
-
 def cmd_replay(args) -> int:
-    log = _read_log_checked(args.log)
+    log = read_log(args.log)
     if args.out:
-        try:
-            write_log(log, args.out)
-        except OSError as exc:
-            raise CliError(f"cannot write log: {exc}", EXIT_IO) from exc
+        write_log(log, args.out)
     print(f"{args.log}: {log.chunk_streams.size} samples over "
           f"{len(log.descriptors)} streams")
     for sid in sorted(log.descriptors):
@@ -276,11 +257,8 @@ def _parse_alphas(text: str):
 
 def cmd_bench_optics(args) -> int:
     alphas = _parse_alphas(args.alpha_sweep)
-    try:
-        result = optics.scatter_sweep(alphas=alphas, photons=args.photons,
-                                      seed=args.seed)
-    except errors.BudgetTooSmall as exc:
-        raise CliError(str(exc), EXIT_CONFIG) from exc
+    result = optics.scatter_sweep(alphas=alphas, photons=args.photons,
+                                  seed=args.seed)
     for row in result["rows"]:
         print(f"{row['alpha']:>11}: std/mean={row['std_over_mean']:.3f} "
               f"cnr_score={row['cnr_score']:.2f} obj={row['objective']:+.4f}")
@@ -315,6 +293,8 @@ def cmd_bench_mtf(args) -> int:
 def cmd_train_gas(args) -> int:
     times = [_float_token(t, "--integration")
              for t in args.integration.split(",") if t.strip()]
+    if not times:
+        raise CliError("empty --integration", EXIT_CONFIG)
     data = experiments.make_gas_dataset(n_per_material=args.approaches,
                                         duration_s=args.duration,
                                         seed=args.seed)
@@ -344,21 +324,18 @@ def cmd_train_fusion(args) -> int:
         if args.mode == "both" else (f"finger_{args.mode}",)
     rows = []
     last = None
-    try:
-        for mode in modes:
-            last = experiments.fusion_experiment(windows, mode=mode,
-                                                 modalities=modalities,
-                                                 seed=args.seed)
-            rows.append({
-                "mode": mode, "modalities": "+".join(modalities),
-                "action_accuracy": last.action_accuracy,
-                "material_accuracy": last.material_accuracy,
-                "lr": last.lr, "n_train": last.n_train, "n_test": last.n_test,
-            })
-            print(f"{mode}: action {last.action_accuracy:.3f}, "
-                  f"material {last.material_accuracy:.3f} (lr={last.lr})")
-    except errors.MissingModality as exc:
-        raise CliError(str(exc), EXIT_CONFIG) from exc
+    for mode in modes:
+        last = experiments.fusion_experiment(windows, mode=mode,
+                                             modalities=modalities,
+                                             seed=args.seed)
+        rows.append({
+            "mode": mode, "modalities": "+".join(modalities),
+            "action_accuracy": last.action_accuracy,
+            "material_accuracy": last.material_accuracy,
+            "lr": last.lr, "n_train": last.n_train, "n_test": last.n_test,
+        })
+        print(f"{mode}: action {last.action_accuracy:.3f}, "
+              f"material {last.material_accuracy:.3f} (lr={last.lr})")
     if args.confusion_out and last is not None:
         from .core import ACTIONS, MATERIALS
         with open(args.confusion_out, "w") as fh:
@@ -371,13 +348,8 @@ def cmd_train_fusion(args) -> int:
 
 
 def cmd_analyze_liquid(args) -> int:
-    log = _read_log_checked(args.log)
-    try:
-        taps = experiments.analyze_liquid(log, finger_id=args.finger)
-    except errors.MissingModality as exc:
-        raise CliError(str(exc), EXIT_CONFIG) from exc
-    except errors.NoTapsFound as exc:
-        raise CliError(str(exc), EXIT_EMPTY) from exc
+    log = read_log(args.log)
+    taps = experiments.analyze_liquid(log, finger_id=args.finger)
     rows = [{"t_start_s": t.t_start_s, "peak_hz": t.peak_hz,
              "tau_s": t.tau_s, "predicted_fill": t.predicted_fill}
             for t in taps]
@@ -501,12 +473,14 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, errors.TouchlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
-    except errors.ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        if isinstance(exc, CliError):
+            return exc.exit_code
+        if isinstance(exc, OSError):
+            return EXIT_IO
+        empty = isinstance(exc, (errors.EmptyDataset, errors.NoTapsFound))
+        return EXIT_EMPTY if empty else EXIT_CONFIG
 
 
 if __name__ == "__main__":

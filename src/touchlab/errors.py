@@ -125,10 +125,6 @@ class LabelOutOfRange(TouchlabError, ValueError):
     pass
 
 
-class ShapeUnderflow(TouchlabError, ValueError):
-    pass
-
-
 # --- latency simulation ------------------------------------------------------
 
 class TooFewSamples(TouchlabError, ValueError):

@@ -3,14 +3,13 @@
 Three analyses live here: the gas-sensing material classifier (per-channel
 means over an integration window into a 4-64-6 network), the multimodal
 action/material fusion classifier (compact per-modality feature encoders,
-concatenated into a shared trunk with two output heads), and the
-liquid-level analysis of container tap ring-downs.
+concatenated into ``nn``'s MLP with a shared trunk and two named heads),
+and the liquid-level analysis of container tap ring-downs.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,6 +45,9 @@ class GasDataset:
 def make_gas_dataset(n_per_material: int = 60, duration_s: float = 90.0,
                      seed: int = 0, materials=GAS_MATERIALS) -> GasDataset:
     """Synthesize repeated approach runs for each material."""
+    if n_per_material < 1:
+        raise errors.ConfigError(
+            f"need at least one approach per material, got {n_per_material}")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x6A5)))
     series, labels = [], []
     for label, material in enumerate(materials):
@@ -109,6 +111,10 @@ def gas_experiment(dataset: GasDataset, integration_time_s: float,
 
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x6A5E)))
     train_idx, test_idx = _split(feats.shape[0], 0.3, dataset.labels, rng)
+    if not test_idx.size:
+        raise errors.EmptyDataset(
+            "the split leaves no test rows: need at least 2 approaches per "
+            "material")
     x_tr, x_te = _zscore(feats[train_idx], feats[test_idx])
     y_tr, y_te = dataset.labels[train_idx], dataset.labels[test_idx]
 
@@ -277,88 +283,6 @@ def iter_fusion_windows(trials_per_class: int = 12, seed: int = 0,
                 trial += 1
 
 
-# --- two-head fusion model ---------------------------------------------------------
-
-
-class MultiHeadClassifier:
-    """Shared ReLU trunk with two softmax output heads."""
-
-    def __init__(self, in_dim: int, n_action: int = 3, n_material: int = 3,
-                 hidden=(96, 48), seed: int = 0):
-        rng = np.random.default_rng(seed)
-        sizes = (in_dim,) + tuple(hidden)
-        self.trunk_w = []
-        self.trunk_b = []
-        for a, b in zip(sizes[:-1], sizes[1:]):
-            self.trunk_w.append(rng.normal(0.0, np.sqrt(2.0 / a), size=(a, b)))
-            self.trunk_b.append(np.zeros(b))
-        top = sizes[-1]
-        self.head_a = [rng.normal(0.0, np.sqrt(1.0 / top), size=(top, n_action)),
-                       np.zeros(n_action)]
-        self.head_m = [rng.normal(0.0, np.sqrt(1.0 / top), size=(top, n_material)),
-                       np.zeros(n_material)]
-
-    def params(self):
-        return (self.trunk_w + self.trunk_b
-                + [self.head_a[0], self.head_a[1], self.head_m[0], self.head_m[1]])
-
-    def _trunk(self, x: np.ndarray, cache=None):
-        h = x
-        for w, b in zip(self.trunk_w, self.trunk_b):
-            z = h @ w + b
-            if cache is not None:
-                cache.append((h, z))
-            h = np.maximum(z, 0.0)
-        return h
-
-    def forward(self, x: np.ndarray):
-        h = self._trunk(x)
-        return h @ self.head_a[0] + self.head_a[1], \
-            h @ self.head_m[0] + self.head_m[1]
-
-    def predict(self, x: np.ndarray):
-        la, lm = self.forward(x)
-        return np.argmax(la, axis=1), np.argmax(lm, axis=1)
-
-    def loss_grads(self, x: np.ndarray, y_action: np.ndarray,
-                   y_material: np.ndarray):
-        cache = []
-        h = self._trunk(x, cache)
-        la = h @ self.head_a[0] + self.head_a[1]
-        lm = h @ self.head_m[0] + self.head_m[1]
-        loss_a, dla = nn.cross_entropy_loss(la, y_action)
-        loss_m, dlm = nn.cross_entropy_loss(lm, y_material)
-
-        g_ha_w = h.T @ dla
-        g_ha_b = dla.sum(axis=0)
-        g_hm_w = h.T @ dlm
-        g_hm_b = dlm.sum(axis=0)
-        dh = dla @ self.head_a[0].T + dlm @ self.head_m[0].T
-
-        gw = [None] * len(self.trunk_w)
-        gb = [None] * len(self.trunk_b)
-        grad = dh
-        for i in range(len(self.trunk_w) - 1, -1, -1):
-            h_in, z = cache[i]
-            grad = grad * (z > 0.0)
-            gw[i] = h_in.T @ grad
-            gb[i] = grad.sum(axis=0)
-            grad = grad @ self.trunk_w[i].T
-        return loss_a + loss_m, gw + gb + [g_ha_w, g_ha_b, g_hm_w, g_hm_b]
-
-
-def _train_multihead(x, ya, ym, seed, lr, max_epochs):
-    model = MultiHeadClassifier(x.shape[1], seed=seed)
-    cfg = nn.TrainConfig(lr=lr, max_epochs=1)  # Adam hyperparameters only
-    opt = nn.AdamState(model.params())
-    losses = []
-    for _ in range(max_epochs):
-        loss, grads = model.loss_grads(x, ya, ym)
-        opt.step(model.params(), grads, cfg)
-        losses.append(loss)
-    return model, losses
-
-
 @dataclass
 class FusionResult:
     action_accuracy: float
@@ -377,6 +301,14 @@ class FusionResult:
 
 
 LR_GRID = (0.003, 0.01, 0.03)
+FUSION_HIDDEN = (96, 48)
+
+
+def _predict(model: nn.MlpModel, x: np.ndarray):
+    """Predicted (action, material) classes, per replica if stacked."""
+    logits = model.forward_logits(x)
+    return (np.argmax(logits["action"], axis=-1),
+            np.argmax(logits["material"], axis=-1))
 
 
 def fusion_experiment(windows, mode: str = FINGER_DEPENDENT,
@@ -390,10 +322,12 @@ def fusion_experiment(windows, mode: str = FINGER_DEPENDENT,
     sample; finger-dependent mode concatenates the four fingers' features
     per (trial, window-start).  Features are encoded lazily: only the
     requested modalities, each at most once per window, memoized on the
-    window so later calls over the same windows reuse them.  Selects the
-    Adam learning rate by a grid search on a validation split of the
-    training set, retrains on the full training set, and reports held-out
-    accuracies plus confusion matrices.
+    window so later calls over the same windows reuse them.  ``nn.train``
+    fits a 96-48 ReLU trunk with action and material heads, full batch.
+    The Adam learning rate is picked on a validation split of the training
+    set, the grid's candidates trained side by side as the replicas of one
+    model; the chosen rate is retrained on the full training set, and the
+    result holds held-out accuracies plus confusion matrices.
     """
     modalities = tuple(modalities)
     if not modalities:
@@ -415,26 +349,16 @@ def fusion_experiment(windows, mode: str = FINGER_DEPENDENT,
     if not feats:
         raise errors.EmptyDataset("no windows supplied")
 
-    x_rows, ya, ym = [], [], []
     if mode == FINGER_DEPENDENT:
-        for key in sorted(feats):
-            by_finger = feats[key]
-            row = np.concatenate([by_finger[f] for f in sorted(by_finger)])
-            x_rows.append(row)
-            ya.append(labels[key][0])
-            ym.append(labels[key][1])
+        rows = [(np.concatenate([feats[k][f] for f in sorted(feats[k])]), k)
+                for k in sorted(feats)]
     elif mode == FINGER_INDEPENDENT:
-        for key in sorted(feats):
-            for f in sorted(feats[key]):
-                x_rows.append(feats[key][f])
-                ya.append(labels[key][0])
-                ym.append(labels[key][1])
+        rows = [(feats[k][f], k) for k in sorted(feats) for f in sorted(feats[k])]
     else:
-        raise ValueError(f"unknown mode {mode!r}")
-
-    x = np.stack(x_rows)
-    ya = np.array(ya)
-    ym = np.array(ym)
+        raise errors.ConfigError(f"unknown mode {mode!r}")
+    x = np.stack([row for row, _ in rows])
+    ya = np.array([labels[k][0] for _, k in rows])
+    ym = np.array([labels[k][1] for _, k in rows])
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xF0510)))
     if shuffle_labels:
         perm = rng.permutation(ya.size)
@@ -446,23 +370,30 @@ def fusion_experiment(windows, mode: str = FINGER_DEPENDENT,
     train_idx, test_idx = _split(x.shape[0], 0.3, strata, rng)
     x_tr, x_te = _zscore(x[train_idx], x[test_idx])
 
-    # Learning-rate grid search on a split of the training set.
+    spec = nn.MlpSpec((x.shape[1],) + FUSION_HIDDEN,
+                      heads={"action": len(ACTIONS),
+                             "material": len(CLS_MATERIALS)})
+    y_tr = {"action": ya[train_idx], "material": ym[train_idx]}
+
+    # Learning-rate grid search on a split of the training set, all
+    # candidates in one stacked fit.
     val_rng = np.random.default_rng(np.random.SeedSequence((seed, 0xF051)))
     tr2, val = _split(len(train_idx), 0.25, strata[train_idx], val_rng)
     best_lr, best_acc = lr_grid[0], -1.0
     if val.size and len(lr_grid) > 1:
-        for lr in lr_grid:
-            model, _ = _train_multihead(x_tr[tr2], ya[train_idx][tr2],
-                                        ym[train_idx][tr2], seed, lr, max_epochs)
-            pa, pm = model.predict(x_tr[val])
-            acc = 0.5 * (np.mean(pa == ya[train_idx][val])
-                         + np.mean(pm == ym[train_idx][val]))
+        grid = nn.train((x_tr[tr2], {k: y[tr2] for k, y in y_tr.items()}),
+                        spec, nn.TrainConfig(lr=lr_grid, max_epochs=max_epochs,
+                                             seed=seed))
+        pa, pm = _predict(grid.model, x_tr[val])
+        for lr, a, m in zip(lr_grid, pa, pm):
+            acc = 0.5 * (np.mean(a == y_tr["action"][val])
+                         + np.mean(m == y_tr["material"][val]))
             if acc > best_acc:
                 best_lr, best_acc = lr, acc
 
-    model, _ = _train_multihead(x_tr, ya[train_idx], ym[train_idx], seed,
-                                best_lr, max_epochs)
-    pa, pm = model.predict(x_te)
+    final = nn.train((x_tr, y_tr), spec,
+                     nn.TrainConfig(lr=best_lr, max_epochs=max_epochs, seed=seed))
+    pa, pm = _predict(final.model, x_te)
     conf_a = np.zeros((len(ACTIONS), len(ACTIONS)), dtype=int)
     conf_m = np.zeros((len(CLS_MATERIALS), len(CLS_MATERIALS)), dtype=int)
     for t, p in zip(ya[test_idx], pa):

@@ -1,14 +1,19 @@
 """Dense-network engine: forward, backprop, Adam, and the analytic
 convolution cost model.
 
-Everything is plain numpy and fully deterministic: weights are initialized
-from a seeded generator, minibatch order comes from the training config's
-seed, and the Adam update contains no randomness, so one (dataset, spec,
-config, seed) tuple always reproduces bit-identical weights.
+One engine serves every classifier: a trunk of activated dense layers
+read out by one output layer or by named linear heads.  A model's weights
+and biases are views into one contiguous float64 vector, and so are their
+gradients, so Adam is a few in-place ufunc calls over the whole vector.
+``replicas`` stacks copies along a leading axis that start from the same
+draws and train side by side, one learning rate each.  Everything is
+deterministic: one (dataset, spec, config) tuple reproduces bit-identical
+weights, and replica r of a stacked fit equals the same fit run alone.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,27 +32,47 @@ MSE = "mse"
 @dataclass(frozen=True)
 class MlpSpec:
     """Network shape: layer sizes from input to output, hidden activation,
-    and output head."""
+    and output head.  With ``heads`` (head name -> width, e.g.
+    ``{"action": 3, "material": 3}``) ``layer_sizes`` ends at the last
+    activated trunk layer and each head is a linear read-out drawn at
+    N(0, 1/fan_in); without, the last size is the one output layer, drawn
+    at the trunk activation's scale."""
 
     layer_sizes: tuple
     activation: str = RELU
     head: str = SOFTMAX
+    heads: tuple = ()
 
     def __post_init__(self):
         sizes = tuple(int(s) for s in self.layer_sizes)
+        heads = tuple((str(k), int(v)) for k, v in dict(self.heads).items())
         object.__setattr__(self, "layer_sizes", sizes)
-        if len(sizes) < 2:
-            raise ValueError("need at least input and output sizes")
-        if any(s < 1 for s in sizes):
-            raise ValueError("layer sizes must be >= 1")
+        object.__setattr__(self, "heads", heads)
+        if len(sizes) < (1 if heads else 2):
+            raise errors.ConfigError("need at least input and output sizes")
+        if any(s < 1 for s in sizes + tuple(w for _, w in heads)):
+            raise errors.ConfigError("layer sizes must be >= 1")
         if self.activation not in (RELU, TANH):
-            raise ValueError(f"unknown activation {self.activation!r}")
+            raise errors.ConfigError(f"unknown activation {self.activation!r}")
         if self.head not in (SOFTMAX, LINEAR):
-            raise ValueError(f"unknown head {self.head!r}")
+            raise errors.ConfigError(f"unknown head {self.head!r}")
 
     @property
-    def n_layers(self) -> int:
-        return len(self.layer_sizes) - 1
+    def n_trunk(self) -> int:
+        """Number of activated layers."""
+        return len(self.layer_sizes) - (1 if self.heads else 2)
+
+    @property
+    def shapes(self) -> list:
+        """(fan_in, fan_out) of every layer, trunk first, then the heads."""
+        sizes = self.layer_sizes
+        return list(zip(sizes[:-1], sizes[1:])) + [(sizes[-1], w)
+                                                   for _, w in self.heads]
+
+    def per_head(self, value) -> list:
+        """``value`` as a list in head order: a mapping by head name for
+        named heads, else the one head's value."""
+        return [value[name] for name, _ in self.heads] if self.heads else [value]
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
@@ -56,20 +81,45 @@ def softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-class MlpModel:
-    """Dense network with per-layer weight matrices and bias vectors."""
+class _Views(list):
+    """Views of a flat buffer; assigning an item writes into the buffer."""
 
-    def __init__(self, spec: MlpSpec, seed: int = 0):
-        self.spec = spec
+    def __setitem__(self, i, value):
+        self[i][...] = value
+
+
+def _views(flat: np.ndarray, shapes) -> tuple:
+    weights, biases, off = _Views(), _Views(), 0
+    for n_in, n_out in shapes:
+        weights.append(flat[..., off:off + n_in * n_out]
+                       .reshape(flat.shape[:-1] + (n_in, n_out)))
+        biases.append(flat[..., off + n_in * n_out:off + n_in * n_out + n_out])
+        off += n_in * n_out + n_out
+    return weights, biases
+
+
+class MlpModel:
+    """Dense network on one flat parameter vector ``params``: each layer's
+    row-major weight matrix, then its bias, trunk first (the weights file's
+    order).  ``weights``/``biases`` view it, ``grad_weights``/``grad_biases``
+    view ``grads``; with ``replicas`` > 1 all gain a leading replica axis."""
+
+    def __init__(self, spec: MlpSpec, seed: int = 0, replicas: int = 1):
+        if replicas < 1:
+            raise errors.ConfigError("replicas must be >= 1")
+        self.spec, self.replicas = spec, replicas
+        shapes = spec.shapes
+        lead = (replicas,) if replicas > 1 else ()
+        self.params = np.zeros(lead + (sum(a * b + b for a, b in shapes),))
+        self.grads = np.zeros_like(self.params)
+        self.weights, self.biases = _views(self.params, shapes)
+        self.grad_weights, self.grad_biases = _views(self.grads, shapes)
         rng = np.random.default_rng(seed)
-        self.weights = []
-        self.biases = []
-        sizes = spec.layer_sizes
-        for n_in, n_out in zip(sizes[:-1], sizes[1:]):
-            scale = np.sqrt(2.0 / n_in) if spec.activation == RELU \
-                else np.sqrt(1.0 / n_in)
-            self.weights.append(rng.normal(0.0, scale, size=(n_in, n_out)))
-            self.biases.append(np.zeros(n_out))
+        for i, (n_in, n_out) in enumerate(shapes):
+            head = spec.heads and i >= spec.n_trunk
+            gain = 1.0 if spec.activation == TANH or head else 2.0
+            self.weights[i] = rng.normal(0.0, np.sqrt(gain / n_in),
+                                         size=(n_in, n_out))
 
     @property
     def input_size(self) -> int:
@@ -78,82 +128,98 @@ class MlpModel:
     def parameters(self):
         return list(self.weights) + list(self.biases)
 
-    def forward_logits(self, x: np.ndarray, cache: list | None = None) -> np.ndarray:
-        """Pre-head output; optionally records (input, pre-activation) pairs
-        per layer for backprop."""
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        if x.shape[1] != self.input_size:
+    def _forward(self, x: np.ndarray, cache: list | None = None) -> list:
+        """Logits of every head; ``cache`` collects each trunk layer's
+        input and then the trunk's output."""
+        if x.shape[-1] != self.input_size:
             raise errors.ShapeMismatch(
-                f"input width {x.shape[1]} != {self.input_size}")
+                f"input width {x.shape[-1]} != {self.input_size}")
+        k = self.spec.n_trunk
         h = x
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w + b
+        for w, b in zip(self.weights[:k], self.biases[:k]):
             if cache is not None:
-                cache.append((h, z))
-            if i < last:
-                h = np.maximum(z, 0.0) if self.spec.activation == RELU else np.tanh(z)
+                cache.append(h)
+            h = h @ w + b[..., None, :]
+            if self.spec.activation == RELU:
+                np.maximum(h, 0.0, out=h)
             else:
-                h = z
-        return h
+                np.tanh(h, out=h)
+        if cache is not None:
+            cache.append(h)
+        return [h @ w + b[..., None, :]
+                for w, b in zip(self.weights[k:], self.biases[k:])]
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def _by_head(self, outs: list):
+        return dict(zip((n for n, _ in self.spec.heads), outs)) \
+            if self.spec.heads else outs[0]
+
+    def forward_logits(self, x: np.ndarray):
+        """Pre-head output; a dict by head name for named heads."""
+        return self._by_head(self._forward(
+            np.atleast_2d(np.asarray(x, dtype=np.float64))))
+
+    def forward(self, x: np.ndarray):
         """Full forward pass; a softmax head returns probabilities summing
         to 1."""
         single = np.asarray(x).ndim == 1
-        out = self.forward_logits(x)
+        outs = self._forward(np.atleast_2d(np.asarray(x, dtype=np.float64)))
         if self.spec.head == SOFTMAX:
-            out = softmax(out)
-        return out[0] if single else out
+            outs = [softmax(z) for z in outs]
+        return self._by_head([z[..., 0, :] if single else z for z in outs])
 
-    def backward(self, cache: list, dout: np.ndarray):
-        """Gradients of a scalar loss given d(loss)/d(logits).
+    def backward(self, cache: list, dlogits: list):
+        """Write into ``grads`` the gradients of a scalar loss, given each
+        head's d(loss)/d(logits).  Stops at the first layer's weights:
+        nothing reads d(loss)/d(input)."""
+        k, w = self.spec.n_trunk, self.weights
+        grad = None
+        for j, d in enumerate(dlogits):
+            self._layer_grads(k + j, cache[k], d)
+            if k:
+                back = d @ w[k + j].swapaxes(-1, -2)
+                grad = back if grad is None else np.add(grad, back, out=grad)
+        for i in range(k - 1, -1, -1):
+            if self.spec.activation == RELU:
+                grad *= cache[i + 1] > 0.0
+            else:
+                grad *= 1.0 - cache[i + 1] ** 2
+            self._layer_grads(i, cache[i], grad)
+            if i:
+                grad = grad @ w[i].swapaxes(-1, -2)
 
-        Returns (weight grads, bias grads, d(loss)/d(input)).
-        """
-        gw = [None] * len(self.weights)
-        gb = [None] * len(self.biases)
-        grad = dout
-        for i in range(len(self.weights) - 1, -1, -1):
-            h_in, z = cache[i]
-            if i < len(self.weights) - 1:
-                if self.spec.activation == RELU:
-                    grad = grad * (z > 0.0)
-                else:
-                    grad = grad * (1.0 - np.tanh(z) ** 2)
-            gw[i] = h_in.T @ grad
-            gb[i] = grad.sum(axis=0)
-            grad = grad @ self.weights[i].T
-        return gw, gb, grad
-
-    def copy(self) -> "MlpModel":
-        m = MlpModel.__new__(MlpModel)
-        m.spec = self.spec
-        m.weights = [w.copy() for w in self.weights]
-        m.biases = [b.copy() for b in self.biases]
-        return m
+    def _layer_grads(self, i: int, h_in: np.ndarray, grad: np.ndarray):
+        np.matmul(h_in.swapaxes(-1, -2), grad, out=self.grad_weights[i])
+        np.sum(grad, axis=-2, out=self.grad_biases[i])
 
 
 def cross_entropy_loss(logits: np.ndarray, labels: np.ndarray):
-    """Mean cross-entropy over a batch; returns (loss, d(loss)/d(logits))."""
-    n = logits.shape[0]
+    """Mean cross-entropy over a batch, per replica; returns (loss,
+    d(loss)/d(logits))."""
+    n = logits.shape[-2]
     p = softmax(logits)
-    idx = (np.arange(n), labels)
-    loss = -np.mean(np.log(p[idx] + 1e-300))
-    dlogits = p.copy()
-    dlogits[idx] -= 1.0
-    return loss, dlogits / n
+    idx = (..., np.arange(n), labels)
+    # The gather comes out replica-minor; a contiguous copy keeps each
+    # replica's mean on numpy's pairwise summation, as for one replica.
+    loss = -np.mean(np.log(np.ascontiguousarray(p[idx]) + 1e-300), axis=-1)
+    p[idx] -= 1.0
+    p /= n
+    return loss, p
 
 
 def mse_loss(y: np.ndarray, target: np.ndarray):
-    """Mean squared error over all entries; returns (loss, d(loss)/d(y))."""
+    """Mean squared error over all entries, per replica; returns (loss,
+    d(loss)/d(y))."""
     diff = y - target
-    return float(np.mean(diff ** 2)), 2.0 * diff / diff.size
+    loss = np.mean(diff ** 2, axis=(-2, -1))
+    size = diff.shape[-2] * diff.shape[-1]
+    return (float(loss) if loss.ndim == 0 else loss), 2.0 * diff / size
 
 
 @dataclass
 class TrainConfig:
-    lr: float = 0.01
+    """Adam and schedule settings; several ``lr`` values train side by side."""
+
+    lr: float | tuple = 0.01
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
@@ -163,33 +229,52 @@ class TrainConfig:
     loss: str = CROSS_ENTROPY
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise ValueError("lr must be >= 0")
+        if np.ndim(self.lr):
+            self.lr = tuple(float(v) for v in self.lr)
+        if not np.size(self.lr) or np.min(self.lr) < 0:
+            raise errors.ConfigError("need learning rates >= 0")
         if self.max_epochs < 1:
-            raise ValueError("max_epochs must be >= 1")
+            raise errors.ConfigError("max_epochs must be >= 1")
         if self.loss not in (CROSS_ENTROPY, MSE):
-            raise ValueError(f"unknown loss {self.loss!r}")
+            raise errors.ConfigError(f"unknown loss {self.loss!r}")
+
+    @property
+    def replicas(self) -> int:
+        return len(self.lr) if isinstance(self.lr, tuple) else 1
 
 
 class AdamState:
-    """Per-parameter first/second moment accumulators."""
+    """Adam moments over a flat parameter vector (Kingma & Ba, ICLR 2015,
+    Algorithm 1): a fixed sequence of in-place ufunc calls into two scratch
+    vectors, each expression in the textbook order, so the elementwise
+    IEEE result matches a per-layer loop bit for bit."""
 
-    def __init__(self, params):
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+    def __init__(self, params: np.ndarray):
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
+        self._a = np.empty_like(params)
+        self._b = np.empty_like(params)
         self.t = 0
 
-    def step(self, params, grads, cfg: TrainConfig):
+    def step(self, params: np.ndarray, grads: np.ndarray, cfg: TrainConfig):
         self.t += 1
         b1, b2 = cfg.beta1, cfg.beta2
         corr1 = 1.0 - b1 ** self.t
         corr2 = 1.0 - b2 ** self.t
-        for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            p -= cfg.lr * (m / corr1) / (np.sqrt(v / corr2) + cfg.eps)
+        lr = np.reshape(cfg.lr, (-1, 1)) if cfg.replicas > 1 else cfg.lr
+        m, v, a, b = self.m, self.v, self._a, self._b
+        m *= b1
+        m += np.multiply(grads, 1.0 - b1, out=a)   # m += (1 - b1) g
+        v *= b2
+        np.multiply(grads, 1.0 - b2, out=a)
+        v += np.multiply(a, grads, out=a)          # v += (1 - b2) g g
+        np.divide(m, corr1, out=a)
+        a *= lr                                    # lr (m / corr1)
+        np.divide(v, corr2, out=b)
+        np.sqrt(b, out=b)
+        b += cfg.eps                               # sqrt(v / corr2) + eps
+        a /= b
+        params -= a
 
 
 @dataclass
@@ -198,62 +283,65 @@ class TrainResult:
     losses: list
 
 
+def _targets(y, n: int, width: int, loss: str) -> np.ndarray:
+    if loss == MSE:
+        return np.atleast_2d(np.asarray(y, dtype=np.float64))
+    y = np.asarray(y)
+    if y.shape != (n,):
+        raise errors.ShapeMismatch("labels must be shape (n,)")
+    if y.min() < 0 or y.max() >= width:
+        raise errors.LabelOutOfRange(
+            f"labels must be in [0, {width}), got [{y.min()}, {y.max()}]")
+    return y.astype(np.int64)
+
+
 def train(dataset, spec: MlpSpec, config: TrainConfig = TrainConfig(),
           model: MlpModel | None = None) -> TrainResult:
     """Train an MLP on (X, y).
 
     ``y`` holds integer class labels for cross-entropy or float targets
-    (n, output_size) for MSE.  Deterministic for a fixed (dataset, spec,
-    config) tuple.
+    (n, output_size) for MSE; named heads take a mapping by head name and
+    minimize the sum of their losses.  Several learning rates train one
+    replica each (bit-identical to its fit alone), and each epoch's loss
+    is then an array over replicas.  Deterministic for a fixed (dataset,
+    spec, config) tuple.
     """
     x, y = dataset
-    x = np.asarray(x, dtype=np.float64)
+    x = np.ascontiguousarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise errors.EmptyDataset("dataset must be a non-empty (n, d) array")
     n = x.shape[0]
-    n_classes = spec.layer_sizes[-1]
-    if config.loss == CROSS_ENTROPY:
-        y = np.asarray(y)
-        if y.shape != (n,):
-            raise errors.ShapeMismatch("labels must be shape (n,)")
-        if y.min() < 0 or y.max() >= n_classes:
-            raise errors.LabelOutOfRange(
-                f"labels must be in [0, {n_classes}), got [{y.min()}, {y.max()}]")
-        y = y.astype(np.int64)
-    else:
-        y = np.atleast_2d(np.asarray(y, dtype=np.float64))
+    widths = [w for _, w in spec.heads] or [spec.layer_sizes[-1]]
+    targets = [_targets(t, n, w, config.loss)
+               for t, w in zip(spec.per_head(y), widths)]
+    loss_fn = cross_entropy_loss if config.loss == CROSS_ENTROPY else mse_loss
 
     if model is None:
-        model = MlpModel(spec, seed=config.seed)
-    opt = AdamState(model.parameters())
+        model = MlpModel(spec, seed=config.seed, replicas=config.replicas)
+    opt = AdamState(model.params)
     rng = np.random.default_rng(config.seed + 1)
     batch = n if config.batch_size is None else min(config.batch_size, n)
 
     losses = []
     for _ in range(config.max_epochs):
-        order = np.arange(n) if batch == n else rng.permutation(n)
+        order = None if batch == n else rng.permutation(n)
         epoch_loss = 0.0
         n_batches = 0
         for start in range(0, n, batch):
-            idx = order[start:start + batch]
+            idx = slice(None) if order is None else order[start:start + batch]
             cache = []
-            logits = model.forward_logits(x[idx], cache)
-            if config.loss == CROSS_ENTROPY:
-                loss, dlogits = cross_entropy_loss(logits, y[idx])
-            else:
-                loss, dlogits = mse_loss(logits, y[idx])
-            gw, gb, _ = model.backward(cache, dlogits)
-            params = model.weights + model.biases
-            grads = gw + gb
-            opt.step(params, grads, config)
-            epoch_loss += loss
+            heads = [loss_fn(z, t[idx]) for z, t in
+                     zip(model._forward(x[idx], cache), targets)]
+            model.backward(cache, [d for _, d in heads])
+            opt.step(model.params, model.grads, config)
+            epoch_loss += sum(loss for loss, _ in heads)
             n_batches += 1
         losses.append(epoch_loss / n_batches)
     return TrainResult(model=model, losses=losses)
 
 
 def accuracy(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> float:
-    pred = np.argmax(model.forward_logits(x), axis=1)
+    pred = np.argmax(model.forward_logits(x), axis=-1)
     return float(np.mean(pred == np.asarray(labels)))
 
 
@@ -269,50 +357,45 @@ class GradCheckResult:
 
 def _loss_and_kinks(model: MlpModel, x: np.ndarray, label):
     cache = []
-    logits = model.forward_logits(x, cache)
-    if model.spec.head == SOFTMAX:
-        loss, dlogits = cross_entropy_loss(logits, np.asarray([label]))
-    else:
-        target = np.atleast_2d(np.asarray(label, dtype=np.float64))
-        loss, dlogits = mse_loss(logits, target)
-    signs = [np.sign(z) for _, z in cache[:-1]] if model.spec.activation == RELU else []
-    return loss, dlogits, cache, signs
+    outs = model._forward(x, cache)
+    loss_fn = cross_entropy_loss if model.spec.head == SOFTMAX else mse_loss
+    heads = [loss_fn(z, np.asarray([t]))
+             for z, t in zip(outs, model.spec.per_head(label))]
+    kinks = [h > 0.0 for h in cache[1:]] if model.spec.activation == RELU else []
+    return sum(loss for loss, _ in heads), [d for _, d in heads], cache, kinks
 
 
 def grad_check(model: MlpModel, x, label, h: float = 1e-5) -> GradCheckResult:
     """Compare analytic gradients with central finite differences.
 
-    Coordinates whose +/-h perturbation flips the sign of any ReLU
-    pre-activation sit on a kink: the finite difference is invalid there,
-    so they are reported in ``excluded`` rather than failed.
+    ``label`` is per head for named heads.  Coordinates whose +/-h
+    perturbation switches any ReLU sit on a kink, where the finite
+    difference is invalid; their indices into ``params`` are reported in
+    ``excluded`` rather than failed.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     _, dlogits, cache, _ = _loss_and_kinks(model, x, label)
-    gw, gb, _ = model.backward(cache, dlogits)
-    analytic = gw + gb
-    params = model.weights + model.biases
+    model.backward(cache, dlogits)
+    analytic = model.grads.reshape(-1).copy()
+    flat = model.params.reshape(-1)
 
     max_err = 0.0
     n_checked = 0
     excluded = []
-    for p_idx, p in enumerate(params):
-        flat = p.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            loss_hi, _, _, signs_hi = _loss_and_kinks(model, x, label)
-            flat[i] = orig - h
-            loss_lo, _, _, signs_lo = _loss_and_kinks(model, x, label)
-            flat[i] = orig
-            kink = any(np.any(a != b) for a, b in zip(signs_hi, signs_lo))
-            if kink:
-                excluded.append((p_idx, i))
-                continue
-            numeric = (loss_hi - loss_lo) / (2.0 * h)
-            a = analytic[p_idx].reshape(-1)[i]
-            denom = max(abs(a), abs(numeric), 1e-8)
-            max_err = max(max_err, abs(a - numeric) / denom)
-            n_checked += 1
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        loss_hi, _, _, kinks_hi = _loss_and_kinks(model, x, label)
+        flat[i] = orig - h
+        loss_lo, _, _, kinks_lo = _loss_and_kinks(model, x, label)
+        flat[i] = orig
+        if any(np.any(a != b) for a, b in zip(kinks_hi, kinks_lo)):
+            excluded.append(i)
+            continue
+        numeric = (loss_hi - loss_lo) / (2.0 * h)
+        denom = max(abs(analytic[i]), abs(numeric), 1e-8)
+        max_err = max(max_err, abs(analytic[i] - numeric) / denom)
+        n_checked += 1
     return GradCheckResult(max_rel_error=max_err, n_checked=n_checked,
                            excluded=excluded)
 
@@ -335,9 +418,9 @@ class ConvLayer:
 
     def __post_init__(self):
         if self.kind not in (CONV, DSCONV):
-            raise ValueError(f"unknown layer kind {self.kind!r}")
+            raise errors.ConfigError(f"unknown layer kind {self.kind!r}")
         if min(self.kernel, self.c_in, self.c_out, self.stride) < 1:
-            raise ValueError("kernel, channels and stride must be >= 1")
+            raise errors.ConfigError("kernel, channels and stride must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -351,7 +434,7 @@ class ConvCostSpec:
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
         if self.input_size < 1:
-            raise ValueError("input_size must be >= 1")
+            raise errors.ConfigError("input_size must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -372,10 +455,7 @@ def conv_cost(spec: ConvCostSpec, profile: DeviceProfile | None = None) -> dict:
     size = spec.input_size
     total = 0
     for layer in spec.layers:
-        out = -(-size // layer.stride)
-        if out < 1:
-            raise errors.ShapeUnderflow(
-                f"spatial size underflows at layer {layer}")
+        out = -(-size // layer.stride)  # >= 1: size and stride are >= 1
         area = out * out
         if layer.kind == CONV:
             total += area * layer.kernel ** 2 * layer.c_in * layer.c_out
@@ -413,17 +493,16 @@ def save_model(model: MlpModel, path) -> int:
     layer-size count u16, sizes u32 each, then per layer the float64
     weight matrix (row-major) followed by the bias vector.
     """
-    import struct
-
+    if model.spec.heads or model.replicas > 1:
+        raise errors.ConfigError(
+            "the weights format holds one single-output, single-replica network")
     sizes = model.spec.layer_sizes
     blob = [WEIGHTS_MAGIC,
             struct.pack("<HBBH", WEIGHTS_VERSION,
                         _ACT_CODES[model.spec.activation],
-                        _HEAD_CODES[model.spec.head], len(sizes))]
-    blob.append(struct.pack(f"<{len(sizes)}I", *sizes))
-    for w, b in zip(model.weights, model.biases):
-        blob.append(np.ascontiguousarray(w, dtype="<f8").tobytes())
-        blob.append(np.ascontiguousarray(b, dtype="<f8").tobytes())
+                        _HEAD_CODES[model.spec.head], len(sizes)),
+            struct.pack(f"<{len(sizes)}I", *sizes),
+            model.params.astype("<f8").tobytes()]
     data = b"".join(blob)
     with open(path, "wb") as fh:
         fh.write(data)
@@ -433,8 +512,6 @@ def save_model(model: MlpModel, path) -> int:
 def load_model(path) -> MlpModel:
     """Read a file written by :func:`save_model`.  A short or overlong file
     raises TruncatedChunk, an unknown activation or head code UnknownKind."""
-    import struct
-
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != WEIGHTS_MAGIC:
@@ -460,25 +537,6 @@ def load_model(path) -> MlpModel:
     if n_sizes < 2 or 0 in sizes:
         raise errors.ShapeMismatch(f"bad layer sizes {sizes}")
     model = MlpModel(MlpSpec(sizes, activation=act, head=head), seed=0)
-    for i, (n_in, n_out) in enumerate(zip(sizes[:-1], sizes[1:])):
-        n_w = n_in * n_out
-        w = np.frombuffer(data, dtype="<f8", count=n_w, offset=off)
-        off += 8 * n_w
-        b = np.frombuffer(data, dtype="<f8", count=n_out, offset=off)
-        off += 8 * n_out
-        model.weights[i] = w.reshape(n_in, n_out).copy()
-        model.biases[i] = b.copy()
+    model.params[...] = np.frombuffer(data, dtype="<f8", count=n_params,
+                                      offset=off)
     return model
-
-
-def mobilenet_like_spec(input_size: int = 64, width: int = 8,
-                        n_blocks: int = 6) -> ConvCostSpec:
-    """A small depthwise-separable stack in the spirit of mobile
-    architectures, used by the latency reports."""
-    layers = [ConvLayer(CONV, 3, 3, width, stride=2)]
-    c = width
-    for i in range(n_blocks):
-        stride = 2 if i % 2 == 1 else 1
-        layers.append(ConvLayer(DSCONV, 3, c, min(c * 2, 128), stride=stride))
-        c = min(c * 2, 128)
-    return ConvCostSpec(layers=tuple(layers), input_size=input_size)

@@ -32,7 +32,6 @@ CONTACT_DETECTED = "contact_detected"
 ACTION_ISSUED = "action_issued"
 
 RETRACT = "retract"
-HOLD_ACTION = "hold"
 
 
 class ReflexStateMachine:

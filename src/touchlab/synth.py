@@ -288,7 +288,7 @@ def gen_gas_approach(obj: ObjectSpec, approach_duration_s: float,
     noise when a generator is supplied.
     """
     if approach_duration_s <= 0:
-        raise ValueError("approach duration must be positive")
+        raise errors.ConfigError("approach duration must be positive")
     n = int(round(approach_duration_s * rate_hz))
     t = np.arange(n) / rate_hz
     sig = obj.gas_target().astype(np.float64)

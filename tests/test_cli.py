@@ -250,6 +250,24 @@ class TestTrainGas:
         assert len(lines) == 7
 
 
+class TestTrainingExitCodes:
+    @pytest.mark.parametrize("argv,code", [
+        (["train-fusion", "--trials-per-class", "0"], EXIT_EMPTY),
+        (["train-gas", "--approaches", "0"], EXIT_CONFIG),
+        (["train-gas", "--duration", "0"], EXIT_CONFIG),
+        (["train-gas", "--approaches", "1", "--duration", "10",
+          "--integration", "6"], EXIT_EMPTY),
+        (["train-gas", "--integration", ","], EXIT_CONFIG),
+    ], ids=["fusion_no_trials", "gas_no_approaches", "gas_zero_duration",
+            "gas_no_test_rows", "gas_no_integration_times"])
+    def test_exit_code(self, tmp_path, capsys, argv, code):
+        out = tmp_path / "report.json"
+        assert main(argv + ["--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+
+
 class TestReportMetadata:
     def test_report_embeds_seed_and_hash(self, tmp_path):
         out = tmp_path / "m.json"

@@ -11,7 +11,6 @@ from touchlab.experiments import (
     FINGER_DEPENDENT,
     FINGER_INDEPENDENT,
     MODALITY_NAMES,
-    MultiHeadClassifier,
     analyze_liquid,
     classify_fill,
     encode_window,
@@ -54,6 +53,17 @@ class TestGasExperiment:
         data = make_gas_dataset(n_per_material=4, duration_s=10.0, seed=0)
         with pytest.raises(ValueError):
             gas_experiment(data, 20.0)
+
+    def test_no_test_rows_is_empty(self):
+        data = make_gas_dataset(n_per_material=1, duration_s=10.0, seed=0)
+        with pytest.raises(errors.EmptyDataset):
+            gas_experiment(data, 6.0)
+
+    def test_no_approaches_rejected(self):
+        with pytest.raises(errors.ConfigError):
+            make_gas_dataset(n_per_material=0)
+        with pytest.raises(errors.ConfigError):
+            make_gas_dataset(n_per_material=2, duration_s=0.0)
 
     def test_confusion_matrix_sums(self):
         data = make_gas_dataset(n_per_material=10, duration_s=30.0, seed=1)
@@ -221,17 +231,17 @@ class TestPinnedFitDigests:
     @pytest.fixture
     def fusion_fits(self, monkeypatch):
         fits = []
-        train = experiments._train_multihead
+        train = experiments.nn.train
 
         def recorded(*args, **kwargs):
-            model, losses = train(*args, **kwargs)
-            weights = model.trunk_w + [model.head_a[0], model.head_m[0]]
-            biases = model.trunk_b + [model.head_a[1], model.head_m[1]]
-            params = [p for wb in zip(weights, biases) for p in wb]
-            fits.append(fit_digest(params, losses))
-            return model, losses
+            res = train(*args, **kwargs)
+            params = np.atleast_2d(res.model.params)
+            losses = np.asarray(res.losses).reshape(len(res.losses), -1)
+            for r in range(params.shape[0]):  # stacked candidates in turn
+                fits.append(fit_digest([params[r]], losses[:, r]))
+            return res
 
-        monkeypatch.setattr(experiments, "_train_multihead", recorded)
+        monkeypatch.setattr(experiments.nn, "train", recorded)
         return fits
 
     @pytest.mark.parametrize("modalities,want", [
@@ -267,30 +277,6 @@ class TestPinnedFitDigests:
         gas_experiment(data, 20.0, seed=2, max_epochs=80)
         assert fits == [
             "838129b4a96e87d977b161bde9c037ada33bfaee04f1c7c5965c0604e749629c"]
-
-
-class TestMultiHeadGradients:
-    def test_against_finite_differences(self):
-        rng = np.random.default_rng(0)
-        model = MultiHeadClassifier(in_dim=5, hidden=(6, 4), seed=1)
-        x = rng.normal(size=(3, 5))
-        ya = np.array([0, 1, 2])
-        ym = np.array([2, 0, 1])
-        loss, grads = model.loss_grads(x, ya, ym)
-        params = model.params()
-        h = 1e-6
-        for p, g in zip(params, grads):
-            flat = p.reshape(-1)
-            gflat = np.asarray(g).reshape(-1)
-            for i in range(0, flat.size, max(flat.size // 5, 1)):
-                orig = flat[i]
-                flat[i] = orig + h
-                hi, _ = model.loss_grads(x, ya, ym)
-                flat[i] = orig - h
-                lo, _ = model.loss_grads(x, ya, ym)
-                flat[i] = orig
-                num = (hi - lo) / (2 * h)
-                assert num == pytest.approx(gflat[i], rel=1e-3, abs=1e-6)
 
 
 def make_bottle_log(fill, seed=0, finger=0, taps=(0.4, 1.0, 1.6)):

@@ -166,6 +166,104 @@ class TestPinnedTrainDigests:
             "bde2f197bfa72c6869216cfbba068c61f8794245da6edfba21dd03772172e6df")
 
 
+class TestFlatBuffers:
+    @pytest.mark.parametrize("replicas", [1, 3])
+    def test_arrays_view_flat_buffers(self, replicas):
+        spec = MlpSpec((5, 7, 4), heads={"a": 3, "b": 2})
+        model = MlpModel(spec, seed=1, replicas=replicas)
+        lead = (replicas,) if replicas > 1 else ()
+        assert model.params.shape == model.grads.shape == lead + (
+            5 * 7 + 7 + 7 * 4 + 4 + 4 * 3 + 3 + 4 * 2 + 2,)
+        for flat, arrays in ((model.params, model.weights + model.biases),
+                             (model.grads,
+                              model.grad_weights + model.grad_biases)):
+            assert flat.flags.c_contiguous
+            for a in arrays:
+                assert a.base is flat or a.base.base is flat
+                assert np.shares_memory(a, flat)
+        assert [w.shape for w in model.weights] == [
+            lead + s for s in ((5, 7), (7, 4), (4, 3), (4, 2))]
+        model.params[...] = 7.0
+        model.grads[...] = -1.0
+        assert all(np.all(a == 7.0) for a in model.parameters())
+        assert all(np.all(g == -1.0)
+                   for g in model.grad_weights + model.grad_biases)
+
+    def test_item_assignment_writes_through(self):
+        model = MlpModel(MlpSpec((2, 3, 2)), seed=0)
+        model.weights[1] = np.arange(6.0).reshape(3, 2)
+        model.biases[0] = [1.0, 2.0, 3.0]
+        assert np.shares_memory(model.weights[1], model.params)
+        assert model.params[6:12].tolist() == [1.0, 2.0, 3.0, 0.0, 1.0, 2.0]
+
+    def test_replicas_share_initial_draws(self):
+        spec = MlpSpec((4, 6, 3))
+        stacked = MlpModel(spec, seed=5, replicas=3)
+        one = MlpModel(spec, seed=5)
+        for r in range(3):
+            assert stacked.params[r].tobytes() == one.params.tobytes()
+
+
+class TestStackedFit:
+    """Replica r of a stacked fit is byte-equal to the fit at lr[r] alone."""
+
+    LRS = (0.003, 0.02, 0.05)
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(31)
+        x = rng.normal(size=(30, 4))
+        y = (x[:, 0] * x[:, 1] > 0).astype(int) + (x[:, 2] > 0.5)
+        yield "minibatch_relu", (x, y), MlpSpec((4, 8, 5, 3)), \
+            {"batch_size": 7, "max_epochs": 25, "seed": 2}
+        t = np.stack([np.tanh(x[:, 0]), x[:, 1] - x[:, 3]], axis=1)
+        yield "tanh_mse", (x, t), \
+            MlpSpec((4, 6, 2), activation="tanh", head="linear"), \
+            {"batch_size": 12, "max_epochs": 25, "seed": 3, "loss": MSE}
+        yield "two_heads", (x, {"a": y, "b": (x[:, 3] > 0).astype(int)}), \
+            MlpSpec((4, 9, 6), heads={"a": 3, "b": 2}), \
+            {"max_epochs": 30, "seed": 4}
+
+    @pytest.mark.parametrize("case", ["minibatch_relu", "tanh_mse", "two_heads"])
+    def test_replicas_match_single_fits(self, case):
+        _, data, spec, kwargs = next(c for c in self.cases() if c[0] == case)
+        stacked = train(data, spec, TrainConfig(lr=self.LRS, **kwargs))
+        assert stacked.model.params.shape[0] == 3
+        losses = np.asarray(stacked.losses)
+        assert losses.shape == (kwargs["max_epochs"], 3)
+        for r, lr in enumerate(self.LRS):
+            one = train(data, spec, TrainConfig(lr=lr, **kwargs))
+            assert stacked.model.params[r].tobytes() == one.model.params.tobytes()
+            assert losses[:, r].tobytes() == np.asarray(one.losses).tobytes()
+
+
+class TestConfigErrors:
+    @pytest.mark.parametrize("make", [
+        lambda: MlpSpec((3,)),
+        lambda: MlpSpec((3, 0)),
+        lambda: MlpSpec((3, 4), activation="sigmoid"),
+        lambda: MlpSpec((3, 4), heads={"a": 0}),
+        lambda: TrainConfig(lr=-0.1),
+        lambda: TrainConfig(lr=()),
+        lambda: TrainConfig(max_epochs=0),
+        lambda: TrainConfig(loss="hinge"),
+        lambda: ConvLayer("pool", 3, 1, 1),
+        lambda: ConvLayer(CONV, 0, 1, 1),
+        lambda: ConvCostSpec(layers=(), input_size=0),
+        lambda: MlpModel(MlpSpec((3, 4)), replicas=0),
+    ])
+    def test_config_error(self, make):
+        with pytest.raises(errors.ConfigError):
+            make()
+
+    def test_save_rejects_named_heads(self, tmp_path):
+        from touchlab.nn import save_model
+
+        model = MlpModel(MlpSpec((3, 4), heads={"a": 2, "b": 2}))
+        with pytest.raises(errors.ConfigError):
+            save_model(model, tmp_path / "m.tlnn")
+
+
 class TestGradCheck:
     def test_small_random_models(self):
         for seed in range(12):
@@ -195,6 +293,20 @@ class TestGradCheck:
         res = grad_check(model, x, 0)
         assert len(res.excluded) > 0
         assert res.max_rel_error < 1e-4
+
+    @pytest.mark.parametrize("act", ["relu", "tanh"])
+    def test_two_heads(self, act):
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            spec = MlpSpec((5, 6, 4), activation=act,
+                           heads={"action": 3, "material": 2})
+            model = MlpModel(spec, seed=seed)
+            res = grad_check(model, rng.normal(size=5),
+                             {"action": int(rng.integers(0, 3)),
+                              "material": int(rng.integers(0, 2))})
+            assert res.max_rel_error < 1e-4
+            assert res.n_checked + len(res.excluded) == model.params.size
+            assert res.n_checked > 0.9 * model.params.size
 
 
 class TestConvCost:
