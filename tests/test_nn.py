@@ -8,6 +8,7 @@ from touchlab.nn import (
     CONV,
     DSCONV,
     MSE,
+    AdamState,
     ConvCostSpec,
     ConvLayer,
     DeviceProfile,
@@ -202,6 +203,36 @@ class TestFlatBuffers:
         one = MlpModel(spec, seed=5)
         for r in range(3):
             assert stacked.params[r].tobytes() == one.params.tobytes()
+
+
+class TestAdamStep:
+    def test_flat_step_matches_per_array_loop(self):
+        """The flat in-place update against the textbook per-array loop
+        (Kingma & Ba, Algorithm 1), byte for byte."""
+        rng = np.random.default_rng(8)
+        shapes = [(5, 7), (7,), (7, 3), (3,)]
+        sizes = [int(np.prod(s)) for s in shapes]
+        flat = rng.normal(size=sum(sizes))
+        params = [p.reshape(s).copy() for p, s in
+                  zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
+        m = [np.zeros_like(p) for p in params]
+        v = [np.zeros_like(p) for p in params]
+        cfg = TrainConfig(lr=0.02)
+        opt = AdamState(flat)
+        for t in range(1, 30):
+            g = rng.normal(size=flat.size) * 10.0 ** rng.integers(-6, 3)
+            grads = np.split(g, np.cumsum(sizes)[:-1])
+            corr1 = 1.0 - cfg.beta1 ** t
+            corr2 = 1.0 - cfg.beta2 ** t
+            for p, gi, mi, vi, s in zip(params, grads, m, v, shapes):
+                gi = gi.reshape(s)
+                mi *= cfg.beta1
+                mi += (1.0 - cfg.beta1) * gi
+                vi *= cfg.beta2
+                vi += (1.0 - cfg.beta2) * gi * gi
+                p -= cfg.lr * (mi / corr1) / (np.sqrt(vi / corr2) + cfg.eps)
+            opt.step(flat, g, cfg)
+            assert flat.tobytes() == b"".join(p.tobytes() for p in params)
 
 
 class TestStackedFit:
