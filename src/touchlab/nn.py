@@ -91,10 +91,11 @@ class _Views(list):
 def _views(flat: np.ndarray, shapes) -> tuple:
     weights, biases, off = _Views(), _Views(), 0
     for n_in, n_out in shapes:
-        weights.append(flat[..., off:off + n_in * n_out]
+        n_w = n_in * n_out
+        weights.append(flat[..., off:off + n_w]
                        .reshape(flat.shape[:-1] + (n_in, n_out)))
-        biases.append(flat[..., off + n_in * n_out:off + n_in * n_out + n_out])
-        off += n_in * n_out + n_out
+        biases.append(flat[..., off + n_w:off + n_w + n_out])
+        off += n_w + n_out
     return weights, biases
 
 
