@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from touchlab.link import (
     DEFAULT_BUDGET_US,
     DEVICE_PATH,
     HOST_PATH,
+    STAGE_NAMES,
     LinkProfile,
     StageTimings,
     Topology,
@@ -164,3 +168,107 @@ class TestTopology:
     def test_device_route_direct(self):
         hops = Topology().route("device")
         assert [h[:2] for h in hops] == [("fingertip", "manipulator")]
+
+
+def _digest(a) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a, dtype="<f8").tobytes()).hexdigest()
+
+
+class TestPinnedPipelineDigests:
+    """SHA-256 of every stage array and the totals of 10,000 pipeline runs
+    (seed 0), and of the rows of criterion 03's two depth sweeps.  Stage
+    draws and sums are elementwise IEEE arithmetic, so a change to the stage
+    model that alters any sample shows up here."""
+
+    CASES = {
+        "host": (HOST_PATH, Workload()),
+        "device": (DEVICE_PATH, Workload()),
+        "host_240hz_300us": (HOST_PATH, Workload(rate_hz=240.0, inference_us=300.0)),
+        "host_no_jitter": (HOST_PATH.without_jitter(), Workload()),
+    }
+
+    DIGESTS = {
+        "host": {
+            "acquisition":
+                "f8c784aa6b57396e7c5e094c34d079d8252473e46e2f60593a921dbebf941fcc",
+            "transfer":
+                "6d1bacb167d6ff5da23255ee471c9a4ae051c81e574961a28dd885c01328fbe8",
+            "subsample":
+                "ff8a31278b02d7f8b451db5de67f62a775e4225db237390d14022099a51b5299",
+            "inference":
+                "f8c784aa6b57396e7c5e094c34d079d8252473e46e2f60593a921dbebf941fcc",
+            "action_transfer":
+                "e4dce503aaeae825134950a581635294d4cb8ddd72776881abf6c1c9befd2b42",
+            "action":
+                "99178fbe26ca1ec508a62c904f5f19ac62e3efdc520ec9a0a7f7680aac27cf8a",
+            "totals":
+                "8dca39646aee158ce7d14ed2c9a7d7c7b3f79caca8582fdc5ee8a9d7c4518d2e",
+        },
+        "device": {
+            "acquisition":
+                "f8c784aa6b57396e7c5e094c34d079d8252473e46e2f60593a921dbebf941fcc",
+            "transfer":
+                "bdcb244cde89e6f230dde3eba23dc643182532ead991480f27ada14de43ca383",
+            "subsample":
+                "e2a7b3f24dc5b9d3e5b41a0463d6fdcd70405e7b674b306a8114b8338f6f5304",
+            "inference":
+                "f8c784aa6b57396e7c5e094c34d079d8252473e46e2f60593a921dbebf941fcc",
+            "action_transfer":
+                "5b4a7cbf4207a20517a2edd392c338c15f0e36c742be07787e6e96488495117f",
+            "action":
+                "59da21327cb88dbc5f4bfde8a05ab710cac569c86592c4c166554bde18eef68c",
+            "totals":
+                "3205d34ed47b7ac52af9eb8ad8c7faf0dc4da80508fdf3f29a0e7fccd2d99e58",
+        },
+        "host_240hz_300us": {
+            "acquisition":
+                "ceb7766eab82a66d33fcfbf6eebc7917577edc0903d3c5fcd6b63518e0aec424",
+            "transfer":
+                "6d1bacb167d6ff5da23255ee471c9a4ae051c81e574961a28dd885c01328fbe8",
+            "subsample":
+                "ff8a31278b02d7f8b451db5de67f62a775e4225db237390d14022099a51b5299",
+            "inference":
+                "3f4d4450c20c778d454fd892a42dc13fbb1c142ee1b871e57aee2a9e5f72f52a",
+            "action_transfer":
+                "e4dce503aaeae825134950a581635294d4cb8ddd72776881abf6c1c9befd2b42",
+            "action":
+                "99178fbe26ca1ec508a62c904f5f19ac62e3efdc520ec9a0a7f7680aac27cf8a",
+            "totals":
+                "dba44092e148694c2e8598715709962346c6622441db4db9f226b1f3f61d01b7",
+        },
+        "host_no_jitter": {
+            "acquisition":
+                "f8c784aa6b57396e7c5e094c34d079d8252473e46e2f60593a921dbebf941fcc",
+            "transfer":
+                "a1ab97520c9f47b6558311d15041374f5c9baa1b11bd2238020f8cc2ab81fc08",
+            "subsample":
+                "bfdb72717c120f72b034625a41d4d182b8374471a17bcc10aeeec9140b0bdc3f",
+            "inference":
+                "f8c784aa6b57396e7c5e094c34d079d8252473e46e2f60593a921dbebf941fcc",
+            "action_transfer":
+                "1464d5aa7db410e79f6de97dea23ca0da8a374a5d5487f4488b292d59c447f94",
+            "action":
+                "fafe1f3e529f6ee5e4f8a27cb0fceac20e31a58b5be3008e47a18b50d4492aac",
+            "totals":
+                "7359df6bf26bdb484e56e17ac9c4fe58dfab1f4fc91753e3d686161f1c3f057e",
+        },
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_stages_and_totals(self, case):
+        path, workload = self.CASES[case]
+        stats = run_pipeline(path, workload, n_runs=10_000, seed=0)
+        got = {name: _digest(stats.stages[name]) for name in STAGE_NAMES}
+        got["totals"] = _digest(stats.totals)
+        assert got == self.DIGESTS[case]
+
+    @pytest.mark.parametrize("hw_accel,depths,want", [
+        (False, range(0, 13),
+         "2f8493ad16a804d251335197b95c131ffd65da8bdff1c0139ab5f61c6b99211e"),
+        (True, range(0, 61, 5),
+         "d5b8ae993972c8419000cfdf179f1991dba9b1dffd9e6acd2a4fc9bf61d8d0dd"),
+    ])
+    def test_depth_sweep_rows(self, hw_accel, depths, want):
+        sweep = mlp_depth_sweep(depths=depths, hw_accel=hw_accel)
+        rows = json.dumps(sweep["rows"], sort_keys=True).encode()
+        assert hashlib.sha256(rows).hexdigest() == want

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -163,3 +165,23 @@ class TestReflexBenchmark:
         a = reflex_benchmark("host", n_trials=200, seed=3)
         b = reflex_benchmark("host", n_trials=200, seed=3)
         assert np.array_equal(a.latencies_us, b.latencies_us)
+
+
+class TestPinnedReflexDigests:
+    """SHA-256 of criterion 02's inputs: 2,000 trial latencies per path at
+    seed 0.  Each trial draws from its own SeedSequence, so any change to
+    the draw order or the stage sums shows up here."""
+
+    @pytest.mark.parametrize("path,want", [
+        ("device",
+         "f81b598ba91ee09a80f1f068643ef58a0b832c00cb284ca8940df0f82b1482d9"),
+        ("host",
+         "a3740e81fe9837e6908d14149292d0f06d203ccca39ec2a1ec9c5e9a9a28550d"),
+        ("legacy",
+         "6917c9edd3288287428a61df32cb9c3ad0964dc55adc7d0141636732ce23bfc3"),
+    ])
+    def test_latencies(self, path, want):
+        res = reflex_benchmark(path, n_trials=2000, seed=0)
+        got = hashlib.sha256(
+            np.ascontiguousarray(res.latencies_us, dtype="<f8").tobytes())
+        assert got.hexdigest() == want
