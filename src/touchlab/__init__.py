@@ -15,7 +15,7 @@ Subsystems:
   analytic convolution cost model
 - :mod:`touchlab.experiments` -- gas and multimodal fusion classification
   experiments
-- :mod:`touchlab.link` -- device<->host transport and stage-latency simulation
+- :mod:`touchlab.link` -- the six-stage event-to-action latency model
 - :mod:`touchlab.reflex` -- contact-detection state machine and the
   event-to-action reflex benchmark
 - :mod:`touchlab.cli` -- command-line front door

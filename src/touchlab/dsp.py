@@ -50,12 +50,12 @@ class FilterSpec:
 
     def __post_init__(self):
         if self.kind not in (HIGHPASS, LOWPASS):
-            raise ValueError(f"kind must be {HIGHPASS!r} or {LOWPASS!r}")
+            raise errors.ConfigError(f"kind must be {HIGHPASS!r} or {LOWPASS!r}")
         if not (0 < self.fc_hz < self.sample_rate_hz / 2):
             raise errors.NyquistViolation(
                 f"fc={self.fc_hz} Hz outside (0, {self.sample_rate_hz / 2}) Hz")
         if self.order < 1:
-            raise ValueError("order must be >= 1")
+            raise errors.ConfigError("order must be >= 1")
 
     def sos(self) -> np.ndarray:
         import scipy.signal
@@ -95,7 +95,7 @@ class SpectrogramSpec:
 
     def __post_init__(self):
         if not (0 <= self.n_overlap < self.n_fft):
-            raise ValueError("n_overlap must be in [0, n_fft)")
+            raise errors.ConfigError("n_overlap must be in [0, n_fft)")
 
     @property
     def hop(self) -> int:
@@ -319,7 +319,7 @@ def build_windows(log: RecordLog, stride_s: float = WINDOW_DURATION_S,
     ``labels(t_start_s) -> (action, material)``.
     """
     if stride_s <= 0:
-        raise ValueError("stride must be positive")
+        raise errors.ConfigError("stride must be positive")
     fingers = _finger_streams(log)
     required = (ModalityKind.VISUOTACTILE, ModalityKind.SURFACE_AUDIO,
                 ModalityKind.SURFACE_PRESSURE, ModalityKind.INERTIAL)

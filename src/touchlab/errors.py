@@ -125,12 +125,6 @@ class LabelOutOfRange(TouchlabError, ValueError):
     pass
 
 
-# --- latency simulation ------------------------------------------------------
-
-class TooFewSamples(TouchlabError, ValueError):
-    pass
-
-
 # --- reflex loop -------------------------------------------------------------
 
 class ModalityMismatch(TouchlabError, ValueError):

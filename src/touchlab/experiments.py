@@ -9,6 +9,7 @@ and the liquid-level analysis of container tap ring-downs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,6 +94,10 @@ def gas_experiment(dataset: GasDataset, integration_time_s: float,
                    max_epochs: int = 300) -> GasResult:
     """Classify materials from per-channel means over the first
     ``integration_time_s`` seconds of each approach."""
+    if not (math.isfinite(integration_time_s) and integration_time_s > 0):
+        raise errors.ConfigError(
+            f"integration time must be finite and positive, got "
+            f"{integration_time_s}")
     n_classes = len(dataset.label_names)
     if n_classes < 1:
         raise errors.EmptyDataset("no materials")

@@ -55,10 +55,12 @@ class ScatterSurface:
 
     def __post_init__(self):
         if self.mode not in (GAUSSIAN, LAMBERTIAN, SPECULAR):
-            raise ValueError(f"unknown scatter mode {self.mode!r}")
+            raise errors.ConfigError(f"unknown scatter mode {self.mode!r}")
         if self.mode == GAUSSIAN:
             if self.alpha_hwhm_deg is None or not (1.0 <= self.alpha_hwhm_deg <= 25.0):
-                raise ValueError("gaussian mode needs alpha_hwhm_deg in [1, 25]")
+                raise errors.ConfigError(
+                    f"gaussian mode needs alpha_hwhm_deg in [1, 25], "
+                    f"got {self.alpha_hwhm_deg}")
 
     @classmethod
     def gaussian(cls, alpha_hwhm_deg: float) -> "ScatterSurface":
@@ -75,7 +77,7 @@ class ScatterSurface:
     @property
     def sigma_rad(self) -> float:
         if self.mode != GAUSSIAN:
-            raise ValueError("sigma is defined for gaussian mode only")
+            raise errors.ConfigError("sigma is defined for gaussian mode only")
         return math.radians(self.alpha_hwhm_deg) * _HWHM_TO_SIGMA
 
     def label(self) -> str:
@@ -97,9 +99,9 @@ class LedRing:
     def __post_init__(self):
         rgb = np.asarray(self.rgb, dtype=np.float64)
         if rgb.shape != (self.count, 3):
-            raise ValueError(f"rgb must be ({self.count}, 3)")
+            raise errors.ConfigError(f"rgb must be ({self.count}, 3)")
         if np.any(rgb < 0) or np.any(rgb > 1):
-            raise ValueError("LED intensities must be in [0, 1]")
+            raise errors.ConfigError("LED intensities must be in [0, 1]")
         object.__setattr__(self, "rgb", rgb)
 
     def positions(self) -> np.ndarray:
@@ -124,7 +126,7 @@ class Contact:
 
     def __post_init__(self):
         if self.radius_mm <= 0 or self.depth_mm <= 0:
-            raise ValueError("contact radius and depth must be positive")
+            raise errors.ConfigError("contact radius and depth must be positive")
         if not (0.0 <= self.polar_deg < 90.0):
             raise errors.ContactOutsideSurface(
                 f"contact polar angle {self.polar_deg} outside [0, 90)")
@@ -154,7 +156,7 @@ class TaxelImage:
 
     def __post_init__(self):
         if np.any(self.values < 0):
-            raise ValueError("intensities must be non-negative")
+            raise errors.ConfigError("intensities must be non-negative")
 
     def scalar(self) -> np.ndarray:
         return self.values.sum(axis=-1) if self.values.ndim == 3 else self.values
@@ -240,7 +242,7 @@ def sample_bsdf(surface: ScatterSurface, incident_dir, rng,
     single = d.ndim == 1
     d = d.reshape(-1, 3).T
     if np.any(np.abs(np.sqrt(_dot(d, d)) - 1.0) > 1e-6):
-        raise ValueError("incident_dir must be unit length")
+        raise errors.ConfigError("incident_dir must be unit length")
     n = np.asarray(normal, dtype=np.float64).reshape(-1, 3).T
     n = n / np.sqrt(_dot(n, n))
     d, n = (np.ascontiguousarray(a) for a in np.broadcast_arrays(d, n))
@@ -567,7 +569,7 @@ def sweep_surface(alpha) -> ScatterSurface:
             return ScatterSurface.lambertian()
         if alpha == SPECULAR:
             return ScatterSurface.specular()
-        raise ValueError(f"unknown sweep point {alpha!r}")
+        raise errors.ConfigError(f"unknown sweep point {alpha!r}")
     return ScatterSurface.gaussian(float(alpha))
 
 
@@ -599,13 +601,12 @@ def scatter_sweep(alphas=DEFAULT_SWEEP_ALPHAS,
     Renders share one seed across sweep points (common random numbers), so
     columns vary smoothly in alpha.
     """
-    alphas = list(alphas)
-    if not alphas:
-        raise ValueError("sweep needs at least one point")
+    surfaces = [sweep_surface(alpha) for alpha in alphas]
+    if not surfaces:
+        raise errors.ConfigError("sweep needs at least one point")
     mask = fov_mask(image_size)
     rows = []
-    for alpha in alphas:
-        surface = sweep_surface(alpha)
+    for surface in surfaces:
         bg_img = render(surface, contacts=(), photons=photons, seed=seed,
                         image_size=image_size)
         cn_img = render(surface, contacts=SWEEP_CONTACTS, photons=photons,
@@ -626,7 +627,7 @@ def scatter_sweep(alphas=DEFAULT_SWEEP_ALPHAS,
                                        - values[roi_bg].mean()) / noise_ref)
             ring_cnr[ring] = float(np.mean(per_contact))
         rows.append({
-            "alpha": sweep_surface(alpha).label(),
+            "alpha": surface.label(),
             "std_over_mean": metrics["std_over_mean"],
             "range_over_mean": metrics["range_over_mean"],
             "cnr_on_axis": ring_cnr["on_axis"],
@@ -664,8 +665,11 @@ def two_prong_profile(spacing_um: float, psf_sigma_um: float,
                       sample_um: float = 0.02) -> np.ndarray:
     """Taxel intensity line profile of a two-prong contact pair blurred by a
     Gaussian PSF."""
-    if psf_sigma_um <= 0:
-        raise ValueError("psf_sigma_um must be positive")
+    for name, value in (("spacing_um", spacing_um),
+                        ("psf_sigma_um", psf_sigma_um)):
+        if not (math.isfinite(value) and value > 0):
+            raise errors.ConfigError(
+                f"{name} must be finite and positive, got {value}")
     half = spacing_um / 2.0 + 6.0 * psf_sigma_um
     x = np.arange(-half, half + sample_um, sample_um)
     return (np.exp(-0.5 * ((x - spacing_um / 2.0) / psf_sigma_um) ** 2)

@@ -1,31 +1,33 @@
 """Reflex arc: contact detection feeding an action command, benchmarked
-end-to-end over simulated processing paths.
+end-to-end over the stage-latency model of :mod:`touchlab.link`.
 
 The state machine is Idle -> ContactDetected -> ActionIssued -> Idle.  The
 benchmark injects contact transients at random sampling phases, runs the
-pressure (or visuotactile) detector on the sampled trace, and routes the
-detection through a calibrated path profile:
+pressure detector on the sampled trace, and routes the detection through
+a link path carrying a reflex workload:
 
-    path            acquisition          stage means (us)                mean
-    device          pressure @ 1 kHz     248 + 393 + 20 + 40 + 2         ~1.2 ms
-    host            pressure @ 1 kHz     250 + 6 + 200 + 530 + 1010      ~2.5 ms
-    legacy          vision @ 60 fps      1600 + 6 + 200 + 530 + 1010     >6 ms
+    path     link path                         workload                   mean
+    device   DEVICE_PATH                       20 us inference @ 1 kHz    ~1.2 ms
+    host     HOST_PATH, transfer 250 us        200 us inference @ 1 kHz   ~2.5 ms
+    legacy   HOST_PATH                         200 us inference @ 60 Hz   >6 ms
 
 The host reflex path transfers small pressure packets, not camera frames,
-so its transfer/inference stages are smaller than the vision pipeline's;
-the action stages match the host pipeline.  The legacy profile is
-vision-only hardware: a 60 fps frame wait dominates its latency.
+so its transfer stage is 250 us where the vision pipeline's is 1600 us;
+its other stages are the host pipeline's.  The legacy path stands for
+vision-only hardware: it runs the same pressure detector, sampled at the
+60 Hz camera frame rate, so the frame wait dominates its latency.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import errors
 from .core import ModalityKind, TimestampNs
-from .link import StageModel, summarize
+from .link import (DEVICE_PATH, HOST_PATH, JITTERED_STAGES, StageModel,
+                   Workload, sample_stages, summarize)
 
 IDLE = "idle"
 CONTACT_DETECTED = "contact_detected"
@@ -85,10 +87,11 @@ class ContactDetector:
 
     def __post_init__(self):
         if self.threshold <= 0:
-            raise ValueError("threshold must be positive")
+            raise errors.ConfigError("threshold must be positive")
         if self.source not in (ModalityKind.SURFACE_PRESSURE,
                                ModalityKind.VISUOTACTILE):
-            raise ValueError(f"unsupported detector source {self.source}")
+            raise errors.ConfigError(
+                f"unsupported detector source {self.source}")
         self._armed = True
         self._quiet_since_s: float | None = None
         self._reference: np.ndarray | None = None
@@ -130,70 +133,15 @@ class ContactDetector:
         return None
 
 
-def detect_contact(detector: ContactDetector, t_s: float,
-                   kind: ModalityKind, payload) -> float | None:
-    """Functional wrapper over :meth:`ContactDetector.update`."""
-    return detector.update(t_s, kind, payload)
-
-
 # --- benchmark paths ------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class ReflexPathProfile:
-    name: str
-    acquisition_rate_hz: float
-    acquisition_kind: ModalityKind
-    transfer: StageModel
-    subsample: StageModel
-    inference: StageModel
-    action_transfer: StageModel
-    action: StageModel
-
-    def stage_models(self):
-        return (self.transfer, self.subsample, self.inference,
-                self.action_transfer, self.action)
-
-    def mean_us(self) -> float:
-        period = 1e6 / self.acquisition_rate_hz
-        return period / 2.0 + sum(m.mean_us for m in self.stage_models())
-
-
-REFLEX_DEVICE = ReflexPathProfile(
-    name="device",
-    acquisition_rate_hz=1000.0,
-    acquisition_kind=ModalityKind.SURFACE_PRESSURE,
-    transfer=StageModel(248.0, 0.05),
-    subsample=StageModel(393.0, 0.05),
-    inference=StageModel(20.0, 0.05),
-    action_transfer=StageModel(40.0, 0.05),
-    action=StageModel(2.0, 0.05),
-)
-
-REFLEX_HOST = ReflexPathProfile(
-    name="host",
-    acquisition_rate_hz=1000.0,
-    acquisition_kind=ModalityKind.SURFACE_PRESSURE,
-    transfer=StageModel(250.0, 0.10),
-    subsample=StageModel(6.0, 0.10),
-    inference=StageModel(200.0, 0.10),
-    action_transfer=StageModel(530.0, 0.10),
-    action=StageModel(1010.0, 0.10),
-)
-
-REFLEX_LEGACY = ReflexPathProfile(
-    name="legacy",
-    acquisition_rate_hz=60.0,
-    acquisition_kind=ModalityKind.VISUOTACTILE,
-    transfer=StageModel(1600.0, 0.10),
-    subsample=StageModel(6.0, 0.10),
-    inference=StageModel(200.0, 0.10),
-    action_transfer=StageModel(530.0, 0.10),
-    action=StageModel(1010.0, 0.10),
-)
-
-REFLEX_PATHS = {"device": REFLEX_DEVICE, "host": REFLEX_HOST,
-                "legacy": REFLEX_LEGACY}
+#: Reflex path name -> (link path, reflex workload).
+REFLEX_PATHS = {
+    "device": (DEVICE_PATH, Workload(inference_us=20.0, rate_hz=1000.0)),
+    "host": (replace(HOST_PATH, transfer=StageModel(250.0, 0.10)),
+             Workload(inference_us=200.0, rate_hz=1000.0)),
+    "legacy": (HOST_PATH, Workload(inference_us=200.0, rate_hz=60.0)),
+}
 
 
 @dataclass
@@ -211,10 +159,10 @@ NOISE_SIGMA = 0.005
 PULSE_AMPLITUDE = 50 * NOISE_SIGMA
 
 
-def _trial_acquisition_us(profile: ReflexPathProfile, rng) -> float:
+def _trial_acquisition_us(rate_hz: float, rng) -> float:
     """Sampling-phase delay measured by running the detector on a
     synthesized contact transient."""
-    period_s = 1.0 / profile.acquisition_rate_hz
+    period_s = 1.0 / rate_hz
     t_event = rng.uniform(0.0, period_s)
     detector = ContactDetector(source=ModalityKind.SURFACE_PRESSURE,
                                threshold=5 * NOISE_SIGMA)
@@ -231,29 +179,32 @@ def _trial_acquisition_us(profile: ReflexPathProfile, rng) -> float:
     raise RuntimeError("synthetic transient was never detected")
 
 
-def reflex_benchmark(path: str | ReflexPathProfile, n_trials: int = 2000,
+def reflex_benchmark(path: str, n_trials: int = 2000,
                      seed: int = 0) -> ReflexResult:
     """Event-to-action latency distribution over injected contacts.
 
-    Matched trials across paths share per-trial draws: trial i consumes the
-    same (sampling phase, stage jitter) sequence under every profile, so
-    path comparisons are common-random-number experiments.
+    Trial i draws its sampling phase, detector noise and stage jitter from
+    its own SeedSequence((0x4EF1, seed, i)), so matched trials across paths
+    share their stage draws and path comparisons are common-random-number
+    experiments.  A latency is acquisition + (sum of the jittered stages).
     """
-    profile = REFLEX_PATHS[path] if isinstance(path, str) else path
+    if path not in REFLEX_PATHS:
+        raise errors.ConfigError(
+            f"unknown reflex path {path!r}; choose from {sorted(REFLEX_PATHS)}")
     if n_trials < 100:
         raise errors.ConfigError("n_trials must be >= 100")
-    latencies = np.empty(n_trials)
+    profile, workload = REFLEX_PATHS[path]
+    acquisition = np.empty(n_trials)
+    z = np.empty((len(JITTERED_STAGES), n_trials))
     for i in range(n_trials):
         rng = np.random.default_rng(np.random.SeedSequence((0x4EF1, seed, i)))
-        arc = ReflexStateMachine()
-        acq_us = _trial_acquisition_us(profile, rng)
+        acquisition[i] = _trial_acquisition_us(workload.rate_hz, rng)
+        z[:, i] = rng.standard_normal(len(JITTERED_STAGES))
+    stages = sample_stages(profile, workload, z)
+    latencies = acquisition + sum(stages.values())
+    arc = ReflexStateMachine()
+    for total in latencies:
         arc.on_contact(0)
-        z = rng.standard_normal(5)
-        stage_us = sum(m.sample(np.array([zz]))[0]
-                       for m, zz in zip(profile.stage_models(), z))
-        total = acq_us + stage_us
         arc.on_action(int(total * 1000))
         arc.reset()
-        latencies[i] = total
-    return ReflexResult(path=profile.name, n_trials=n_trials,
-                        latencies_us=latencies)
+    return ReflexResult(path=path, n_trials=n_trials, latencies_us=latencies)

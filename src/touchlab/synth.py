@@ -128,9 +128,9 @@ class ObjectSpec:
 
     def __post_init__(self):
         if self.material not in MATERIALS:
-            raise ValueError(f"unknown material {self.material!r}")
+            raise errors.ConfigError(f"unknown material {self.material!r}")
         if self.fill_fraction is not None and not (0.0 <= self.fill_fraction <= 1.0):
-            raise ValueError("fill_fraction must be in [0, 1]")
+            raise errors.ConfigError("fill_fraction must be in [0, 1]")
 
     @property
     def is_container(self) -> bool:
@@ -161,7 +161,7 @@ class RingdownParams:
 
     def __post_init__(self):
         if self.f0_hz <= 0 or self.tau0_s <= 0:
-            raise ValueError("f0_hz and tau0_s must be positive")
+            raise errors.ConfigError("f0_hz and tau0_s must be positive")
 
     def frequency(self, fill_fraction: float) -> float:
         return self.f0_hz * (1.0 - self.k_fill * fill_fraction)
@@ -183,9 +183,9 @@ class Event:
 
     def __post_init__(self):
         if self.kind not in EVENT_KINDS:
-            raise ValueError(f"unknown event kind {self.kind!r}")
+            raise errors.ConfigError(f"unknown event kind {self.kind!r}")
         if self.t_end <= self.t_start:
-            raise ValueError("t_end must be after t_start")
+            raise errors.ConfigError("t_end must be after t_start")
         object.__setattr__(self, "finger_ids", tuple(self.finger_ids))
 
 
@@ -230,7 +230,7 @@ class ScenarioScript:
         by_finger: dict[int, list] = {}
         for i, ev in enumerate(self.events):
             if ev.t_start < 0 or ev.t_end > self.duration_s + 1e-9:
-                raise ValueError(f"event {i} outside scenario duration")
+                raise errors.ConfigError(f"event {i} outside scenario duration")
             for f in ev.finger_ids:
                 by_finger.setdefault(f, []).append((ev.t_start, ev.t_end, i))
         for f, spans in by_finger.items():
@@ -287,8 +287,10 @@ def gen_gas_approach(obj: ObjectSpec, approach_duration_s: float,
     signature, with per-approach signature drift and per-sample sensor
     noise when a generator is supplied.
     """
-    if approach_duration_s <= 0:
-        raise errors.ConfigError("approach duration must be positive")
+    if not (math.isfinite(approach_duration_s) and approach_duration_s > 0):
+        raise errors.ConfigError(
+            f"approach duration must be finite and positive, got "
+            f"{approach_duration_s}")
     n = int(round(approach_duration_s * rate_hz))
     t = np.arange(n) / rate_hz
     sig = obj.gas_target().astype(np.float64)
@@ -311,7 +313,7 @@ class Imprint:
 
     def __post_init__(self):
         if self.radius_px <= 0 or self.depth < 0:
-            raise ValueError("radius must be positive, depth non-negative")
+            raise errors.ConfigError("radius must be positive, depth non-negative")
         if math.hypot(self.u, self.v) > 0.95:
             raise errors.ContactOutsideSurface(
                 f"imprint at ({self.u:.2f}, {self.v:.2f}) outside the fingertip")

@@ -203,6 +203,20 @@ class TestBenchCommands:
          "--integration", "5,x"],
         ["bench-mtf", "--spacings", "x"],
         ["bench-optics", "--alpha-sweep", "5,x"],
+        ["bench-optics", "--alpha-sweep", "30", "--photons", "100000"],
+        ["bench-optics", "--alpha-sweep", "0.5", "--photons", "100000"],
+        ["bench-optics", "--alpha-sweep", "nan", "--photons", "100000"],
+        ["bench-optics", "--alpha-sweep", "1,30", "--photons", "100000"],
+        ["train-gas", "--approaches", "2", "--duration", "10",
+         "--integration=-5,0"],
+        ["train-gas", "--approaches", "2", "--duration", "10",
+         "--integration", "nan"],
+        ["train-gas", "--approaches", "2", "--duration", "nan",
+         "--integration", "5"],
+        ["bench-mtf", "--spacings=-3,0"],
+        ["bench-mtf", "--spacings", "0"],
+        ["bench-mtf", "--spacings", "nan"],
+        ["bench-latency", "--runs", "100", "--budget-us", "nan"],
     ])
     def test_bad_flag_value_exit_2(self, tmp_path, capsys, argv):
         out = tmp_path / "report.json"

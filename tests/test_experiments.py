@@ -65,6 +65,12 @@ class TestGasExperiment:
         with pytest.raises(errors.ConfigError):
             make_gas_dataset(n_per_material=2, duration_s=0.0)
 
+    @pytest.mark.parametrize("t", [0.0, -5.0, float("nan"), float("inf")])
+    def test_non_positive_or_nan_integration_rejected(self, t):
+        data = make_gas_dataset(n_per_material=2, duration_s=10.0, seed=0)
+        with pytest.raises(errors.ConfigError):
+            gas_experiment(data, t)
+
     def test_confusion_matrix_sums(self):
         data = make_gas_dataset(n_per_material=10, duration_s=30.0, seed=1)
         res = gas_experiment(data, 30.0, seed=1)

@@ -23,6 +23,7 @@ from touchlab.optics import (
     render,
     sample_bsdf,
     scatter_sweep,
+    sweep_surface,
     two_prong_profile,
     uniformity_metrics,
 )
@@ -73,6 +74,11 @@ class TestSampleBsdf:
             ScatterSurface.gaussian(0.5)
         with pytest.raises(ValueError):
             ScatterSurface.gaussian(30.0)
+
+    @pytest.mark.parametrize("alpha", [0.5, 30.0, float("nan"), "matte"])
+    def test_bad_sweep_point_is_config_error(self, alpha):
+        with pytest.raises(errors.ConfigError):
+            sweep_surface(alpha)
 
 
 class TestRender:
@@ -297,6 +303,16 @@ class TestScatterSweep:
                             photons=150_000)
         assert res["recommended"] == "1deg"
 
+    def test_bad_point_fails_before_rendering(self, monkeypatch):
+        import touchlab.optics as optics_mod
+
+        def no_render(*args, **kwargs):
+            raise AssertionError("rendered before validating every point")
+
+        monkeypatch.setattr(optics_mod, "render", no_render)
+        with pytest.raises(errors.ConfigError):
+            scatter_sweep(alphas=(1.0, 30.0), photons=150_000)
+
     def test_row_fields(self):
         res = scatter_sweep(alphas=(5.0, "lambertian"), photons=150_000)
         for row in res["rows"]:
@@ -312,9 +328,19 @@ class TestMtf:
         assert res["resolvable"]
 
     def test_zero_spacing_merged(self):
-        res = prong_mtf(spacing_um=0.0, psf_sigma_um=2.0)
+        # Spacing 0 is no prong pair and is rejected (next test); a pair
+        # 1 nm apart under a 2 um PSF merges into one peak.
+        res = prong_mtf(spacing_um=1e-3, psf_sigma_um=2.0)
         assert res["mtf"] == 0.0
         assert not res["resolvable"]
+
+    @pytest.mark.parametrize("spacing,sigma", [
+        (0.0, 2.0), (-3.0, 2.0), (float("nan"), 2.0), (float("inf"), 2.0),
+        (6.0, 0.0), (6.0, float("nan")),
+    ])
+    def test_non_positive_or_nan_rejected(self, spacing, sigma):
+        with pytest.raises(errors.ConfigError):
+            two_prong_profile(spacing, sigma)
 
     def test_no_peaks(self):
         with pytest.raises(errors.NoPeaksFound):

@@ -1,17 +1,19 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from touchlab import errors
 from touchlab.core import ModalityKind
+from touchlab.link import DEVICE_PATH, HOST_PATH, StageModel
 from touchlab.reflex import (
     ACTION_ISSUED,
     CONTACT_DETECTED,
     IDLE,
+    REFLEX_PATHS,
     ContactDetector,
     ReflexStateMachine,
-    detect_contact,
     reflex_benchmark,
 )
 
@@ -105,8 +107,7 @@ class TestContactDetector:
     def test_modality_mismatch(self):
         det = ContactDetector(source=ModalityKind.SURFACE_PRESSURE)
         with pytest.raises(errors.ModalityMismatch):
-            detect_contact(det, 0.0, ModalityKind.VISUOTACTILE,
-                           np.zeros((4, 4, 3)))
+            det.update(0.0, ModalityKind.VISUOTACTILE, np.zeros((4, 4, 3)))
 
     def test_visuotactile_detector(self):
         det = ContactDetector(source=ModalityKind.VISUOTACTILE, threshold=5.0)
@@ -161,10 +162,32 @@ class TestReflexBenchmark:
         with pytest.raises(ValueError):
             reflex_benchmark("device", n_trials=10)
 
+    def test_unknown_path_is_config_error(self):
+        with pytest.raises(errors.ConfigError):
+            reflex_benchmark("satellite", n_trials=100)
+
     def test_determinism(self):
         a = reflex_benchmark("host", n_trials=200, seed=3)
         b = reflex_benchmark("host", n_trials=200, seed=3)
         assert np.array_equal(a.latencies_us, b.latencies_us)
+
+
+class TestReflexPaths:
+    """Reflex paths are link paths plus reflex workloads."""
+
+    def test_paths_reuse_link_stages(self):
+        device, _ = REFLEX_PATHS["device"]
+        host, _ = REFLEX_PATHS["host"]
+        legacy, _ = REFLEX_PATHS["legacy"]
+        assert device == DEVICE_PATH
+        assert legacy == HOST_PATH
+        assert host == replace(HOST_PATH, transfer=StageModel(250.0, 0.10))
+
+    def test_workloads(self):
+        got = {name: (w.inference_us, w.rate_hz)
+               for name, (_, w) in REFLEX_PATHS.items()}
+        assert got == {"device": (20.0, 1000.0), "host": (200.0, 1000.0),
+                       "legacy": (200.0, 60.0)}
 
 
 class TestPinnedReflexDigests:
