@@ -58,8 +58,6 @@ class StageModel:
     sigma: float = 0.0
 
     def sample(self, z: np.ndarray) -> np.ndarray:
-        if self.sigma == 0.0:
-            return np.full_like(np.asarray(z, dtype=np.float64), self.mean_us)
         m = np.exp(self.sigma * np.clip(z, -5.0, 5.0) - self.sigma ** 2 / 2.0)
         return self.mean_us * m
 
