@@ -71,6 +71,16 @@ class TestGasExperiment:
         with pytest.raises(errors.ConfigError):
             gas_experiment(data, t)
 
+    def test_pinned_dataset_digest(self):
+        # SHA-256 of every approach series and label for a fixed seed.
+        data = make_gas_dataset(n_per_material=3, duration_s=20.0, seed=4)
+        h = hashlib.sha256()
+        for s in data.series:
+            h.update(np.ascontiguousarray(s, dtype="<f8").tobytes())
+        h.update(np.asarray(data.labels, dtype="<i8").tobytes())
+        assert h.hexdigest() == \
+            "ea8eeebf4c993f2917559f5335a2f0aa84807f91cc5c9d53306f272910d853e7"
+
     def test_confusion_matrix_sums(self):
         data = make_gas_dataset(n_per_material=10, duration_s=30.0, seed=1)
         res = gas_experiment(data, 30.0, seed=1)
@@ -302,6 +312,16 @@ class TestLiquidLevel:
             taps = analyze_liquid(log)
             assert len(taps) == 3
             assert all(t.predicted_fill == name for t in taps)
+
+    def test_pinned_features(self):
+        # SHA-256 of every tap's features at the three fill levels of the
+        # liquid-level criterion.
+        taps = [analyze_liquid(make_bottle_log(fill, seed=3))
+                for fill in (0.0, 0.5, 1.0)]
+        text = repr([[(t.t_start_s, t.peak_hz, t.tau_s, t.predicted_fill)
+                      for t in fill] for fill in taps])
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "7b3ba6a14ae8360218911c151c479d7fd73b79f70660db1e43de39f3cbf84faf"
 
     def test_full_peak_below_empty_peak(self):
         f_empty = np.mean([t.peak_hz for t in analyze_liquid(make_bottle_log(0.0))])

@@ -185,6 +185,12 @@ class TestPinnedDigests:
         assert self.digest(img.values) == \
             "c6632ee99031cc0a741b9991768bc0e5b1617d78684e2e0d6fd501d82cc636b4"
 
+    def test_render_sharded(self):
+        img = render(ScatterSurface.gaussian(10.0), contacts=SWEEP_CONTACTS[:3],
+                     photons=100_000, seed=2, shards=3)
+        assert self.digest(img.values) == \
+            "c4d6a386e11d3c0b6eb760fbefe86d86b45b0322c90509ab75110966309f503c"
+
     @pytest.mark.parametrize("surface,want", [
         ("specular",
          "1c3b9011a2e02aec834e02b53f50a70db8f89450a041e070e2e2ffbe5359d379"),

@@ -127,6 +127,27 @@ class TestPinnedLogDigests:
             "24971b2fb38361768b24000bd5241ce8a1efe6cc40c7e45901c3413fb3ddc36e"
 
 
+    def test_every_event_kind(self):
+        # Tap, slide, stir, hold and approach, a container tap, a hot hold,
+        # and gas and heat streams at non-default rates.
+        script = ScenarioScript(
+            seed=11, duration_s=2.0, fingers=(0, 1),
+            rates={ModalityKind.VISUOTACTILE: 30.0,
+                   ModalityKind.SURFACE_AUDIO: 8000.0,
+                   ModalityKind.GAS: 4.0, ModalityKind.HEAT: 3.0},
+            events=[
+                Event(0.1, 0.16, "tap", ObjectSpec("wood"), (0,)),
+                Event(0.3, 0.8, "slide", ObjectSpec("plastic"), (0,)),
+                Event(0.9, 1.4, "stir", ObjectSpec("silicone"), (0,)),
+                Event(1.5, 1.9, "hold", ObjectSpec("butter"), (0,)),
+                Event(0.1, 1.0, "approach", ObjectSpec("coffee-powder"), (1,)),
+                Event(1.2, 1.25, "tap",
+                      ObjectSpec("liquid-coffee", fill_fraction=0.5), (1,)),
+                Event(1.4, 1.9, "hold",
+                      ObjectSpec("liquid-coffee", temperature_c=70.0), (1,))])
+        assert hashlib.sha256(log_to_bytes(run_scenario(script))).hexdigest() == \
+            "a7531ff8499550513bbba812eb3dd15a2758f9644a532e1841e49d8bdfe39696"
+
 class TestGenRingdown:
     def test_not_a_container(self):
         with pytest.raises(errors.NotAContainer):
