@@ -43,12 +43,6 @@ _RATE_KEYS = {
 }
 
 
-class CliError(Exception):
-    def __init__(self, message: str, exit_code: int):
-        super().__init__(message)
-        self.exit_code = exit_code
-
-
 def _config_hash(args: dict) -> str:
     payload = json.dumps({k: v for k, v in sorted(args.items())
                           if k not in ("out", "func", "command")},
@@ -125,15 +119,19 @@ def _jsonable(obj):
 
 
 def load_scenario(path: str) -> synth.ScenarioScript:
-    """Parse a scenario description (JSON, schema in the README)."""
-    with open(path) as fh:
-        text = fh.read()
+    """Parse and validate a scenario file (JSON, schema in the README)."""
     try:
-        doc = json.loads(text)
+        with open(path, encoding="utf-8") as fh:
+            doc = json.loads(fh.read())
     except json.JSONDecodeError as exc:
-        raise CliError(
+        raise errors.ScenarioParseError(
             f"{path}:{exc.lineno}:{exc.colno}: scenario is not valid JSON: "
-            f"{exc.msg}", EXIT_CONFIG) from exc
+            f"{exc.msg}") from exc
+    except (UnicodeDecodeError, RecursionError) as exc:
+        raise errors.ScenarioParseError(
+            f"{path}: scenario is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise errors.ScenarioParseError(f"{path}: scenario must be a JSON object")
 
     try:
         rates = {}
@@ -144,19 +142,18 @@ def load_scenario(path: str) -> synth.ScenarioScript:
         events = []
         for i, ev in enumerate(doc.get("events", [])):
             try:
-                obj = synth.ObjectSpec(
-                    material=ev["material"],
-                    fill_fraction=ev.get("fill_fraction"),
-                    temperature_c=ev.get("temperature_c"))
+                obj = synth.ObjectSpec(ev["material"], **{
+                    k: float(ev[k]) for k in ("fill_fraction", "temperature_c")
+                    if ev.get(k) is not None})
                 events.append(synth.Event(
                     t_start=float(ev["t_start"]), t_end=float(ev["t_end"]),
                     kind=ev["kind"], obj=obj,
                     finger_ids=tuple(ev.get("finger_ids", (0, 1, 2, 3)))))
-            except (KeyError, ValueError, TypeError) as exc:
+            except (KeyError, ValueError, TypeError, OverflowError) as exc:
                 raise errors.ScenarioParseError(
                     f"event {i}: {exc}") from exc
         script = synth.ScenarioScript(
-            seed=int(doc.get("seed", 0)),
+            seed=doc.get("seed", 0),
             duration_s=float(doc["duration_s"]),
             events=events,
             fingers=tuple(doc.get("fingers", (0, 1, 2, 3))),
@@ -164,10 +161,10 @@ def load_scenario(path: str) -> synth.ScenarioScript:
         script.validate()
         return script
     except KeyError as exc:
-        raise CliError(f"{path}: missing required field {exc}", EXIT_CONFIG) from exc
-    except (errors.ScenarioParseError, errors.OverlappingEvents,
-            ValueError) as exc:
-        raise CliError(f"{path}: {exc}", EXIT_CONFIG) from exc
+        raise errors.ScenarioParseError(
+            f"{path}: missing required field {exc}") from exc
+    except (ValueError, TypeError, AttributeError, OverflowError) as exc:
+        raise errors.ScenarioParseError(f"{path}: {exc}") from exc
 
 
 # --- subcommands -----------------------------------------------------------------
@@ -239,7 +236,7 @@ def _float_token(token: str, flag: str) -> float:
     try:
         return float(token)
     except ValueError:
-        raise CliError(f"{flag}: not a number: {token!r}", EXIT_CONFIG) from None
+        raise errors.ConfigError(f"{flag}: not a number: {token!r}") from None
 
 
 def _parse_alphas(text: str):
@@ -251,7 +248,7 @@ def _parse_alphas(text: str):
         alphas.append(token if token in (optics.LAMBERTIAN, optics.SPECULAR)
                       else _float_token(token, "--alpha-sweep"))
     if not alphas:
-        raise CliError("empty --alpha-sweep", EXIT_CONFIG)
+        raise errors.ConfigError("empty --alpha-sweep")
     return alphas
 
 
@@ -294,7 +291,7 @@ def cmd_train_gas(args) -> int:
     times = [_float_token(t, "--integration")
              for t in args.integration.split(",") if t.strip()]
     if not times:
-        raise CliError("empty --integration", EXIT_CONFIG)
+        raise errors.ConfigError("empty --integration")
     data = experiments.make_gas_dataset(n_per_material=args.approaches,
                                         duration_s=args.duration,
                                         seed=args.seed)
@@ -369,7 +366,7 @@ def cmd_report(args) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"skipping {path}: {exc}", file=sys.stderr)
     if not loaded:
-        raise CliError("no readable reports", EXIT_EMPTY)
+        raise errors.EmptyDataset("no readable reports")
     for path, rep in loaded:
         print(f"{path}: {rep.get('command')} v{rep.get('version')} "
               f"seed={rep.get('seed')} config={rep.get('config_hash')} "
@@ -473,10 +470,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, errors.TouchlabError, OSError) as exc:
+    except (errors.TouchlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, CliError):
-            return exc.exit_code
         if isinstance(exc, OSError):
             return EXIT_IO
         empty = isinstance(exc, (errors.EmptyDataset, errors.NoTapsFound))

@@ -69,6 +69,9 @@ DEFAULT_SAMPLE_BITS = {
 
 VALID_SAMPLE_BITS = (8, 16, 32)
 
+#: Side of the square fingertip camera image, in pixels.
+IMAGE_SIZE = 120
+
 #: Gas record channel order: oxidation resistance (ohm), relative humidity
 #: (%), temperature (degC), barometric pressure (hPa).
 GAS_CHANNELS = ("gas_ohm", "humidity_pct", "temperature_c", "pressure_hpa")
@@ -105,20 +108,19 @@ class StreamDescriptor:
     height: int = 0
 
     @classmethod
-    def default(cls, stream_id: int, kind: ModalityKind, rate_hz: float | None = None,
-                width: int = 120, height: int = 120) -> "StreamDescriptor":
+    def default(cls, stream_id: int, kind: ModalityKind,
+                rate_hz: float | None = None) -> "StreamDescriptor":
         if kind not in ModalityKind.__members__.values():
             raise errors.UnknownKind(f"unknown modality kind: {kind!r}")
-        if kind is not ModalityKind.VISUOTACTILE:
-            width = height = 0
+        size = IMAGE_SIZE if kind is ModalityKind.VISUOTACTILE else 0
         return cls(
             stream_id=stream_id,
             kind=kind,
             rate_hz=DEFAULT_RATES[kind] if rate_hz is None else rate_hz,
             channels=DEFAULT_CHANNELS[kind],
             sample_bits=DEFAULT_SAMPLE_BITS[kind],
-            width=width,
-            height=height,
+            width=size,
+            height=size,
         )
 
 
@@ -352,7 +354,7 @@ WINDOW_T = 10
 ACTIONS = ("slide", "tap", "stir")
 MATERIALS = ("wood", "plastic", "silicone")
 
-VISUOTACTILE_WINDOW_SHAPE = (WINDOW_T, 120, 120, 3)
+VISUOTACTILE_WINDOW_SHAPE = (WINDOW_T, IMAGE_SIZE, IMAGE_SIZE, 3)
 INERTIAL_WINDOW_SHAPE = (WINDOW_T, 3)
 PRESSURE_WINDOW_SHAPE = (WINDOW_T, 4)
 AUDIO_WINDOW_SHAPE = (WINDOW_T * 4, 64, 1)
@@ -385,7 +387,6 @@ class WindowSample:
     material_label: str
     finger_id: int
     window_start_ns: TimestampNs = 0
-    duration_s: float = WINDOW_DURATION_S
 
     def __post_init__(self):
         checks = (

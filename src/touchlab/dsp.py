@@ -37,16 +37,12 @@ PRESSURE_LPF_HZ = 50.0
 
 @dataclass(frozen=True)
 class FilterSpec:
-    """Butterworth filter as cascaded biquad sections.
-
-    ``order`` counts biquad (second-order) sections, so the analog rolloff is
-    40 dB/decade per section.
-    """
+    """Second-order Butterworth filter as one biquad section: the analog
+    rolloff is 40 dB/decade."""
 
     kind: str
     fc_hz: float
     sample_rate_hz: float
-    order: int = 1
 
     def __post_init__(self):
         if self.kind not in (HIGHPASS, LOWPASS):
@@ -54,13 +50,11 @@ class FilterSpec:
         if not (0 < self.fc_hz < self.sample_rate_hz / 2):
             raise errors.NyquistViolation(
                 f"fc={self.fc_hz} Hz outside (0, {self.sample_rate_hz / 2}) Hz")
-        if self.order < 1:
-            raise errors.ConfigError("order must be >= 1")
 
     def sos(self) -> np.ndarray:
         import scipy.signal
 
-        return scipy.signal.butter(2 * self.order, self.fc_hz, btype=self.kind,
+        return scipy.signal.butter(2, self.fc_hz, btype=self.kind,
                                    fs=self.sample_rate_hz, output="sos")
 
 
@@ -86,20 +80,9 @@ def pressure_preprocess(series: np.ndarray, rate_hz: float = 1000.0) -> np.ndarr
 # --- spectrograms ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpectrogramSpec:
-    n_fft: int = 2048
-    n_overlap: int = 1024
-    mel_bands: int = 64
-    time_bins: int = 64
-
-    def __post_init__(self):
-        if not (0 <= self.n_overlap < self.n_fft):
-            raise errors.ConfigError("n_overlap must be in [0, n_fft)")
-
-    @property
-    def hop(self) -> int:
-        return self.n_fft - self.n_overlap
+#: STFT frame and hop (1024 samples of overlap), mel bands and resampled
+#: time bins of every spectrogram.
+N_FFT, HOP, MEL_BANDS, TIME_BINS = 2048, 1024, 64, 64
 
 
 def hz_to_mel(f):
@@ -143,36 +126,34 @@ def _frame(x: np.ndarray, n_fft: int, hop: int) -> np.ndarray:
     return x[idx]
 
 
-def mel_power(audio: np.ndarray, rate_hz: float,
-              spec: SpectrogramSpec = SpectrogramSpec()) -> np.ndarray:
-    """Linear mel power frames, shape (n_frames, mel_bands)."""
+def mel_power(audio: np.ndarray, rate_hz: float) -> np.ndarray:
+    """Linear mel power frames, shape (n_frames, MEL_BANDS)."""
     audio = np.asarray(audio, dtype=np.float64).ravel()
-    if audio.size < spec.n_fft:
+    if audio.size < N_FFT:
         raise errors.TooShort(
-            f"need at least n_fft={spec.n_fft} samples, got {audio.size}")
-    frames = _frame(audio, spec.n_fft, spec.hop)
-    window = np.hanning(spec.n_fft)
+            f"need at least n_fft={N_FFT} samples, got {audio.size}")
+    frames = _frame(audio, N_FFT, HOP)
+    window = np.hanning(N_FFT)
     power = np.abs(np.fft.rfft(frames * window, axis=1)) ** 2  # (n_frames, bins)
-    return power @ mel_filterbank(spec.mel_bands, spec.n_fft, rate_hz).T
+    return power @ mel_filterbank(MEL_BANDS, N_FFT, rate_hz).T
 
 
-def mel_spectrogram(audio: np.ndarray, rate_hz: float,
-                    spec: SpectrogramSpec = SpectrogramSpec()) -> np.ndarray:
-    """Mel power spectrogram as a (mel_bands, time_bins) image in [0, 1].
+def mel_spectrogram(audio: np.ndarray, rate_hz: float) -> np.ndarray:
+    """Mel power spectrogram as a (MEL_BANDS, TIME_BINS) image in [0, 1].
 
     Pipeline: Hann-windowed STFT -> power |X|^2 -> 64-band mel filterbank ->
     dB scale -> time axis linearly resampled to 64 columns -> min-max
     normalized per window.  A constant (e.g. all-zero) input normalizes to an
     all-zero image.
     """
-    mel_db = 10.0 * np.log10(mel_power(audio, rate_hz, spec) + 1e-12)
+    mel_db = 10.0 * np.log10(mel_power(audio, rate_hz) + 1e-12)
 
     # Resample the time axis to a fixed column count.
     n_frames = mel_db.shape[0]
     src = np.arange(n_frames, dtype=np.float64)
-    dst = np.linspace(0.0, n_frames - 1.0, spec.time_bins)
-    resampled = np.empty((spec.mel_bands, spec.time_bins))
-    for b in range(spec.mel_bands):
+    dst = np.linspace(0.0, n_frames - 1.0, TIME_BINS)
+    resampled = np.empty((MEL_BANDS, TIME_BINS))
+    for b in range(MEL_BANDS):
         resampled[b] = np.interp(dst, src, mel_db[:, b])
 
     lo, hi = resampled.min(), resampled.max()
@@ -206,13 +187,12 @@ def peak_frequency(series: np.ndarray, rate_hz: float) -> float:
     return (k + delta) * bin_hz
 
 
-def decay_time(series: np.ndarray, rate_hz: float,
-               onset_snr: float = 5.0) -> float:
+def decay_time(series: np.ndarray, rate_hz: float) -> float:
     """Exponential decay constant tau of a ring-down, in seconds.
 
-    Takes the Hilbert envelope, locates the onset (first crossing of
-    ``onset_snr`` times the pre-onset floor), and least-squares fits the
-    log envelope slope over the decaying section.
+    Takes the Hilbert envelope, trims its edge ripple, and least-squares
+    fits the log envelope slope from the first point at 95% of the peak
+    down to the first at 10% (or the end of the record).
     """
     import scipy.signal
 
@@ -284,8 +264,7 @@ def _interp_columns(times, values, query_times):
     return out
 
 
-def audio_window_tiles(audio: np.ndarray, rate_hz: float,
-                       spec: SpectrogramSpec = SpectrogramSpec()) -> np.ndarray:
+def audio_window_tiles(audio: np.ndarray, rate_hz: float) -> np.ndarray:
     """Stack per-channel mel spectrograms into the (T*4, 64, 1) window layout.
 
     Each of the 4 channels yields a 64x64 spectrogram whose time axis is
@@ -295,7 +274,7 @@ def audio_window_tiles(audio: np.ndarray, rate_hz: float,
     n, n_ch = audio.shape
     tiles = []
     for c in range(n_ch):
-        s = mel_spectrogram(audio[:, c], rate_hz, spec)  # (bands, time)
+        s = mel_spectrogram(audio[:, c], rate_hz)  # (bands, time)
         by_time = s.T  # (time, bands)
         # Block-average 64 time bins down to 10 rows.
         edges = np.linspace(0, by_time.shape[0], WINDOW_T + 1).astype(int)
@@ -365,7 +344,7 @@ def build_windows(log: RecordLog, stride_s: float = WINDOW_DURATION_S,
             vt = vt_frames.payload[sel]
 
             au_idx = np.nonzero((au_times >= start) & (au_times < stop))[0]
-            if au_idx.size < SpectrogramSpec().n_fft:
+            if au_idx.size < N_FFT:
                 raise errors.InsufficientData(
                     f"finger {finger_id}: audio window too short at {start:.3f}s")
             audio = audio_window_tiles(

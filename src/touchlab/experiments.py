@@ -19,11 +19,12 @@ from .core import ACTIONS, MATERIALS as CLS_MATERIALS, ModalityKind, RecordLog
 from .dsp import build_windows, decay_time, peak_frequency
 from .synth import (
     GAS_MATERIALS,
+    GAS_RATE_HZ,
     Event,
     ObjectSpec,
-    RingdownParams,
     ScenarioScript,
     gen_gas_approach,
+    ring_frequency,
 )
 
 FINGER_INDEPENDENT = "finger_independent"
@@ -31,33 +32,39 @@ FINGER_DEPENDENT = "finger_dependent"
 
 MODALITY_NAMES = ("visuotactile", "audio", "inertial", "pressure")
 
+# The gas classifier's hidden width and Adam rate; a fusion trial's stream
+# rates (others default); a tap episode's audio envelope exceeds
+# TAP_THRESHOLD_REL times its median until TAP_MIN_GAP_S passes below it.
+GAS_HIDDEN, GAS_LR = 64, 0.1
+FUSION_RATES = {ModalityKind.VISUOTACTILE: 60.0, ModalityKind.SURFACE_AUDIO: 24_000.0}
+TAP_THRESHOLD_REL, TAP_MIN_GAP_S = 6.0, 0.1
+
 
 # --- gas sensing -----------------------------------------------------------------
 
 
 @dataclass
 class GasDataset:
-    series: list               # list of (n, 4) arrays at 1 Hz
+    series: list               # list of (n, 4) arrays at GAS_RATE_HZ
     labels: np.ndarray
     label_names: tuple
-    rate_hz: float = 1.0
 
 
 def make_gas_dataset(n_per_material: int = 60, duration_s: float = 90.0,
-                     seed: int = 0, materials=GAS_MATERIALS) -> GasDataset:
-    """Synthesize repeated approach runs for each material."""
+                     seed: int = 0) -> GasDataset:
+    """Synthesize repeated approach runs for each of ``GAS_MATERIALS``."""
     if n_per_material < 1:
         raise errors.ConfigError(
             f"need at least one approach per material, got {n_per_material}")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x6A5)))
     series, labels = [], []
-    for label, material in enumerate(materials):
+    for label, material in enumerate(GAS_MATERIALS):
         obj = ObjectSpec(material)
         for _ in range(n_per_material):
             series.append(gen_gas_approach(obj, duration_s, rng=rng))
             labels.append(label)
     return GasDataset(series=series, labels=np.array(labels),
-                      label_names=tuple(materials))
+                      label_names=GAS_MATERIALS)
 
 
 @dataclass
@@ -90,8 +97,7 @@ def _zscore(train: np.ndarray, test: np.ndarray):
 
 
 def gas_experiment(dataset: GasDataset, integration_time_s: float,
-                   seed: int = 0, hidden: int = 64, lr: float = 0.1,
-                   max_epochs: int = 300) -> GasResult:
+                   seed: int = 0, max_epochs: int = 300) -> GasResult:
     """Classify materials from per-channel means over the first
     ``integration_time_s`` seconds of each approach."""
     if not (math.isfinite(integration_time_s) and integration_time_s > 0):
@@ -101,18 +107,13 @@ def gas_experiment(dataset: GasDataset, integration_time_s: float,
     n_classes = len(dataset.label_names)
     if n_classes < 1:
         raise errors.EmptyDataset("no materials")
-    max_dur = min(s.shape[0] for s in dataset.series) / dataset.rate_hz
+    max_dur = min(s.shape[0] for s in dataset.series) / GAS_RATE_HZ
     if integration_time_s > max_dur + 1e-9:
         raise errors.ConfigError(
             f"integration time {integration_time_s}s exceeds approach "
             f"duration {max_dur}s")
-    n_keep = max(int(round(integration_time_s * dataset.rate_hz)), 1)
+    n_keep = max(int(round(integration_time_s * GAS_RATE_HZ)), 1)
     feats = np.stack([s[:n_keep].mean(axis=0) for s in dataset.series])
-
-    if n_classes == 1:
-        return GasResult(accuracy=1.0, integration_time_s=integration_time_s,
-                         n_train=len(dataset.series), n_test=0,
-                         confusion=np.array([[len(dataset.series)]]))
 
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x6A5E)))
     train_idx, test_idx = _split(feats.shape[0], 0.3, dataset.labels, rng)
@@ -123,8 +124,8 @@ def gas_experiment(dataset: GasDataset, integration_time_s: float,
     x_tr, x_te = _zscore(feats[train_idx], feats[test_idx])
     y_tr, y_te = dataset.labels[train_idx], dataset.labels[test_idx]
 
-    spec = nn.MlpSpec((4, hidden, n_classes))
-    cfg = nn.TrainConfig(lr=lr, max_epochs=max_epochs, seed=seed)
+    spec = nn.MlpSpec((4, GAS_HIDDEN, n_classes))
+    cfg = nn.TrainConfig(lr=GAS_LR, max_epochs=max_epochs, seed=seed)
     result = nn.train((x_tr, y_tr), spec, cfg)
 
     pred = np.argmax(result.model.forward_logits(x_te), axis=1)
@@ -138,14 +139,12 @@ def gas_experiment(dataset: GasDataset, integration_time_s: float,
 
 
 def gas_integration_sweep(integration_times, n_seeds: int = 10,
-                          n_per_material: int = 40,
-                          duration_s: float = 90.0) -> dict:
+                          n_per_material: int = 40) -> dict:
     """Mean test accuracy per integration time, averaged over seeds."""
     times = list(integration_times)
     acc = np.zeros((n_seeds, len(times)))
     for s in range(n_seeds):
-        data = make_gas_dataset(n_per_material=n_per_material,
-                                duration_s=duration_s, seed=s)
+        data = make_gas_dataset(n_per_material=n_per_material, seed=s)
         for j, t in enumerate(times):
             acc[s, j] = gas_experiment(data, t, seed=s).accuracy
     return {"integration_times": times, "mean_accuracy": acc.mean(axis=0),
@@ -243,7 +242,7 @@ def _window_features(window, modalities) -> dict:
 
 
 def fusion_trial_script(action: str, material: str, seed: int,
-                        duration_s: float = 2.66, rates=None) -> ScenarioScript:
+                        duration_s: float = 2.66) -> ScenarioScript:
     """One labelled trial: a single action class against one material."""
     obj = ObjectSpec(material)
     events = []
@@ -255,17 +254,12 @@ def fusion_trial_script(action: str, material: str, seed: int,
     else:
         kind = synth.SLIDE if action == "slide" else synth.STIR
         events.append(Event(0.05, duration_s - 0.05, kind, obj))
-    default_rates = {ModalityKind.VISUOTACTILE: 60.0,
-                     ModalityKind.SURFACE_AUDIO: 24_000.0}
-    if rates:
-        default_rates.update(rates)
     return ScenarioScript(seed=seed, duration_s=duration_s, events=events,
-                          rates=default_rates)
+                          rates=dict(FUSION_RATES))
 
 
 def iter_fusion_windows(trials_per_class: int = 12, seed: int = 0,
-                        duration_s: float = 2.66,
-                        stride_s: float = 0.665, rates=None):
+                        duration_s: float = 2.66, stride_s: float = 0.665):
     """Yield (trial_index, WindowSample) lazily, one scenario at a time.
 
     Windows are produced per trial and the trial log is dropped right
@@ -278,8 +272,7 @@ def iter_fusion_windows(trials_per_class: int = 12, seed: int = 0,
                 trial_seed = int(np.random.SeedSequence(
                     (seed, ai, mi, k)).generate_state(1)[0])
                 script = fusion_trial_script(
-                    action, material, seed=trial_seed,
-                    duration_s=duration_s, rates=rates)
+                    action, material, seed=trial_seed, duration_s=duration_s)
                 log = synth.run_scenario(script)
                 for w in build_windows(log, stride_s=stride_s,
                                        labels={"action": action,
@@ -318,7 +311,7 @@ def _predict(model: nn.MlpModel, x: np.ndarray):
 
 def fusion_experiment(windows, mode: str = FINGER_DEPENDENT,
                       modalities=MODALITY_NAMES, seed: int = 0,
-                      max_epochs: int = 200, lr_grid=LR_GRID,
+                      max_epochs: int = 200,
                       shuffle_labels: bool = False) -> FusionResult:
     """Action/material classification from encoded windows.
 
@@ -329,10 +322,10 @@ def fusion_experiment(windows, mode: str = FINGER_DEPENDENT,
     requested modalities, each at most once per window, memoized on the
     window so later calls over the same windows reuse them.  ``nn.train``
     fits a 96-48 ReLU trunk with action and material heads, full batch.
-    The Adam learning rate is picked on a validation split of the training
-    set, the grid's candidates trained side by side as the replicas of one
-    model; the chosen rate is retrained on the full training set, and the
-    result holds held-out accuracies plus confusion matrices.
+    The Adam learning rate is picked from LR_GRID on a validation split of
+    the training set, the candidates trained side by side as the replicas
+    of one model; the chosen rate is retrained on the full training set, and
+    the result holds held-out accuracies plus confusion matrices.
     """
     modalities = tuple(modalities)
     if not modalities:
@@ -384,13 +377,13 @@ def fusion_experiment(windows, mode: str = FINGER_DEPENDENT,
     # candidates in one stacked fit.
     val_rng = np.random.default_rng(np.random.SeedSequence((seed, 0xF051)))
     tr2, val = _split(len(train_idx), 0.25, strata[train_idx], val_rng)
-    best_lr, best_acc = lr_grid[0], -1.0
-    if val.size and len(lr_grid) > 1:
+    best_lr, best_acc = LR_GRID[0], -1.0
+    if val.size:
         grid = nn.train((x_tr[tr2], {k: y[tr2] for k, y in y_tr.items()}),
-                        spec, nn.TrainConfig(lr=lr_grid, max_epochs=max_epochs,
+                        spec, nn.TrainConfig(lr=LR_GRID, max_epochs=max_epochs,
                                              seed=seed))
         pa, pm = _predict(grid.model, x_tr[val])
-        for lr, a, m in zip(lr_grid, pa, pm):
+        for lr, a, m in zip(LR_GRID, pa, pm):
             acc = 0.5 * (np.mean(a == y_tr["action"][val])
                          + np.mean(m == y_tr["material"][val]))
             if acc > best_acc:
@@ -436,9 +429,9 @@ class TapFeatures:
 FILL_LEVELS = {"empty": 0.0, "half": 0.5, "full": 1.0}
 
 
-def find_tap_episodes(audio: np.ndarray, rate_hz: float,
-                      threshold_rel: float = 6.0, min_gap_s: float = 0.1):
-    """Locate ring-down episodes from the smoothed envelope."""
+def find_tap_episodes(audio: np.ndarray, rate_hz: float) -> list:
+    """(start, stop) samples of each ring-down episode in the smoothed
+    envelope, ending TAP_MIN_GAP_S after the episode's last loud sample."""
     import scipy.signal
 
     env = np.abs(scipy.signal.hilbert(audio))
@@ -446,39 +439,24 @@ def find_tap_episodes(audio: np.ndarray, rate_hz: float,
     kernel = np.ones(win) / win
     env = np.convolve(env, kernel, mode="same")
     floor = np.median(env)
-    thresh = max(threshold_rel * floor, 1e-9)
-    above = env > thresh
-    episodes = []
-    i = 0
-    n = above.size
-    min_gap = int(min_gap_s * rate_hz)
-    while i < n:
-        if above[i]:
-            j = i
-            quiet = 0
-            while j < n and quiet < min_gap:
-                quiet = quiet + 1 if not above[j] else 0
-                j += 1
-            episodes.append((i, min(j, n)))
-            i = j
-        else:
-            i += 1
-    return episodes
+    thresh = max(TAP_THRESHOLD_REL * floor, 1e-9)
+    above = np.flatnonzero(env > thresh)
+    min_gap = int(TAP_MIN_GAP_S * rate_hz)
+    runs = np.split(above, np.flatnonzero(np.diff(above) > min_gap) + 1)
+    return [(int(r[0]), min(int(r[-1]) + min_gap + 1, env.size)) for r in runs if r.size]
 
 
-def classify_fill(peak_hz: float,
-                  params: RingdownParams = synth.DEFAULT_RINGDOWN) -> str:
+def classify_fill(peak_hz: float) -> str:
     """Nearest-centroid fill classification from the ring-down frequency."""
     best, best_err = None, np.inf
     for name, fill in FILL_LEVELS.items():
-        err = abs(peak_hz - params.frequency(fill))
+        err = abs(peak_hz - ring_frequency(fill))
         if err < best_err:
             best, best_err = name, err
     return best
 
 
-def analyze_liquid(log: RecordLog, finger_id: int = 0,
-                   params: RingdownParams = synth.DEFAULT_RINGDOWN) -> list:
+def analyze_liquid(log: RecordLog, finger_id: int = 0) -> list:
     """Per-tap ring-down features and fill-level prediction from a recorded
     log's audio stream."""
     descs = log.streams_of_kind(ModalityKind.SURFACE_AUDIO)
@@ -504,7 +482,7 @@ def analyze_liquid(log: RecordLog, finger_id: int = 0,
             continue
         results.append(TapFeatures(
             t_start_s=i0 / desc.rate_hz, peak_hz=f, tau_s=tau,
-            predicted_fill=classify_fill(f, params)))
+            predicted_fill=classify_fill(f)))
     if not results:
         raise errors.NoTapsFound("no tap ring-downs found in the log")
     return results

@@ -201,37 +201,37 @@ DEVICE_US_PER_LAYER_W64 = 190.0
 #: Hardware-engine speedup; 60-layer networks fit the budget when enabled.
 HW_ACCEL_FACTOR = 10.0
 
-#: Derived throughput (width-64 layer = 4096 MACs).
-DEVICE_MACS_PER_US = 64 * 64 / DEVICE_US_PER_LAYER_W64
+#: Layer width of the on-device networks, pipeline runs per depth of a
+#: depth sweep, and the derived throughput (a width-64 layer is 4096 MACs).
+MLP_WIDTH, DEPTH_SWEEP_RUNS = 64, 400
+DEVICE_MACS_PER_US = MLP_WIDTH * MLP_WIDTH / DEVICE_US_PER_LAYER_W64
 
 
-def mlp_inference_us(depth: int, width: int = 64, hw_accel: bool = False) -> float:
+def mlp_inference_us(depth: int, hw_accel: bool = False) -> float:
     """Analytic on-device inference cost of a ``depth``-layer dense network."""
     if depth < 0:
         raise errors.ConfigError("depth must be >= 0")
     if depth == 0:
         return 0.0
-    macs = mlp_macs([width] * (depth + 1))
+    macs = mlp_macs([MLP_WIDTH] * (depth + 1))
     us = macs / DEVICE_MACS_PER_US
     return us / HW_ACCEL_FACTOR if hw_accel else us
 
 
-def mlp_depth_sweep(path: PathProfile = DEVICE_PATH, layer_width: int = 64,
-                    depths=tuple(range(0, 65)), hw_accel: bool = False,
-                    budget_us: float = DEFAULT_BUDGET_US, n_runs: int = 400,
+def mlp_depth_sweep(depths=tuple(range(0, 65)), hw_accel: bool = False,
                     seed: int = 0) -> dict:
-    """Latency of the pipeline as MLP depth grows; marks the first depth
-    whose mean total exceeds the budget."""
+    """Latency of the on-device pipeline as MLP depth grows; marks the first
+    depth whose mean total exceeds the budget."""
     depths = list(depths)
     if not depths:
         raise errors.ConfigError("depths must be non-empty")
     rows = []
     first_exceeding = None
     for depth in depths:
-        inf_us = mlp_inference_us(depth, layer_width, hw_accel)
-        stats = run_pipeline(path, Workload(inference_us=inf_us),
-                             n_runs=n_runs, seed=seed)
-        check = latency_budget_check(stats, budget_us)
+        inf_us = mlp_inference_us(depth, hw_accel)
+        stats = run_pipeline(DEVICE_PATH, Workload(inference_us=inf_us),
+                             n_runs=DEPTH_SWEEP_RUNS, seed=seed)
+        check = latency_budget_check(stats)
         if not check.passed and first_exceeding is None:
             first_exceeding = depth
         rows.append({
@@ -241,5 +241,5 @@ def mlp_depth_sweep(path: PathProfile = DEVICE_PATH, layer_width: int = 64,
             "within_budget": check.passed,
         })
     return {"rows": rows, "first_exceeding_depth": first_exceeding,
-            "hw_accel": hw_accel, "budget_us": budget_us}
+            "hw_accel": hw_accel, "budget_us": DEFAULT_BUDGET_US}
 

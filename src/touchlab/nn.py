@@ -28,6 +28,11 @@ LINEAR = "linear"
 CROSS_ENTROPY = "cross_entropy"
 MSE = "mse"
 
+#: Adam's moment decay rates and denominator guard (Kingma & Ba's
+#: defaults), and the central-difference step of ``grad_check``.
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+GRAD_CHECK_H = 1e-5
+
 
 @dataclass(frozen=True)
 class MlpSpec:
@@ -218,12 +223,9 @@ def mse_loss(y: np.ndarray, target: np.ndarray):
 
 @dataclass
 class TrainConfig:
-    """Adam and schedule settings; several ``lr`` values train side by side."""
+    """Learning rate and schedule; several ``lr`` values train side by side."""
 
     lr: float | tuple = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     max_epochs: int = 200
     batch_size: int | None = None
     seed: int = 0
@@ -259,7 +261,7 @@ class AdamState:
 
     def step(self, params: np.ndarray, grads: np.ndarray, cfg: TrainConfig):
         self.t += 1
-        b1, b2 = cfg.beta1, cfg.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         corr1 = 1.0 - b1 ** self.t
         corr2 = 1.0 - b2 ** self.t
         lr = np.reshape(cfg.lr, (-1, 1)) if cfg.replicas > 1 else cfg.lr
@@ -273,7 +275,7 @@ class AdamState:
         a *= lr                                    # lr (m / corr1)
         np.divide(v, corr2, out=b)
         np.sqrt(b, out=b)
-        b += cfg.eps                               # sqrt(v / corr2) + eps
+        b += ADAM_EPS                              # sqrt(v / corr2) + eps
         a /= b
         params -= a
 
@@ -296,8 +298,7 @@ def _targets(y, n: int, width: int, loss: str) -> np.ndarray:
     return y.astype(np.int64)
 
 
-def train(dataset, spec: MlpSpec, config: TrainConfig = TrainConfig(),
-          model: MlpModel | None = None) -> TrainResult:
+def train(dataset, spec: MlpSpec, config: TrainConfig = TrainConfig()) -> TrainResult:
     """Train an MLP on (X, y).
 
     ``y`` holds integer class labels for cross-entropy or float targets
@@ -317,8 +318,7 @@ def train(dataset, spec: MlpSpec, config: TrainConfig = TrainConfig(),
                for t, w in zip(spec.per_head(y), widths)]
     loss_fn = cross_entropy_loss if config.loss == CROSS_ENTROPY else mse_loss
 
-    if model is None:
-        model = MlpModel(spec, seed=config.seed, replicas=config.replicas)
+    model = MlpModel(spec, seed=config.seed, replicas=config.replicas)
     opt = AdamState(model.params)
     rng = np.random.default_rng(config.seed + 1)
     batch = n if config.batch_size is None else min(config.batch_size, n)
@@ -366,7 +366,7 @@ def _loss_and_kinks(model: MlpModel, x: np.ndarray, label):
     return sum(loss for loss, _ in heads), [d for _, d in heads], cache, kinks
 
 
-def grad_check(model: MlpModel, x, label, h: float = 1e-5) -> GradCheckResult:
+def grad_check(model: MlpModel, x, label) -> GradCheckResult:
     """Compare analytic gradients with central finite differences.
 
     ``label`` is per head for named heads.  Coordinates whose +/-h
@@ -380,7 +380,7 @@ def grad_check(model: MlpModel, x, label, h: float = 1e-5) -> GradCheckResult:
     analytic = model.grads.reshape(-1).copy()
     flat = model.params.reshape(-1)
 
-    max_err = 0.0
+    h, max_err = GRAD_CHECK_H, 0.0
     n_checked = 0
     excluded = []
     for i in range(flat.size):

@@ -4,7 +4,7 @@ The fingertip interior is modelled as a reflective dome of radius
 ``DOME_RADIUS_MM`` whose inner surface scatters light according to a
 configurable BSDF: perfectly specular, Gaussian about the mirror direction
 (parameterized by the half-width-half-max angle alpha of the scatter lobe,
-with sigma = alpha_rad / sqrt(2 ln 2)), or fully Lambertian.  Eight RGB LEDs
+with sigma = alpha_rad / sqrt(2 ln 2)), or fully Lambertian.  Eight white LEDs
 sit on a ring of radius 9 mm in the base plane and emit diffusely upward.
 An idealized omnidirectional camera behind the base plane sees every dome
 point; the taxel image maps dome polar angle/azimuth to pixel coordinates
@@ -26,17 +26,29 @@ resolution analysis with per-region calibrated Gaussian PSFs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from . import errors
+from .core import IMAGE_SIZE
 
 DOME_RADIUS_MM = 12.0
 CAMERA_POS_MM = np.array([0.0, 0.0, -6.0])
 LED_RING_RADIUS_MM = 9.0
 MIN_PHOTONS = 100_000
+
+# The rig: bounces per photon and the energy a dome bounce keeps, the
+# angular tolerance of a specular glint, every contact's dent, and the
+# fisheye field of view in units of the image half-width.  A glint is
+# brighter than GLINT_REL_MEDIAN times the background median; bright
+# regions within GLINT_MERGE_PX pixels are one glint.
+MAX_BOUNCES, REFLECTIVITY = 8, 0.9
+GLINT_TOL_RAD = math.radians(1.5)
+CONTACT_RADIUS_MM, CONTACT_DEPTH_MM = 1.2, 0.5
+FOV_R_MAX = 0.98
+GLINT_REL_MEDIAN, GLINT_MERGE_PX = 10.0, 3
 
 GAUSSIAN = "gaussian"
 LAMBERTIAN = "lambertian"
@@ -84,25 +96,12 @@ class ScatterSurface:
         return f"{self.alpha_hwhm_deg:g}deg" if self.mode == GAUSSIAN else self.mode
 
 
-def _default_rgb():
-    return np.ones((8, 3))
-
-
 @dataclass(frozen=True)
 class LedRing:
-    """Eight RGB LEDs equally spaced on a ring in the base plane."""
+    """Eight equal white LEDs equally spaced on a ring in the base plane."""
 
     count: int = 8
     radius_mm: float = LED_RING_RADIUS_MM
-    rgb: np.ndarray = field(default_factory=_default_rgb)
-
-    def __post_init__(self):
-        rgb = np.asarray(self.rgb, dtype=np.float64)
-        if rgb.shape != (self.count, 3):
-            raise errors.ConfigError(f"rgb must be ({self.count}, 3)")
-        if np.any(rgb < 0) or np.any(rgb > 1):
-            raise errors.ConfigError("LED intensities must be in [0, 1]")
-        object.__setattr__(self, "rgb", rgb)
 
     def positions(self) -> np.ndarray:
         phi = 2.0 * np.pi * np.arange(self.count) / self.count
@@ -113,7 +112,7 @@ class LedRing:
 
 @dataclass(frozen=True)
 class Contact:
-    """Spherical-cap indentation pressed into the dome.
+    """Spherical-cap indentation of the CONTACT_* size pressed into the dome.
 
     ``polar_deg`` is the dome polar angle of the contact centre (0 = apex,
     90 = base rim); ``azimuth_deg`` its azimuth.
@@ -121,12 +120,8 @@ class Contact:
 
     polar_deg: float
     azimuth_deg: float
-    radius_mm: float = 1.2
-    depth_mm: float = 0.5
 
     def __post_init__(self):
-        if self.radius_mm <= 0 or self.depth_mm <= 0:
-            raise errors.ConfigError("contact radius and depth must be positive")
         if not (0.0 <= self.polar_deg < 90.0):
             raise errors.ContactOutsideSurface(
                 f"contact polar angle {self.polar_deg} outside [0, 90)")
@@ -140,19 +135,14 @@ class Contact:
 
     @property
     def angular_radius_rad(self) -> float:
-        return self.radius_mm / DOME_RADIUS_MM
+        return CONTACT_RADIUS_MM / DOME_RADIUS_MM
 
 
 @dataclass
 class TaxelImage:
-    """Rendered fingertip intensity image.
-
-    ``values`` is (H, W) or (H, W, 3); ``region`` tags which fingertip region
-    the image belongs to (1 = tip, 2 = prominent contact surface, 3 = base).
-    """
+    """Rendered fingertip intensity image, (H, W) or (H, W, 3)."""
 
     values: np.ndarray
-    region: int = 1
 
     def __post_init__(self):
         if np.any(self.values < 0):
@@ -250,21 +240,20 @@ def sample_bsdf(surface: ScatterSurface, incident_dir, rng,
     return out[0] if single else out
 
 
-def _bsdf_toward(surface: ScatterSurface, mirror, n, toward,
-                 glint_tol_rad: float) -> np.ndarray:
+def _bsdf_toward(surface: ScatterSurface, mirror, n, toward) -> np.ndarray:
     """Batched BSDF density into ``toward`` for light leaving along
     ``mirror`` (the reflected incoming direction) off normal n.
 
     For the Gaussian mode the small-angle solid-angle density
     exp(-delta^2 / 2 sigma^2) / (2 pi sigma^2) is used; specular uses a
-    cap of angular tolerance ``glint_tol_rad`` around the mirror direction.
+    cap of angular tolerance ``GLINT_TOL_RAD`` around the mirror direction.
     """
     if surface.mode == LAMBERTIAN:
         return np.maximum(_dot(toward, n), 0.0) / np.pi
     delta = np.arccos(np.clip(_dot(mirror, toward), -1.0, 1.0))
     if surface.mode == SPECULAR:
-        cap = 2.0 * np.pi * (1.0 - math.cos(glint_tol_rad))
-        return (delta < glint_tol_rad) / cap
+        cap = 2.0 * np.pi * (1.0 - math.cos(GLINT_TOL_RAD))
+        return (delta < GLINT_TOL_RAD) / cap
     sigma = surface.sigma_rad
     return np.exp(-0.5 * (delta / sigma) ** 2) / (2.0 * np.pi * sigma * sigma)
 
@@ -284,26 +273,24 @@ def _perturb_normals(p_unit, contacts):
     if not contacts:
         return n
     centers = np.stack([c.center_unit() for c in contacts])  # (k, 3)
-    rhos = np.array([c.angular_radius_rad for c in contacts])
-    depths = np.array([c.depth_mm for c in contacts])
+    rho = CONTACT_RADIUS_MM / DOME_RADIUS_MM
     cosg = np.stack(p_unit, axis=1) @ centers.T  # (m, k)
     nearest = np.argmax(cosg, axis=1)
     cos_near = np.clip(cosg[np.arange(cosg.shape[0]), nearest], -1.0, 1.0)
     del cosg
-    # gamma < rho implies cos gamma > cos rho_max; the margin absorbs the
+    # gamma < rho implies cos gamma > cos rho; the margin absorbs the
     # rounding of cos and arccos, so only these candidates need the arccos.
-    cand = np.flatnonzero(cos_near > math.cos(rhos.max()) - 1e-9)
+    cand = np.flatnonzero(cos_near > math.cos(rho) - 1e-9)
     gamma = np.arccos(cos_near[cand])
-    inside = gamma < rhos[nearest[cand]]
+    inside = gamma < rho
     idx = cand[inside]
     if idx.size == 0:
         return n
 
     g = gamma[inside]
     near = nearest[idx]
-    rho_i = rhos[near]
-    slope = depths[near] * (np.pi / (2.0 * rho_i)) \
-        * np.sin(np.pi * g / rho_i) / DOME_RADIUS_MM
+    slope = CONTACT_DEPTH_MM * (np.pi / (2.0 * rho)) \
+        * np.sin(np.pi * g / rho) / DOME_RADIUS_MM
     beta = np.arctan(slope)
     # Tangent direction at P pointing toward the contact centre.
     c = cos_near[idx]
@@ -332,29 +319,27 @@ def _pixel_index(p, size: int) -> np.ndarray:
     return iy * size + ix
 
 
-def image_grid(size: int = 120):
+def image_grid(size: int = IMAGE_SIZE):
     """(u, v) fisheye coordinates of each pixel centre plus the FOV radius."""
     axis = (np.arange(size) + 0.5) / size * 2.0 - 1.0
     u, v = np.meshgrid(axis, axis, indexing="xy")
     return u, v, np.sqrt(u * u + v * v)
 
 
-def fov_mask(size: int = 120, r_max: float = 0.98) -> np.ndarray:
+def fov_mask(size: int = IMAGE_SIZE) -> np.ndarray:
     _, _, r = image_grid(size)
-    return r <= r_max
+    return r <= FOV_R_MAX
 
 
-def render(surface: ScatterSurface, leds: LedRing = LedRing(),
-           contacts=(), photons: int = 1_000_000, seed: int = 0,
-           image_size: int = 120, max_bounces: int = 8,
-           reflectivity: float = 0.9, glint_tol_deg: float = 1.5,
-           shards: int = 1, region: int = 1) -> TaxelImage:
+def render(surface: ScatterSurface, contacts=(), photons: int = 1_000_000,
+           seed: int = 0, shards: int = 1) -> TaxelImage:
     """Path-trace the dome interior and return the camera's taxel image.
 
     The photon budget is split into ``shards`` shards, each with its own
     child seed of ``seed``; the shards run one after another in this process
     and their images are summed in shard order.  The output is bit-identical
-    for a fixed (seed, shards) plan.
+    for a fixed (seed, shards) plan.  The LEDs are white, so the three
+    colour channels are one accumulated image repeated.
     """
     if photons < MIN_PHOTONS:
         raise errors.BudgetTooSmall(f"photon budget {photons} < {MIN_PHOTONS}")
@@ -362,44 +347,38 @@ def render(surface: ScatterSurface, leds: LedRing = LedRing(),
     seeds = np.random.SeedSequence(seed).spawn(shards)
     counts = [photons // shards] * shards
     counts[-1] += photons - sum(counts)
-    img = np.zeros((image_size * image_size, 3))
+    img = np.zeros(IMAGE_SIZE * IMAGE_SIZE)
     for shard_seed, n in zip(seeds, counts):
-        img += _render_shard(surface, leds, contacts, n,
-                             np.random.default_rng(shard_seed), image_size,
-                             max_bounces, reflectivity,
-                             math.radians(glint_tol_deg))
-    values = img.reshape(image_size, image_size, 3) / photons
-    return TaxelImage(values=values, region=region)
+        img += _render_shard(surface, contacts, n,
+                             np.random.default_rng(shard_seed))
+    values = img.reshape(IMAGE_SIZE, IMAGE_SIZE, 1) / photons
+    return TaxelImage(values=np.repeat(values, 3, axis=2))
 
 
-def _render_shard(surface, leds, contacts, photons, rng, size,
-                  max_bounces, reflectivity, glint_tol_rad) -> np.ndarray:
+def _render_shard(surface, contacts, photons, rng) -> np.ndarray:
     """Wavefront tracer: each bounce advances every live photon at once,
     then keeps only the photons that hit the dome, in their original order.
     Every RNG draw is sized by the live count, so the draws, and the order in
     which ``bincount`` sums each pixel, do not depend on the compaction."""
-    n_led = leds.count
+    n_led = LedRing().count
     counts = np.full(n_led, photons // n_led)
     counts[:photons % n_led] += 1
     led_idx = np.repeat(np.arange(n_led), counts)
 
-    pos = tuple(c[led_idx] for c in leds.positions().T)
-    # When every LED shares one RGB vector the per-channel accumulations are
-    # proportional; accumulate once and scale.
-    uniform_rgb = bool(np.all(leds.rgb == leds.rgb[0]))
-    w_rgb = () if uniform_rgb else tuple(c[led_idx] for c in leds.rgb.T)
+    pos = tuple(c[led_idx] for c in LedRing().positions().T)
     u = rng.random(photons)
     phi = 2.0 * np.pi * rng.random(photons)
     sz = np.sqrt(1.0 - u)
     dirs = (sz * np.cos(phi), sz * np.sin(phi), np.sqrt(u))
     del u, phi, sz
 
-    img = np.zeros((size * size, 3))
+    size = IMAGE_SIZE
+    img = np.zeros(size * size)
     weight = np.ones(photons)
 
     # Each full-length array is dropped as soon as it has been compacted or
     # used, which keeps peak memory near one bounce's live set.
-    for _ in range(max_bounces):
+    for _ in range(MAX_BOUNCES):
         b = _dot(pos, dirs)
         c = _dot(pos, pos) - DOME_RADIUS_MM ** 2
         t_sph = -b + np.sqrt(np.maximum(b * b - c, 0.0))
@@ -413,7 +392,6 @@ def _render_shard(surface, leds, contacts, photons, rng, size,
         d = tuple(dc[hits] for dc in dirs)
         hit_p = tuple(p[hits] + t * dc for p, dc in zip(pos, d))
         weight = weight[hits]
-        w_rgb = tuple(w[hits] for w in w_rgb)
         del pos, dirs, t_sph, hits, t
 
         n_eff = _perturb_normals(tuple(h / DOME_RADIUS_MM for h in hit_p),
@@ -423,43 +401,34 @@ def _render_shard(surface, leds, contacts, photons, rng, size,
         toward = tuple(tc / norm for tc in toward)
         mirror = None if surface.mode == LAMBERTIAN else _reflect(d, n_eff)
         del d, norm
-        contrib = weight * _bsdf_toward(surface, mirror, n_eff, toward,
-                                        glint_tol_rad)
+        contrib = weight * _bsdf_toward(surface, mirror, n_eff, toward)
         pix = _pixel_index(hit_p, size)
-        if uniform_rgb:
-            acc = np.bincount(pix, weights=contrib, minlength=size * size)
-            img += acc[:, None] * leds.rgb[0][None, :]
-        else:
-            for ch in range(3):
-                img[:, ch] += np.bincount(pix, weights=contrib * w_rgb[ch],
-                                          minlength=size * size)
+        img += np.bincount(pix, weights=contrib, minlength=size * size)
         del toward, contrib, pix
 
         dirs = _scatter(surface, mirror, n_eff, rng)
         pos = tuple(p + 1e-7 * dc for p, dc in zip(hit_p, dirs))
-        weight = weight * reflectivity
+        weight = weight * REFLECTIVITY
         del hit_p, mirror, n_eff
     return img
 
 
-def count_glints(img: TaxelImage, rel_median: float = 10.0,
-                 merge_px: int = 3) -> int:
-    """Count bright hotspots: connected regions above ``rel_median`` times
-    the background median.
+def count_glints(img: TaxelImage) -> int:
+    """Count bright hotspots: connected regions above ``GLINT_REL_MEDIAN``
+    times the background median.
 
     The background median of a specular image is (numerically) zero, so a
-    floor of 0.1% of the FOV mean is applied.  Bright regions closer than
-    ``merge_px`` are one hotspot: successive reflection orders of the same
-    LED land within a few pixels of each other and read as a single glint.
+    floor of 0.1% of the FOV mean is applied.  Successive reflection orders
+    of the same LED land within a few pixels of each other and read as a
+    single glint.
     """
     values = img.scalar()
-    size = values.shape[0]
-    mask = fov_mask(size)
+    mask = fov_mask(values.shape[0])
     in_fov = values[mask]
     floor = in_fov.mean() * 1e-3
     med = max(float(np.median(in_fov)), floor)
-    bright = (values > rel_median * med) & mask
-    return count_components(bright, merge_px=merge_px)
+    bright = (values > GLINT_REL_MEDIAN * med) & mask
+    return count_components(bright, merge_px=GLINT_MERGE_PX)
 
 
 def count_components(mask: np.ndarray, merge_px: int = 0) -> int:
@@ -547,7 +516,7 @@ SWEEP_CONTACTS = SWEEP_RINGS["on_axis"] + SWEEP_RINGS["mid"] + SWEEP_RINGS["far"
 #: Frozen combined-objective weights (cnr term, background non-uniformity
 #: term).  Calibrated once against the default sweep so the recommendation
 #: lands in the 20-25 degree band, then frozen.
-DEFAULT_OBJECTIVE_WEIGHTS = (1.0, 0.35)
+OBJECTIVE_WEIGHTS = (1.0, 0.35)
 
 #: CNR utility half-saturation point: cnr_score has diminishing returns
 #: above this scale (glint-dominated contrast saturates the camera).
@@ -557,13 +526,15 @@ CNR_UTILITY_HALF = 40.0
 #: weight value when std/mean hits this level.
 BG_PENALTY_REF = 0.5
 
+#: Sensor noise relative to the image mean (the CNR's denominator), and the
+#: recommended band's tolerance relative to the best objective.
+SENSOR_NOISE_REL, BAND_REL = 0.01, 0.03
+
 #: Sweep points used by the acceptance analysis.
 DEFAULT_SWEEP_ALPHAS = (1.0, 5.0, 10.0, 15.0, 20.0, 25.0, LAMBERTIAN)
 
 
 def sweep_surface(alpha) -> ScatterSurface:
-    if isinstance(alpha, ScatterSurface):
-        return alpha
     if isinstance(alpha, str):
         if alpha == LAMBERTIAN:
             return ScatterSurface.lambertian()
@@ -573,18 +544,15 @@ def sweep_surface(alpha) -> ScatterSurface:
     return ScatterSurface.gaussian(float(alpha))
 
 
-def scatter_sweep(alphas=DEFAULT_SWEEP_ALPHAS,
-                  objective_weights=DEFAULT_OBJECTIVE_WEIGHTS,
-                  photons: int = 1_000_000, seed: int = 0,
-                  image_size: int = 120, sensor_noise_rel: float = 0.01,
-                  band_rel: float = 0.03) -> dict:
+def scatter_sweep(alphas=DEFAULT_SWEEP_ALPHAS, photons: int = 1_000_000,
+                  seed: int = 0) -> dict:
     """Render the scatter-angle sweep and score each point.
 
     Per sweep point this renders a background image (non-uniformity
     metrics over the field of view) and an image with nine contacts spread
     over three polar rings.  The sweep's per-ring CNR references the
     camera's sensor noise: |mean(roi_ind) - mean(roi_bg)| /
-    (sensor_noise_rel * image mean).  A local-std denominator would reward
+    (SENSOR_NOISE_REL * image mean).  A local-std denominator would reward
     a perfectly flat Lambertian background with a high CNR even though its
     indentation contrast is the lowest of the sweep; the fixed sensor-noise
     reference keeps the CNR column a contrast measure.
@@ -597,31 +565,31 @@ def scatter_sweep(alphas=DEFAULT_SWEEP_ALPHAS,
     diminishing returns once glint-scale contrast saturates the camera,
     while residual background structure is penalized quadratically.  The
     recommendation is the argmax; the recommended band is every sweep point
-    whose objective is within ``band_rel`` (relative) of the maximum.
+    whose objective is within ``BAND_REL`` (relative) of the maximum.
     Renders share one seed across sweep points (common random numbers), so
     columns vary smoothly in alpha.
     """
     surfaces = [sweep_surface(alpha) for alpha in alphas]
     if not surfaces:
         raise errors.ConfigError("sweep needs at least one point")
-    mask = fov_mask(image_size)
+    size = IMAGE_SIZE
+    mask = fov_mask()
     rows = []
     for surface in surfaces:
-        bg_img = render(surface, contacts=(), photons=photons, seed=seed,
-                        image_size=image_size)
+        bg_img = render(surface, contacts=(), photons=photons, seed=seed)
         cn_img = render(surface, contacts=SWEEP_CONTACTS, photons=photons,
-                        seed=seed, image_size=image_size)
+                        seed=seed)
         metrics = uniformity_metrics(bg_img, mask)
 
         values = cn_img.scalar()
-        noise_ref = sensor_noise_rel * values[mask].mean()
+        noise_ref = SENSOR_NOISE_REL * values[mask].mean()
         ring_cnr = {}
         for ring, ring_contacts in SWEEP_RINGS.items():
             per_contact = []
             for c in ring_contacts:
                 r_ind = c.angular_radius_rad / (np.pi / 2.0)
-                roi_ind = disc_roi(image_size, c.polar_deg, c.azimuth_deg, r_ind)
-                roi_bg = annulus_roi(image_size, c.polar_deg, c.azimuth_deg,
+                roi_ind = disc_roi(size, c.polar_deg, c.azimuth_deg, r_ind)
+                roi_bg = annulus_roi(size, c.polar_deg, c.azimuth_deg,
                                      r_ind * 1.6, r_ind * 3.2)
                 per_contact.append(abs(values[roi_ind].mean()
                                        - values[roi_bg].mean()) / noise_ref)
@@ -636,7 +604,7 @@ def scatter_sweep(alphas=DEFAULT_SWEEP_ALPHAS,
             "cnr_score": float(np.mean(list(ring_cnr.values()))),
         })
 
-    w_cnr, w_bg = objective_weights
+    w_cnr, w_bg = OBJECTIVE_WEIGHTS
     s = np.array([r["cnr_score"] for r in rows])
     b = np.array([r["std_over_mean"] for r in rows])
     objective = w_cnr * s / (s + CNR_UTILITY_HALF) - w_bg * (b / BG_PENALTY_REF) ** 2
@@ -645,7 +613,7 @@ def scatter_sweep(alphas=DEFAULT_SWEEP_ALPHAS,
 
     best = int(np.argmax(objective))
     band = [rows[i]["alpha"] for i in range(len(rows))
-            if objective[i] >= objective[best] - band_rel * max(
+            if objective[i] >= objective[best] - BAND_REL * max(
                 abs(objective[best]), 1e-12)]
     return {
         "rows": rows,
@@ -660,9 +628,13 @@ def scatter_sweep(alphas=DEFAULT_SWEEP_ALPHAS,
 #: PSF of each region is calibrated so mtf(limit) = 0.5.
 REGION_MTF_LIMIT_UM = {1: 6.0, 2: 8.0, 3: 22.0}
 
+# Two-prong profiles are sampled every PROFILE_SAMPLE_UM up to spacings of
+# MAX_SPACING_UM (there every region's MTF is already 1 and a profile holds
+# 50,000 samples); a pair is resolvable at MTF_THRESHOLD.
+PROFILE_SAMPLE_UM, MAX_SPACING_UM, MTF_THRESHOLD = 0.02, 1000.0, 0.5
 
-def two_prong_profile(spacing_um: float, psf_sigma_um: float,
-                      sample_um: float = 0.02) -> np.ndarray:
+
+def two_prong_profile(spacing_um: float, psf_sigma_um: float) -> np.ndarray:
     """Taxel intensity line profile of a two-prong contact pair blurred by a
     Gaussian PSF."""
     for name, value in (("spacing_um", spacing_um),
@@ -670,13 +642,15 @@ def two_prong_profile(spacing_um: float, psf_sigma_um: float,
         if not (math.isfinite(value) and value > 0):
             raise errors.ConfigError(
                 f"{name} must be finite and positive, got {value}")
+    if spacing_um > MAX_SPACING_UM:
+        raise errors.ConfigError(f"spacing_um must be <= {MAX_SPACING_UM:g}, got {spacing_um}")
     half = spacing_um / 2.0 + 6.0 * psf_sigma_um
-    x = np.arange(-half, half + sample_um, sample_um)
+    x = np.arange(-half, half + PROFILE_SAMPLE_UM, PROFILE_SAMPLE_UM)
     return (np.exp(-0.5 * ((x - spacing_um / 2.0) / psf_sigma_um) ** 2)
             + np.exp(-0.5 * ((x + spacing_um / 2.0) / psf_sigma_um) ** 2))
 
 
-def mtf_resolvable(profile: np.ndarray, threshold: float = 0.5) -> dict:
+def mtf_resolvable(profile: np.ndarray) -> dict:
     """Two-peak modulation transfer: (max - valley) / (max + valley).
 
     The profile must contain at least one detectable peak; a single merged
@@ -704,7 +678,7 @@ def mtf_resolvable(profile: np.ndarray, threshold: float = 0.5) -> dict:
     valley = profile[p1:p2 + 1].min()
     mx = profile.max()
     mtf = float((mx - valley) / (mx + valley))
-    return {"mtf": mtf, "resolvable": bool(mtf >= threshold)}
+    return {"mtf": mtf, "resolvable": bool(mtf >= MTF_THRESHOLD)}
 
 
 def prong_mtf(spacing_um: float, psf_sigma_um: float) -> dict:

@@ -35,6 +35,8 @@ ACTION_ISSUED = "action_issued"
 
 RETRACT = "retract"
 
+DEBOUNCE_MS = 5.0
+
 
 class ReflexStateMachine:
     """Enforces the Idle -> ContactDetected -> ActionIssued -> Idle cycle."""
@@ -78,12 +80,11 @@ class ContactDetector:
 
     Emits at most one event per contact episode: after a detection the
     detector re-arms only once the score has stayed below threshold for
-    ``debounce_ms``.
+    ``DEBOUNCE_MS``.
     """
 
     source: ModalityKind = ModalityKind.SURFACE_PRESSURE
     threshold: float = 0.05
-    debounce_ms: float = 5.0
 
     def __post_init__(self):
         if self.threshold <= 0:
@@ -127,7 +128,7 @@ class ContactDetector:
         if not self._armed:
             if self._quiet_since_s is None:
                 self._quiet_since_s = t_s
-            elif (t_s - self._quiet_since_s) * 1e3 >= self.debounce_ms:
+            elif (t_s - self._quiet_since_s) * 1e3 >= DEBOUNCE_MS:
                 self._armed = True
                 self._quiet_since_s = None
         return None

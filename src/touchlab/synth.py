@@ -29,6 +29,7 @@ import numpy as np
 from . import errors, optics
 from .core import (
     DEFAULT_RATES,
+    IMAGE_SIZE,
     ModalityKind,
     RecordLog,
     StreamColumns,
@@ -44,6 +45,8 @@ HOLD = "hold"
 
 EVENT_KINDS = (TAP, SLIDE, STIR, APPROACH, HOLD)
 
+FINGERS = (0, 1, 2, 3)
+
 #: Ambient gas record: oxidation resistance (ohm), humidity (%),
 #: temperature (degC), pressure (hPa).
 AMBIENT_GAS = np.array([50_000.0, 40.0, 25.0, 1013.0])
@@ -57,6 +60,11 @@ GAS_NOISE = np.array([3800.0, 1.9, 0.62, 0.7])
 GAS_DRIFT = np.array([1400.0, 0.6, 0.26, 0.11])
 
 GAS_TAU_S = 30.0
+GAS_RATE_HZ = 1.0
+
+# Container tap acoustics: fill shifts the resonance down from RING_F0_HZ,
+# contact position stretches the decay around RING_TAU0_S.
+RING_F0_HZ, RING_K_FILL, RING_TAU0_S = 800.0, 0.3, 0.08
 
 
 @dataclass(frozen=True)
@@ -124,7 +132,6 @@ class ObjectSpec:
     material: str
     fill_fraction: float | None = None
     temperature_c: float | None = None
-    gas_signature: tuple | None = None
 
     def __post_init__(self):
         if self.material not in MATERIALS:
@@ -141,8 +148,6 @@ class ObjectSpec:
         return MATERIALS[self.material]
 
     def gas_target(self) -> np.ndarray:
-        if self.gas_signature is not None:
-            return np.asarray(self.gas_signature, dtype=np.float64)
         return AMBIENT_GAS + np.asarray(self.model.gas_delta)
 
     def temperature(self) -> float:
@@ -150,27 +155,12 @@ class ObjectSpec:
             else self.temperature_c
 
 
-@dataclass(frozen=True)
-class RingdownParams:
-    """Container tap acoustics: fill shifts the resonance down, contact
-    position stretches the decay."""
-
-    f0_hz: float = 800.0
-    k_fill: float = 0.3
-    tau0_s: float = 0.08
-
-    def __post_init__(self):
-        if self.f0_hz <= 0 or self.tau0_s <= 0:
-            raise errors.ConfigError("f0_hz and tau0_s must be positive")
-
-    def frequency(self, fill_fraction: float) -> float:
-        return self.f0_hz * (1.0 - self.k_fill * fill_fraction)
-
-    def tau_s(self, position: float) -> float:
-        return self.tau0_s * (0.6 + 0.8 * float(np.clip(position, 0.0, 1.0)))
+def ring_frequency(fill_fraction: float) -> float:
+    return RING_F0_HZ * (1.0 - RING_K_FILL * fill_fraction)
 
 
-DEFAULT_RINGDOWN = RingdownParams()
+def ring_tau_s(position: float) -> float:
+    return RING_TAU0_S * (0.6 + 0.8 * float(np.clip(position, 0.0, 1.0)))
 
 
 @dataclass(frozen=True)
@@ -179,7 +169,7 @@ class Event:
     t_end: float
     kind: str
     obj: ObjectSpec
-    finger_ids: tuple = (0, 1, 2, 3)
+    finger_ids: tuple = FINGERS
 
     def __post_init__(self):
         if self.kind not in EVENT_KINDS:
@@ -215,21 +205,25 @@ class ScenarioScript:
     seed: int
     duration_s: float
     events: list = field(default_factory=list)
-    fingers: tuple = (0, 1, 2, 3)
+    fingers: tuple = FINGERS
     rates: dict = field(default_factory=dict)
-    noise: dict = field(default_factory=dict)
-    ringdown: RingdownParams = DEFAULT_RINGDOWN
 
     def rate(self, kind: ModalityKind) -> float:
         return float(self.rates.get(kind, DEFAULT_RATES[kind]))
 
-    def noise_sigma(self, kind: ModalityKind) -> float:
-        return float(self.noise.get(kind, DEFAULT_NOISE[kind]))
-
     def validate(self) -> None:
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise errors.ConfigError(f"seed {self.seed!r} is not a non-negative integer")
+        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
+            raise errors.ConfigError(f"duration_s {self.duration_s} is not finite and > 0")
+        if not all(math.isfinite(r) and r > 0 for r in self.rates.values()):
+            raise errors.ConfigError(f"rates {self.rates} are not all finite and > 0")
+        if not all(_is_int(f) for f in self.fingers) \
+                or len(set(self.fingers) & set(FINGERS)) < len(self.fingers):
+            raise errors.ConfigError(f"fingers {self.fingers} are not distinct ids in {FINGERS}")
         by_finger: dict[int, list] = {}
         for i, ev in enumerate(self.events):
-            if ev.t_start < 0 or ev.t_end > self.duration_s + 1e-9:
+            if not (0 <= ev.t_start and ev.t_end <= self.duration_s + 1e-9):
                 raise errors.ConfigError(f"event {i} outside scenario duration")
             for f in ev.finger_ids:
                 by_finger.setdefault(f, []).append((ev.t_start, ev.t_end, i))
@@ -239,6 +233,10 @@ class ScenarioScript:
                 if s2 < e1 - 1e-9:
                     raise errors.OverlappingEvents(
                         f"events {i1} and {i2} overlap on finger {f}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _event_rng(seed: int, tag: int, event_idx: int) -> np.random.Generator:
@@ -253,8 +251,7 @@ def _stream_rng(seed: int, stream_id: int) -> np.random.Generator:
 
 
 def gen_ringdown(obj: ObjectSpec, contact_position: float, duration_s: float,
-                 rate_hz: float = 48_000.0, amplitude: float = 1.0,
-                 params: RingdownParams = DEFAULT_RINGDOWN) -> np.ndarray:
+                 rate_hz: float = 48_000.0, amplitude: float = 1.0) -> np.ndarray:
     """Damped sinusoid of a container tap.
 
     Peak frequency depends only on the fill fraction, f = f0 (1 - k * fill);
@@ -263,8 +260,8 @@ def gen_ringdown(obj: ObjectSpec, contact_position: float, duration_s: float,
     if not obj.is_container:
         raise errors.NotAContainer(
             f"{obj.material!r} has no fill_fraction; ring-down undefined")
-    f = params.frequency(obj.fill_fraction)
-    tau = params.tau_s(contact_position)
+    f = ring_frequency(obj.fill_fraction)
+    tau = ring_tau_s(contact_position)
     t = np.arange(int(round(duration_s * rate_hz))) / rate_hz
     return amplitude * np.exp(-t / tau) * np.sin(2.0 * np.pi * f * t)
 
@@ -277,10 +274,7 @@ def _material_ring(model: MaterialModel, duration_s: float, rate_hz: float,
 
 
 def gen_gas_approach(obj: ObjectSpec, approach_duration_s: float,
-                     rate_hz: float = 1.0, rng=None,
-                     ambient: np.ndarray = AMBIENT_GAS,
-                     tau_s: float = GAS_TAU_S,
-                     drift_scale: float = 1.0) -> np.ndarray:
+                     rng=None) -> np.ndarray:
     """Gas record series (n, 4) of one approach-to-near-contact.
 
     First-order relaxation from the ambient baseline toward the material
@@ -291,12 +285,13 @@ def gen_gas_approach(obj: ObjectSpec, approach_duration_s: float,
         raise errors.ConfigError(
             f"approach duration must be finite and positive, got "
             f"{approach_duration_s}")
-    n = int(round(approach_duration_s * rate_hz))
-    t = np.arange(n) / rate_hz
+    n = int(round(approach_duration_s * GAS_RATE_HZ))
+    t = np.arange(n) / GAS_RATE_HZ
     sig = obj.gas_target().astype(np.float64)
     if rng is not None:
-        sig = sig + rng.normal(0.0, GAS_DRIFT * drift_scale)
-    series = sig[None, :] + (ambient - sig)[None, :] * np.exp(-t / tau_s)[:, None]
+        sig = sig + rng.normal(0.0, GAS_DRIFT)
+    series = sig[None, :] + (AMBIENT_GAS - sig)[None, :] \
+        * np.exp(-t / GAS_TAU_S)[:, None]
     if rng is not None:
         series = series + rng.normal(0.0, GAS_NOISE, size=series.shape)
     return series
@@ -322,36 +317,32 @@ class Imprint:
 #: Camera blur applied to imprint footprints, in pixels.
 IMAGE_PSF_PX = 1.8
 
-_BACKGROUND_SURFACE = optics.ScatterSurface.gaussian(22.0)
+#: Scattering of the fingertip's reflective layer behind every frame.
+BACKGROUND_SURFACE = optics.ScatterSurface.gaussian(22.0)
 
 
-@lru_cache(maxsize=4)
-def _background(image_size: int, surface_label: str) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _background() -> np.ndarray:
     """Rendered illumination background, normalized to mean 0.5."""
-    surface = optics.sweep_surface(
-        float(surface_label[:-3]) if surface_label.endswith("deg") else surface_label)
-    img = optics.render(surface, photons=200_000, seed=0xB6,
-                        image_size=image_size).values
+    img = optics.render(BACKGROUND_SURFACE, photons=200_000, seed=0xB6).values
     mean = img[img > 0].mean() if np.any(img > 0) else 1.0
     return np.clip(img / (2.0 * mean), 0.0, 1.0)
 
 
-def gen_visuotactile(contacts, surface: optics.ScatterSurface = _BACKGROUND_SURFACE,
-                     rng=None, image_size: int = 120,
+def gen_visuotactile(contacts, rng=None,
                      noise_sigma: float = 0.0) -> optics.TaxelImage:
     """Background illumination field plus per-contact indentation imprints.
 
-    The background is a cached render of the given surface; imprints darken
-    a PSF-blurred disc around each contact (full per-frame path tracing is
-    far beyond desk-scale for 240 fps streams).  Output values are in
-    [0, 1], shape (image_size, image_size, 3).
+    The background is a cached render of ``BACKGROUND_SURFACE``; imprints
+    darken a PSF-blurred disc around each contact (full per-frame path
+    tracing is far beyond desk-scale for 240 fps streams).  Output values
+    are in [0, 1], shape (IMAGE_SIZE, IMAGE_SIZE, 3).
     """
-    bg = _background(image_size, surface.label()).copy()
+    bg = _background().copy()
     if contacts:
-        axis = (np.arange(image_size) + 0.5) / image_size * 2.0 - 1.0
-        u, v = np.meshgrid(axis, axis, indexing="xy")
-        px = 2.0 / image_size
-        attenuation = np.zeros((image_size, image_size))
+        u, v, _ = optics.image_grid()
+        px = 2.0 / IMAGE_SIZE
+        attenuation = np.zeros(u.shape)
         for c in contacts:
             r2 = (u - c.u) ** 2 + (v - c.v) ** 2
             sigma = (c.radius_px + IMAGE_PSF_PX) * px
@@ -416,7 +407,7 @@ def _synth_pressure(script, finger, events_scales, rng):
     rate = script.rate(ModalityKind.SURFACE_PRESSURE)
     n = int(round(script.duration_s * rate))
     t = np.arange(n) / rate
-    out = rng.normal(0.0, script.noise_sigma(ModalityKind.SURFACE_PRESSURE),
+    out = rng.normal(0.0, DEFAULT_NOISE[ModalityKind.SURFACE_PRESSURE],
                      size=(n, 4))
     chan_gain = np.array([1.0, 0.8, 0.65, 0.5])
     for ed in events_scales:
@@ -450,7 +441,7 @@ def _synth_inertial(script, finger, events_scales, rng):
     rate = script.rate(ModalityKind.INERTIAL)
     n = int(round(script.duration_s * rate))
     t = np.arange(n) / rate
-    out = rng.normal(0.0, script.noise_sigma(ModalityKind.INERTIAL), size=(n, 3))
+    out = rng.normal(0.0, DEFAULT_NOISE[ModalityKind.INERTIAL], size=(n, 3))
     for ed in events_scales:
         ev = ed.event
         if finger not in ev.finger_ids or ev.kind == APPROACH:
@@ -472,7 +463,7 @@ def _synth_audio(script, finger, events_scales, rng):
     rate = script.rate(ModalityKind.SURFACE_AUDIO)
     n = int(round(script.duration_s * rate))
     t = np.arange(n) / rate
-    out = rng.normal(0.0, script.noise_sigma(ModalityKind.SURFACE_AUDIO),
+    out = rng.normal(0.0, DEFAULT_NOISE[ModalityKind.SURFACE_AUDIO],
                      size=(n, 4))
     chan_gain = np.array([1.0, 0.85, 0.7, 0.6])
     for ed in events_scales:
@@ -492,7 +483,7 @@ def _synth_audio(script, finger, events_scales, rng):
                 # Container resonance is intrinsic to the object: no jitter,
                 # the fill level alone sets the peak frequency.
                 ring = gen_ringdown(ev.obj, position, (i1 - i0) / rate, rate,
-                                    amplitude=0.5, params=script.ringdown)
+                                    amplitude=0.5)
             else:
                 ring = _material_ring(model, (i1 - i0) / rate, rate, 0.3,
                                       freq_scale=ed.freq_scale)
@@ -511,12 +502,11 @@ def _synth_visuotactile(script, finger, events_scales, rng):
     rate = script.rate(ModalityKind.VISUOTACTILE)
     n = int(round(script.duration_s * rate))
     t = np.arange(n) / rate
-    size = 120
-    bg = _background(size, _BACKGROUND_SURFACE.label())
-    noise_sigma = script.noise_sigma(ModalityKind.VISUOTACTILE)
+    size = IMAGE_SIZE
+    bg = _background()
+    noise_sigma = DEFAULT_NOISE[ModalityKind.VISUOTACTILE]
 
-    axis = (np.arange(size) + 0.5) / size * 2.0 - 1.0
-    uu, vv = np.meshgrid(axis, axis, indexing="xy")
+    uu, vv, _ = optics.image_grid(size)
     px = 2.0 / size
     sigma = (7.0 + IMAGE_PSF_PX) * px
 
@@ -599,7 +589,7 @@ def _synth_heat(script, finger, events_scales, rng):
             level = out[during][-1]
             out[after] = AMBIENT_TEMP_C + (level - AMBIENT_TEMP_C) \
                 * np.exp(-(t[after] - ev.t_end) / 8.0)
-    out = out + rng.normal(0.0, script.noise_sigma(ModalityKind.HEAT), size=n)
+    out = out + rng.normal(0.0, DEFAULT_NOISE[ModalityKind.HEAT], size=n)
     return t, out.astype("<f4")[:, None]
 
 

@@ -1,3 +1,8 @@
+import contextlib
+import signal
+
+import pytest
+
 ACCEPTANCE_RESULTS = []
 
 
@@ -14,3 +19,24 @@ def pytest_terminal_summary(terminalreporter):
     for name, passed in ACCEPTANCE_RESULTS:
         terminalreporter.write_line(
             f"[{'PASS' if passed else 'FAIL'}] {name}")
+
+
+@pytest.fixture
+def time_limit():
+    """``with time_limit(s):`` fails the test, rather than hanging it, when
+    the body is still running after ``s`` seconds (SIGALRM, main thread)."""
+
+    @contextlib.contextmanager
+    def limit(seconds: int):
+        def expired(signum, frame):
+            raise TimeoutError(f"still running after {seconds} s")
+
+        previous = signal.signal(signal.SIGALRM, expired)
+        signal.alarm(seconds)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    return limit

@@ -1,15 +1,19 @@
+import io
 import json
 import os
 import struct
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import touchlab
-from touchlab import recordlog
+from touchlab import recordlog, synth
 from touchlab.cli import EXIT_CONFIG, EXIT_EMPTY, EXIT_OK, main
 from touchlab.core import ModalityKind, ModalitySample, RecordLog, StreamDescriptor
 
@@ -85,6 +89,38 @@ class TestRecordReplay:
             == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "bad.json:2" in err
+
+    @pytest.mark.parametrize("doc", [
+        {"duration_s": -1},
+        {"duration_s": "nan"},
+        {"duration_s": 1.0, "fingers": ["a"]},
+        [1, 2],
+        {"duration_s": 1.0, "seed": -1},
+        {"duration_s": 1e400},
+        {"duration_s": 1.0, "rates": {"heat": "inf"}},
+        {"duration_s": 1.0, "events": [{"t_start": "nan", "t_end": 0.5,
+                                        "kind": "tap", "material": "wood"}]},
+        {"duration_s": 1.0, "events": [{"t_start": 0.1, "t_end": 0.2,
+                                        "kind": "hold", "material": "wood",
+                                        "temperature_c": "hot"}]},
+        {"duration_s": 1.0, "rates": [240]},
+    ], ids=["negative_duration", "nan_duration", "string_finger", "not_object",
+            "negative_seed", "infinite_duration", "infinite_rate", "nan_time",
+            "string_temperature", "rates_list"])
+    def test_bad_scenario_exit_2(self, tmp_path, capsys, doc):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "x.d36r"
+        assert main(["record", str(path), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "bad.json" in err
+        assert not out.exists()
+
+    def test_undecodable_scenario_exit_2(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"duration_s": "\xff"}')
+        assert main(["record", str(path), "--out", str(tmp_path / "x")]) \
+            == EXIT_CONFIG
 
     def test_semantic_error_exit_2(self, tmp_path):
         doc = dict(SCENARIO)
@@ -216,6 +252,8 @@ class TestBenchCommands:
         ["bench-mtf", "--spacings=-3,0"],
         ["bench-mtf", "--spacings", "0"],
         ["bench-mtf", "--spacings", "nan"],
+        ["bench-mtf", "--spacings", "1e300"],
+        ["bench-mtf", "--spacings", "2000"],
         ["bench-latency", "--runs", "100", "--budget-us", "nan"],
     ])
     def test_bad_flag_value_exit_2(self, tmp_path, capsys, argv):
@@ -246,6 +284,20 @@ class TestAnalyzeLiquid:
         log = tmp_path / "quiet.d36r"
         main(["record", scenario, "--out", str(log)])
         assert main(["analyze-liquid", str(log)]) == EXIT_EMPTY
+
+
+    def test_audio_below_10_hz_does_not_hang(self, tmp_path, time_limit):
+        doc = dict(BOTTLE_SCENARIO)
+        # Nine audio frames a second: the 0.1 s quiet gap ending a tap
+        # episode is zero frames long.
+        doc["rates"] = {"visuotactile": 30, "surface_audio": 9}
+        doc["events"] = [dict(BOTTLE_SCENARIO["events"][0], t_end=1.0)]
+        scenario = write_scenario(tmp_path, doc)
+        log = tmp_path / "slow.d36r"
+        assert main(["record", scenario, "--out", str(log)]) == EXIT_OK
+        with time_limit(20):
+            code = main(["analyze-liquid", str(log)])
+        assert code in (EXIT_OK, EXIT_EMPTY)
 
 
 class TestTrainGas:
@@ -308,3 +360,85 @@ def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def run_quiet(argv):
+    """``main(argv)`` with its output captured; a SystemExit from argparse
+    counts as its exit code.  Returns (exit code, stderr text)."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+#: Wrong types, non-finite numbers, negatives and zero.
+junk = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=3), st.lists(st.integers(), max_size=2),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -1, 0, -0.5, 0.0]))
+
+
+def or_junk(valid):
+    """A ``valid`` value three times in four, so that whole documents are
+    often valid."""
+    return st.sampled_from((True, True, True, False)).flatmap(
+        lambda ok: valid if ok else junk)
+
+
+def rate_values(default):
+    return or_junk(st.floats(min_value=0.5, max_value=default))
+
+
+events = st.fixed_dictionaries(
+    {"t_start": or_junk(st.floats(0.0, 0.2)),
+     "t_end": or_junk(st.floats(0.2, 0.5)),
+     "kind": or_junk(st.sampled_from(synth.EVENT_KINDS)),
+     "material": or_junk(st.sampled_from(sorted(synth.MATERIALS)))},
+    optional={"fill_fraction": or_junk(st.floats(0.0, 1.0)),
+              "temperature_c": or_junk(st.floats(-20.0, 80.0)),
+              "finger_ids": or_junk(st.lists(or_junk(st.integers(0, 3)), max_size=2))})
+
+scenario_docs = st.fixed_dictionaries(
+    {"duration_s": or_junk(st.floats(0.01, 0.5))},
+    optional={
+        "seed": or_junk(st.integers(0, 2**32)),
+        "fingers": or_junk(st.lists(or_junk(st.integers(0, 3)), max_size=2)),
+        "rates": or_junk(st.fixed_dictionaries({}, optional={
+            "visuotactile": rate_values(240.0),
+            "surface_audio": rate_values(48_000.0),
+            "surface_pressure": rate_values(1000.0),
+            "inertial": rate_values(200.0),
+            "gas": rate_values(1.0),
+            "heat": rate_values(1.0)})),
+        "events": or_junk(st.lists(or_junk(events), max_size=3)),
+    })
+
+
+class TestFuzzedInputs:
+    """Flag values and scenario files end in an exit code, never in a
+    traceback."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(text=st.one_of(st.text(max_size=24), st.lists(st.floats(), max_size=3).map(
+        lambda xs: ",".join(map(repr, xs)))))
+    def test_mtf_spacings(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = os.path.join(tmp, "mtf.csv")
+            code, err = run_quiet(["bench-mtf", "--region", "1",
+                                   f"--spacings={text}", "--out", out])
+        assert code in (EXIT_OK, EXIT_CONFIG)
+        assert "Traceback" not in err
+
+    @settings(max_examples=30, deadline=None)
+    @given(doc=scenario_docs)
+    def test_record_scenario(self, doc):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "scenario.json")
+            with open(path, "w") as fh:
+                json.dump(doc, fh)
+            code, err = run_quiet(["record", path, "--out",
+                                   os.path.join(tmp, "run.d36r")])
+        assert code in (EXIT_OK, EXIT_CONFIG)
+        assert "Traceback" not in err

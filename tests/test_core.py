@@ -136,7 +136,7 @@ def _window_kwargs(**over):
 class TestWindowSample:
     def test_valid_window(self):
         w = WindowSample(**_window_kwargs())
-        assert w.duration_s == pytest.approx(1.33)
+        assert w.finger_id == 0 and w.window_start_ns == 0
 
     @pytest.mark.parametrize("field,shape,dtype", [
         ("visuotactile", (9, 120, 120, 3), "u1"),

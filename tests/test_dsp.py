@@ -13,7 +13,6 @@ from touchlab.dsp import (
     HIGHPASS,
     LOWPASS,
     FilterSpec,
-    SpectrogramSpec,
     apply_filter,
     build_windows,
     decay_time,

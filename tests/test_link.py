@@ -99,8 +99,6 @@ class TestBudgetCheck:
     def test_non_finite_budget_rejected(self, budget):
         with pytest.raises(errors.ConfigError):
             latency_budget_check(1000.0, budget)
-        with pytest.raises(errors.ConfigError):
-            mlp_depth_sweep(depths=(0,), budget_us=budget)
 
 
 class TestDepthSweep:

@@ -1,10 +1,16 @@
 import hashlib
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from touchlab import errors
 from touchlab.nn import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     CONV,
     DSCONV,
     MSE,
@@ -19,7 +25,9 @@ from touchlab.nn import (
     accuracy,
     conv_cost,
     grad_check,
+    load_model,
     mlp_macs,
+    save_model,
     train,
 )
 
@@ -222,15 +230,15 @@ class TestAdamStep:
         for t in range(1, 30):
             g = rng.normal(size=flat.size) * 10.0 ** rng.integers(-6, 3)
             grads = np.split(g, np.cumsum(sizes)[:-1])
-            corr1 = 1.0 - cfg.beta1 ** t
-            corr2 = 1.0 - cfg.beta2 ** t
+            corr1 = 1.0 - ADAM_BETA1 ** t
+            corr2 = 1.0 - ADAM_BETA2 ** t
             for p, gi, mi, vi, s in zip(params, grads, m, v, shapes):
                 gi = gi.reshape(s)
-                mi *= cfg.beta1
-                mi += (1.0 - cfg.beta1) * gi
-                vi *= cfg.beta2
-                vi += (1.0 - cfg.beta2) * gi * gi
-                p -= cfg.lr * (mi / corr1) / (np.sqrt(vi / corr2) + cfg.eps)
+                mi *= ADAM_BETA1
+                mi += (1.0 - ADAM_BETA1) * gi
+                vi *= ADAM_BETA2
+                vi += (1.0 - ADAM_BETA2) * gi * gi
+                p -= cfg.lr * (mi / corr1) / (np.sqrt(vi / corr2) + ADAM_EPS)
             opt.step(flat, g, cfg)
             assert flat.tobytes() == b"".join(p.tobytes() for p in params)
 
@@ -422,3 +430,49 @@ class TestWeightSerialization:
         path.write_bytes(damage(path.read_bytes()))
         with pytest.raises(getattr(errors, error)):
             load_model(path)
+
+
+def _weights_file() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.tlnn")
+        save_model(MlpModel(MlpSpec((3, 4, 2)), seed=1), path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+WEIGHTS = _weights_file()
+
+
+def _mutated_weights(edits):
+    data = bytearray(WEIGHTS)
+    for pos, value in edits:
+        data[pos] = value
+    return bytes(data)
+
+
+damaged_weights = st.one_of(
+    st.integers(0, len(WEIGHTS) - 1).map(lambda n: WEIGHTS[:n]),
+    st.lists(st.tuples(st.integers(0, 32), st.integers(0, 255)),
+             min_size=1, max_size=4).map(_mutated_weights),
+    st.lists(st.tuples(st.integers(0, len(WEIGHTS) - 1), st.integers(0, 255)),
+             min_size=1, max_size=4).map(_mutated_weights),
+)
+
+
+class TestDamagedWeights:
+    """A truncated or mutated weights file either loads or raises a
+    TouchlabError.  The first strategy of edits stays in the header and
+    the layer-size table."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=damaged_weights)
+    def test_load_or_named_error(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "damaged.tlnn")
+            with open(path, "wb") as fh:
+                fh.write(data)
+            try:
+                model = load_model(path)
+            except errors.TouchlabError:
+                return
+        assert isinstance(model, MlpModel)

@@ -9,7 +9,6 @@ from touchlab import errors
 from touchlab.optics import (
     SWEEP_CONTACTS,
     Contact,
-    LedRing,
     ScatterSurface,
     TaxelImage,
     annulus_roi,
@@ -86,11 +85,6 @@ class TestRender:
         with pytest.raises(errors.BudgetTooSmall):
             render(ScatterSurface.lambertian(), photons=10_000)
 
-    def test_zero_intensity_leds(self):
-        leds = LedRing(rgb=np.zeros((8, 3)))
-        img = render(ScatterSurface.lambertian(), leds=leds, photons=100_000)
-        assert np.all(img.values == 0.0)
-
     def test_specular_has_exactly_8_glints(self):
         img = render(ScatterSurface.specular(), photons=300_000, seed=0)
         assert count_glints(img) == 8
@@ -104,16 +98,6 @@ class TestRender:
         m_g5 = uniformity_metrics(
             render(ScatterSurface.gaussian(5.0), photons=200_000, seed=0), mask)
         assert m_lam["std_over_mean"] < m_g5["std_over_mean"] < m_spec["std_over_mean"]
-
-    def test_energy_monotone_in_led_intensity(self):
-        rgb = np.ones((8, 3))
-        base = render(ScatterSurface.lambertian(), leds=LedRing(rgb=rgb),
-                      photons=100_000, seed=3).values.sum()
-        rgb_dim = rgb.copy()
-        rgb_dim[2] *= 0.5
-        dimmed = render(ScatterSurface.lambertian(), leds=LedRing(rgb=rgb_dim),
-                        photons=100_000, seed=3).values.sum()
-        assert dimmed <= base
 
     def test_shard_plan_deterministic(self):
         a = render(ScatterSurface.gaussian(10.0), photons=120_000, seed=7, shards=3)
@@ -176,14 +160,6 @@ class TestPinnedDigests:
                      contacts=SWEEP_CONTACTS if contacts else (),
                      photons=100_000, seed=5)
         assert self.digest(img.values) == want
-
-    def test_render_non_uniform_rgb_sharded(self):
-        leds = LedRing(rgb=np.linspace(0.1, 1.0, 24).reshape(8, 3))
-        img = render(ScatterSurface.gaussian(10.0), leds=leds,
-                     contacts=SWEEP_CONTACTS[:3], photons=100_000, seed=2,
-                     shards=3)
-        assert self.digest(img.values) == \
-            "c6632ee99031cc0a741b9991768bc0e5b1617d78684e2e0d6fd501d82cc636b4"
 
     def test_render_sharded(self):
         img = render(ScatterSurface.gaussian(10.0), contacts=SWEEP_CONTACTS[:3],
@@ -305,9 +281,11 @@ class TestScatterSweep:
         assert res["recommended_band"] == ["15deg"]
 
     def test_cnr_only_weights_pick_minimum_alpha(self):
-        res = scatter_sweep(alphas=(1.0, 10.0, 25.0), objective_weights=(1.0, 0.0),
-                            photons=150_000)
-        assert res["recommended"] == "1deg"
+        # With no background penalty the objective grows with cnr_score, so
+        # a CNR-only objective would recommend the narrowest lobe.
+        res = scatter_sweep(alphas=(1.0, 10.0, 25.0), photons=150_000)
+        best = max(res["rows"], key=lambda r: r["cnr_score"])
+        assert best["alpha"] == "1deg"
 
     def test_bad_point_fails_before_rendering(self, monkeypatch):
         import touchlab.optics as optics_mod

@@ -10,6 +10,7 @@ from touchlab.link import DEVICE_PATH, HOST_PATH, StageModel
 from touchlab.reflex import (
     ACTION_ISSUED,
     CONTACT_DETECTED,
+    DEBOUNCE_MS,
     IDLE,
     REFLEX_PATHS,
     ContactDetector,
@@ -76,7 +77,7 @@ class TestContactDetector:
 
     def test_tap_detected_within_window(self):
         rng = np.random.default_rng(2)
-        det = ContactDetector(threshold=0.05, debounce_ms=5.0)
+        det = ContactDetector(threshold=0.05)
         t0 = 0.5
         hits = []
         for k in range(2000):
@@ -88,10 +89,10 @@ class TestContactDetector:
             if e is not None:
                 hits.append(e)
         assert len(hits) == 1
-        assert t0 <= hits[0] <= t0 + det.debounce_ms / 1e3 + 1e-3
+        assert t0 <= hits[0] <= t0 + DEBOUNCE_MS / 1e3 + 1e-3
 
     def test_two_taps_two_events(self):
-        det = ContactDetector(threshold=0.05, debounce_ms=5.0)
+        det = ContactDetector(threshold=0.05)
         hits = []
         for k in range(3000):
             t = k / 1000.0
@@ -121,7 +122,7 @@ class TestContactDetector:
     def test_one_event_per_episode_randomized(self):
         rng = np.random.default_rng(3)
         for _ in range(300):
-            det = ContactDetector(threshold=0.05, debounce_ms=5.0)
+            det = ContactDetector(threshold=0.05)
             t0 = rng.uniform(0.1, 0.4)
             dur = rng.uniform(0.02, 0.2)
             hits = 0

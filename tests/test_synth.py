@@ -8,15 +8,15 @@ from touchlab.core import ModalityKind, stream_id_for
 from touchlab.dsp import decay_time, peak_frequency
 from touchlab.recordlog import log_to_bytes
 from touchlab.synth import (
-    DEFAULT_RINGDOWN,
     Event,
     Imprint,
     ObjectSpec,
-    RingdownParams,
     ScenarioScript,
     gen_gas_approach,
     gen_ringdown,
     gen_visuotactile,
+    ring_frequency,
+    ring_tau_s,
     run_scenario,
 )
 
@@ -41,6 +41,28 @@ class TestScenarioScript:
             Event(0.8, 1.5, "tap", obj, (1,)),
         ])
         script.validate()
+
+    @pytest.mark.parametrize("field,value", [
+        ("duration_s", -1.0), ("duration_s", 0.0), ("duration_s", float("nan")),
+        ("duration_s", float("inf")), ("fingers", ("a",)), ("fingers", (1.0,)),
+        ("fingers", (4,)), ("fingers", (True,)), ("fingers", (1, 1)), ("fingers", ([1],)),
+        ("seed", -1), ("seed", 1.5),
+        ("seed", "3"), ("rates", {ModalityKind.GAS: float("nan")}),
+        ("rates", {ModalityKind.HEAT: 0.0}),
+        ("rates", {ModalityKind.INERTIAL: float("inf")}),
+    ])
+    def test_bad_script_field_rejected(self, field, value):
+        kwargs = {"seed": 0, "duration_s": 1.0, field: value}
+        with pytest.raises(errors.ConfigError):
+            ScenarioScript(**kwargs).validate()
+
+    @pytest.mark.parametrize("t_start,t_end", [(float("nan"), 0.5),
+                                               (0.1, float("nan"))])
+    def test_bad_event_rejected(self, t_start, t_end):
+        script = ScenarioScript(seed=0, duration_s=1.0, events=[
+            Event(t_start, t_end, "tap", ObjectSpec("wood"), (0,))])
+        with pytest.raises(errors.ConfigError):
+            script.validate()
 
     def test_event_outside_duration_rejected(self):
         obj = ObjectSpec("wood")
@@ -186,10 +208,6 @@ class TestGenRingdown:
         s = gen_ringdown(obj, 0.5, 0.2, amplitude=0.0)
         assert np.all(s == 0.0)
 
-    def test_ringdown_params_validation(self):
-        with pytest.raises(ValueError):
-            RingdownParams(f0_hz=0.0)
-
 
 class TestGenGasApproach:
     def test_starts_at_ambient(self):
@@ -276,7 +294,6 @@ class TestObjectSpec:
             ObjectSpec("liquid-coffee", fill_fraction=1.5)
 
     def test_ringdown_frequency_model(self):
-        p = DEFAULT_RINGDOWN
-        assert p.frequency(0.0) == pytest.approx(800.0)
-        assert p.frequency(1.0) == pytest.approx(800.0 * 0.7)
-        assert p.tau_s(0.9) > p.tau_s(0.1)
+        assert ring_frequency(0.0) == pytest.approx(800.0)
+        assert ring_frequency(1.0) == pytest.approx(800.0 * 0.7)
+        assert ring_tau_s(0.9) > ring_tau_s(0.1)
