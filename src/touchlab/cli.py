@@ -148,7 +148,7 @@ def load_scenario(path: str) -> synth.ScenarioScript:
                 events.append(synth.Event(
                     t_start=float(ev["t_start"]), t_end=float(ev["t_end"]),
                     kind=ev["kind"], obj=obj,
-                    finger_ids=tuple(ev.get("finger_ids", (0, 1, 2, 3)))))
+                    finger_ids=tuple(ev.get("finger_ids", synth.FINGERS))))
             except (KeyError, ValueError, TypeError, OverflowError) as exc:
                 raise errors.ScenarioParseError(
                     f"event {i}: {exc}") from exc
@@ -156,7 +156,7 @@ def load_scenario(path: str) -> synth.ScenarioScript:
             seed=doc.get("seed", 0),
             duration_s=float(doc["duration_s"]),
             events=events,
-            fingers=tuple(doc.get("fingers", (0, 1, 2, 3))),
+            fingers=tuple(doc.get("fingers", synth.FINGERS)),
             rates=rates)
         script.validate()
         return script

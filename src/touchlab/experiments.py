@@ -443,7 +443,8 @@ def find_tap_episodes(audio: np.ndarray, rate_hz: float) -> list:
     above = np.flatnonzero(env > thresh)
     min_gap = int(TAP_MIN_GAP_S * rate_hz)
     runs = np.split(above, np.flatnonzero(np.diff(above) > min_gap) + 1)
-    return [(int(r[0]), min(int(r[-1]) + min_gap + 1, env.size)) for r in runs if r.size]
+    return [(int(r[0]), min(int(r[-1]) + min_gap + 1, env.size))
+            for r in runs if r.size]
 
 
 def classify_fill(peak_hz: float) -> str:

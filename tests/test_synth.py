@@ -44,10 +44,11 @@ class TestScenarioScript:
 
     @pytest.mark.parametrize("field,value", [
         ("duration_s", -1.0), ("duration_s", 0.0), ("duration_s", float("nan")),
-        ("duration_s", float("inf")), ("fingers", ("a",)), ("fingers", (1.0,)),
-        ("fingers", (4,)), ("fingers", (True,)), ("fingers", (1, 1)), ("fingers", ([1],)),
-        ("seed", -1), ("seed", 1.5),
-        ("seed", "3"), ("rates", {ModalityKind.GAS: float("nan")}),
+        ("duration_s", float("inf")),
+        ("fingers", ("a",)), ("fingers", (1.0,)), ("fingers", (4,)),
+        ("fingers", (True,)), ("fingers", (1, 1)), ("fingers", ([1],)),
+        ("seed", -1), ("seed", 1.5), ("seed", "3"),
+        ("rates", {ModalityKind.GAS: float("nan")}),
         ("rates", {ModalityKind.HEAT: 0.0}),
         ("rates", {ModalityKind.INERTIAL: float("inf")}),
     ])
