@@ -250,7 +250,9 @@ class AdamState:
     """Adam moments over a flat parameter vector (Kingma & Ba, ICLR 2015,
     Algorithm 1): a fixed sequence of in-place ufunc calls into two scratch
     vectors, each expression in the textbook order, so the elementwise
-    IEEE result matches a per-layer loop bit for bit."""
+    IEEE result matches a per-layer loop bit for bit.  A stacked fit steps
+    one replica row at a time: a row's operands stay in cache, the whole
+    grid's do not."""
 
     def __init__(self, params: np.ndarray):
         self.m = np.zeros_like(params)
@@ -264,20 +266,20 @@ class AdamState:
         b1, b2 = ADAM_BETA1, ADAM_BETA2
         corr1 = 1.0 - b1 ** self.t
         corr2 = 1.0 - b2 ** self.t
-        lr = np.reshape(cfg.lr, (-1, 1)) if cfg.replicas > 1 else cfg.lr
-        m, v, a, b = self.m, self.v, self._a, self._b
-        m *= b1
-        m += np.multiply(grads, 1.0 - b1, out=a)   # m += (1 - b1) g
-        v *= b2
-        np.multiply(grads, 1.0 - b2, out=a)
-        v += np.multiply(a, grads, out=a)          # v += (1 - b2) g g
-        np.divide(m, corr1, out=a)
-        a *= lr                                    # lr (m / corr1)
-        np.divide(v, corr2, out=b)
-        np.sqrt(b, out=b)
-        b += ADAM_EPS                              # sqrt(v / corr2) + eps
-        a /= b
-        params -= a
+        rows = map(np.atleast_2d, (params, grads, self.m, self.v, self._a, self._b))
+        for p, g, m, v, a, b, lr in zip(*rows, np.ravel(cfg.lr), strict=True):
+            m *= b1
+            m += np.multiply(g, 1.0 - b1, out=a)   # m += (1 - b1) g
+            v *= b2
+            np.multiply(g, 1.0 - b2, out=a)
+            v += np.multiply(a, g, out=a)          # v += (1 - b2) g g
+            np.divide(m, corr1, out=a)
+            a *= lr                                # lr (m / corr1)
+            np.divide(v, corr2, out=b)
+            np.sqrt(b, out=b)
+            b += ADAM_EPS                          # sqrt(v / corr2) + eps
+            a /= b
+            p -= a
 
 
 @dataclass
