@@ -237,20 +237,18 @@ def _finger_streams(log: RecordLog) -> dict[int, dict[ModalityKind, StreamDescri
     return fingers
 
 
-def _stack_series(log: RecordLog, desc: StreamDescriptor):
-    """Collect one stream into (times_s, values) arrays.
+def sample_times(t_ns: np.ndarray, offsets, rate_hz: float) -> np.ndarray:
+    """Per-sample times (s) of a stream's chunk timestamps.
 
-    Audio blocks are expanded to per-sample rows with timestamps
+    Audio blocks (``offsets`` not None) expand to one time per sample,
     reconstructed from the block start time and the stream rate.
     """
-    cols = log.stream(desc.stream_id)
-    times = cols.t_ns / 1e9
-    if desc.kind is ModalityKind.SURFACE_AUDIO:
-        starts, lengths = cols.offsets[:-1], np.diff(cols.offsets)
-        within = np.arange(cols.offsets[-1]) - np.repeat(starts, lengths)
-        times = np.repeat(times, lengths) + within / desc.rate_hz
-        return times, cols.payload.astype(np.float64)
-    return times, cols.payload
+    times = t_ns / 1e9
+    if offsets is None:
+        return times
+    starts, lengths = offsets[:-1], np.diff(offsets)
+    within = np.arange(offsets[-1]) - np.repeat(starts, lengths)
+    return np.repeat(times, lengths) + within / rate_hz
 
 
 def _uniform_indices(n: int, t: int) -> np.ndarray:
@@ -286,73 +284,106 @@ def audio_window_tiles(audio: np.ndarray, rate_hz: float) -> np.ndarray:
     return out
 
 
+#: Streams every finger needs for windows (gas and heat are not part of
+#: the window contract).
+WINDOW_KINDS = (ModalityKind.VISUOTACTILE, ModalityKind.SURFACE_AUDIO,
+                ModalityKind.SURFACE_PRESSURE, ModalityKind.INERTIAL)
+
+
+def window_plan(times: dict, rates: dict, stride_s: float) -> list:
+    """(start_s, frame indices) of every window cut from one finger's
+    streams, given each ``WINDOW_KINDS`` stream's per-sample times (s) and
+    rate.
+
+    Windows start at the latest first sample and step by ``stride_s`` while
+    they fit; each stream nominally covers one sample period past its last
+    time, so a 13.3 s log cut at stride 1.33 s yields 10 windows.  Frames
+    lie on the nominal grid t_0 + i / rate from the first to the last
+    visuotactile time, so only those two frames must be present: a window
+    samples ``WINDOW_T`` evenly spaced grid frames of the ones inside it.
+    """
+    t0 = max(t[0] for t in times.values())
+    t_end = min(t[-1] + 1.0 / rates[kind] for kind, t in times.items())
+    vt, rate = times[ModalityKind.VISUOTACTILE], rates[ModalityKind.VISUOTACTILE]
+    n_grid = int(round((vt[-1] - vt[0]) * rate)) + 1
+    plan = []
+    start = t0
+    while start + WINDOW_DURATION_S <= t_end + 1e-9:
+        stop = start + WINDOW_DURATION_S
+        near = np.arange(max(int((start - vt[0]) * rate) - 1, 0),
+                         min(int((stop - vt[0]) * rate) + 2, n_grid))
+        grid = vt[0] + near / rate
+        inside = near[(grid >= start) & (grid < stop)]
+        if inside.size < WINDOW_T:
+            raise errors.InsufficientData(
+                f"only {inside.size} visuotactile frames in window at {start:.3f}s")
+        plan.append((start, inside[_uniform_indices(inside.size, WINDOW_T)]))
+        start += stride_s
+    return plan
+
+
+def _grid_rows(times: np.ndarray, rate_hz: float, frames: np.ndarray) -> np.ndarray:
+    """Rows of the stream (per-sample ``times``) that hold ``frames`` of its
+    nominal grid, each found by timestamp within half a frame period."""
+    want = times[0] + frames / rate_hz
+    half = 0.5 / rate_hz
+    rows = np.minimum(np.searchsorted(times, want - half), times.size - 1)
+    missing = np.abs(times[rows] - want) >= half
+    if np.any(missing):
+        raise errors.InsufficientData(
+            f"no visuotactile frame at {want[missing][0]:.3f}s")
+    return rows
+
+
 def build_windows(log: RecordLog, stride_s: float = WINDOW_DURATION_S,
                   labels: dict | None = None) -> list[WindowSample]:
     """Cut a log into labelled 1.33 s multimodal windows, one set per finger.
 
     Every finger must carry visuotactile, audio, pressure and inertial
-    streams (gas/heat are not part of the window contract).  Pressure is
-    run through the preprocessing chain before resampling.  ``labels`` maps
-    window start time to (action, material): callers pass either a constant
-    ``{"action": ..., "material": ...}`` or a callable
+    streams (``WINDOW_KINDS``).  ``window_plan`` places the windows and
+    picks their frames; the frame stream may hold only those frames plus
+    its first and last, each found by timestamp, so a log made with
+    ``run_scenario(script, frames=...)`` gives the windows of the full one.
+    Pressure is run through the preprocessing chain before resampling.
+    ``labels`` maps window start time to (action, material): callers pass
+    either a constant ``{"action": ..., "material": ...}`` or a callable
     ``labels(t_start_s) -> (action, material)``.
     """
     if stride_s <= 0:
         raise errors.ConfigError("stride must be positive")
     fingers = _finger_streams(log)
-    required = (ModalityKind.VISUOTACTILE, ModalityKind.SURFACE_AUDIO,
-                ModalityKind.SURFACE_PRESSURE, ModalityKind.INERTIAL)
 
     windows: list[WindowSample] = []
     for finger_id in sorted(fingers):
         streams = fingers[finger_id]
-        for kind in required:
+        for kind in WINDOW_KINDS:
             if kind not in streams:
                 raise errors.MissingModality(
                     f"finger {finger_id} is missing {kind.name}")
-
-        vt_frames = log.stream(streams[ModalityKind.VISUOTACTILE].stream_id)
-        vt_times = vt_frames.t_ns / 1e9
-        au_times, au_values = _stack_series(log, streams[ModalityKind.SURFACE_AUDIO])
-        pr_times, pr_values = _stack_series(log, streams[ModalityKind.SURFACE_PRESSURE])
-        in_times, in_values = _stack_series(log, streams[ModalityKind.INERTIAL])
-        if min(vt_times.size, au_times.size, pr_times.size, in_times.size) == 0:
+        cols = {kind: log.stream(streams[kind].stream_id) for kind in WINDOW_KINDS}
+        rates = {kind: streams[kind].rate_hz for kind in WINDOW_KINDS}
+        times = {kind: sample_times(c.t_ns, c.offsets, rates[kind])
+                 for kind, c in cols.items()}
+        if min(t.size for t in times.values()) == 0:
             raise errors.InsufficientData(f"finger {finger_id} has an empty stream")
 
-        pr_filtered = pressure_preprocess(
-            pr_values, streams[ModalityKind.SURFACE_PRESSURE].rate_hz)
+        vt, au, pr, im = WINDOW_KINDS
+        au_values = cols[au].payload.astype(np.float64)
+        pr_filtered = pressure_preprocess(cols[pr].payload, rates[pr])
 
-        t0 = max(vt_times[0], au_times[0], pr_times[0], in_times[0])
-        # Each stream nominally covers one sample period past its last
-        # timestamp; a 13.3 s log cut at stride 1.33 s yields 10 windows.
-        t_end = min(
-            vt_times[-1] + 1.0 / streams[ModalityKind.VISUOTACTILE].rate_hz,
-            au_times[-1] + 1.0 / streams[ModalityKind.SURFACE_AUDIO].rate_hz,
-            pr_times[-1] + 1.0 / streams[ModalityKind.SURFACE_PRESSURE].rate_hz,
-            in_times[-1] + 1.0 / streams[ModalityKind.INERTIAL].rate_hz,
-        )
-        start = t0
-        while start + WINDOW_DURATION_S <= t_end + 1e-9:
+        for start, frames in window_plan(times, rates, stride_s):
             stop = start + WINDOW_DURATION_S
+            frame_rows = _grid_rows(times[vt], rates[vt], frames)
 
-            vt_idx = np.nonzero((vt_times >= start) & (vt_times < stop))[0]
-            if vt_idx.size < WINDOW_T:
-                raise errors.InsufficientData(
-                    f"finger {finger_id}: only {vt_idx.size} visuotactile frames "
-                    f"in window at {start:.3f}s")
-            sel = vt_idx[_uniform_indices(vt_idx.size, WINDOW_T)]
-            vt = vt_frames.payload[sel]
-
-            au_idx = np.nonzero((au_times >= start) & (au_times < stop))[0]
+            au_idx = np.nonzero((times[au] >= start) & (times[au] < stop))[0]
             if au_idx.size < N_FFT:
                 raise errors.InsufficientData(
                     f"finger {finger_id}: audio window too short at {start:.3f}s")
-            audio = audio_window_tiles(
-                au_values[au_idx], streams[ModalityKind.SURFACE_AUDIO].rate_hz)
+            audio = audio_window_tiles(au_values[au_idx], rates[au])
 
             q = np.linspace(start, stop, WINDOW_T, endpoint=False)
-            inertial = _interp_columns(in_times, in_values, q).astype("<f4")
-            pressure = _interp_columns(pr_times, pr_filtered, q).astype("<f4")
+            inertial = _interp_columns(times[im], cols[im].payload, q).astype("<f4")
+            pressure = _interp_columns(times[pr], pr_filtered, q).astype("<f4")
 
             if callable(labels):
                 action, material = labels(start)
@@ -362,9 +393,9 @@ def build_windows(log: RecordLog, stride_s: float = WINDOW_DURATION_S,
                 action, material = "tap", "wood"
 
             windows.append(WindowSample(
-                visuotactile=vt, inertial=inertial, pressure=pressure, audio=audio,
+                visuotactile=cols[vt].payload[frame_rows], inertial=inertial,
+                pressure=pressure, audio=audio,
                 action_label=action, material_label=material, finger_id=finger_id,
                 window_start_ns=int(round(start * 1e9)),
             ))
-            start += stride_s
     return windows

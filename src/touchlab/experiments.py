@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import errors, nn, synth
+from . import dsp, errors, nn, synth
 from .core import ACTIONS, MATERIALS as CLS_MATERIALS, ModalityKind, RecordLog
 from .dsp import build_windows, decay_time, peak_frequency
 from .synth import (
@@ -258,12 +258,29 @@ def fusion_trial_script(action: str, material: str, seed: int,
                           rates=dict(FUSION_RATES))
 
 
+def sampled_frames(script: ScenarioScript, stride_s: float) -> np.ndarray:
+    """The visuotactile frames ``build_windows`` reads from each finger of
+    ``run_scenario(script)`` at ``stride_s``, with the first and last frame
+    that fix the frame grid: ``dsp.window_plan`` over the stream times the
+    scenario would have, made without synthesizing any stream."""
+    times, rates = {}, {}
+    for kind in dsp.WINDOW_KINDS:
+        _, t_ns, offsets = synth.stream_times(script, kind)
+        rates[kind] = script.rate(kind)
+        times[kind] = dsp.sample_times(t_ns, offsets, rates[kind])
+    plan = dsp.window_plan(times, rates, stride_s)
+    last = times[ModalityKind.VISUOTACTILE].size - 1
+    return np.unique(np.concatenate([[0, last], *(f for _, f in plan)]))
+
+
 def iter_fusion_windows(trials_per_class: int = 12, seed: int = 0,
                         duration_s: float = 2.66, stride_s: float = 0.665):
     """Yield (trial_index, WindowSample) lazily, one scenario at a time.
 
-    Windows are produced per trial and the trial log is dropped right
-    after, keeping memory flat.
+    Each trial makes only the visuotactile frames its windows read
+    (``sampled_frames``: 30 of 160 per finger at the defaults); the windows
+    are byte-equal to those cut from the full log.  Windows are produced
+    per trial and the trial log is dropped right after, keeping memory flat.
     """
     trial = 0
     for ai, action in enumerate(ACTIONS):
@@ -273,7 +290,8 @@ def iter_fusion_windows(trials_per_class: int = 12, seed: int = 0,
                     (seed, ai, mi, k)).generate_state(1)[0])
                 script = fusion_trial_script(
                     action, material, seed=trial_seed, duration_s=duration_s)
-                log = synth.run_scenario(script)
+                log = synth.run_scenario(
+                    script, frames=sampled_frames(script, stride_s))
                 for w in build_windows(log, stride_s=stride_s,
                                        labels={"action": action,
                                                "material": material}):

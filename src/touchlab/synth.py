@@ -2,9 +2,15 @@
 
 Stands in for the physical fingertip: scripted contact events (tap, slide,
 stir, approach, hold) against material-specific object models produce all
-six sensor streams per finger.  Every stream draws from its own generator
-seeded by (scenario seed, stream id), so stream synthesis order never
-affects the output and identical scripts produce byte-identical logs.
+six sensor streams per finger.  Every stream's randomness is keyed by
+(scenario seed, stream id), so stream synthesis order never affects the
+output and identical scripts produce byte-identical logs.  Audio, pressure,
+inertial, gas and heat streams draw from one sequential generator each.
+Visuotactile frames are counter-keyed (Salmon et al., "Parallel Random
+Numbers: As Easy as 1, 2, 3", SC 2011): frame i's noise comes from a Philox
+generator whose key derives from (seed, stream id) and whose counter holds
+i, so any frame is a pure function of (script, finger, i) and a caller can
+ask ``run_scenario`` for only the frames it reads.
 
 Planted structure (what the classification experiments learn):
 
@@ -198,6 +204,11 @@ DEFAULT_NOISE = {
 }
 
 
+#: Most samples one stream may hold (6.2 h of 48 kHz audio); a longer
+#: scenario is rejected before anything is allocated.
+MAX_STREAM_SAMPLES = 2**30
+
+
 @dataclass
 class ScenarioScript:
     """A scripted multisensor recording session."""
@@ -218,6 +229,11 @@ class ScenarioScript:
             raise errors.ConfigError(f"duration_s {self.duration_s} is not finite and > 0")
         if not all(math.isfinite(r) and r > 0 for r in self.rates.values()):
             raise errors.ConfigError(f"rates {self.rates} are not all finite and > 0")
+        for kind in ModalityKind:
+            if self.duration_s * self.rate(kind) > MAX_STREAM_SAMPLES:
+                raise errors.ConfigError(
+                    f"{kind.name} stream of {self.duration_s} s at {self.rate(kind)} Hz "
+                    f"exceeds {MAX_STREAM_SAMPLES} samples")
         if not all(_is_int(f) for f in self.fingers) \
                 or len(set(self.fingers) & set(FINGERS)) < len(self.fingers):
             raise errors.ConfigError(f"fingers {self.fingers} are not distinct ids in {FINGERS}")
@@ -243,8 +259,15 @@ def _event_rng(seed: int, tag: int, event_idx: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, tag, event_idx)))
 
 
-def _stream_rng(seed: int, stream_id: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, 0x57EA, stream_id)))
+def _frame_noise(key: np.ndarray, frame: int, shape: tuple) -> np.ndarray:
+    """Standard normal float32 noise of one visuotactile frame.
+
+    Philox with the stream's key, its counter starting at ``frame`` in the
+    second word: a frame's draws advance only the first word, so every
+    frame owns its counter block and needs none of the frames before it.
+    """
+    bits = np.random.Philox(key=key, counter=[0, frame, 0, 0])
+    return np.random.Generator(bits).standard_normal(shape, dtype=np.float32)
 
 
 # --- primitive generators ------------------------------------------------------------
@@ -403,12 +426,10 @@ def _bandpass_noise(n: int, rate_hz: float, center_hz: float, rng) -> np.ndarray
 # --- scenario synthesis ----------------------------------------------------------------
 
 
-def _synth_pressure(script, finger, events_scales, rng):
+def _synth_pressure(script, finger, t, events_scales, rng):
     rate = script.rate(ModalityKind.SURFACE_PRESSURE)
-    n = int(round(script.duration_s * rate))
-    t = np.arange(n) / rate
     out = rng.normal(0.0, DEFAULT_NOISE[ModalityKind.SURFACE_PRESSURE],
-                     size=(n, 4))
+                     size=(t.size, 4))
     chan_gain = np.array([1.0, 0.8, 0.65, 0.5])
     for ed in events_scales:
         ev = ed.event
@@ -434,14 +455,12 @@ def _synth_pressure(script, finger, events_scales, rng):
             out[sel] += 0.5 * amp
         elif ev.kind == HOLD:
             out[sel] += 0.4 * amp
-    return t, out.astype("<f4")
+    return out.astype("<f4")
 
 
-def _synth_inertial(script, finger, events_scales, rng):
+def _synth_inertial(script, finger, t, events_scales, rng):
     rate = script.rate(ModalityKind.INERTIAL)
-    n = int(round(script.duration_s * rate))
-    t = np.arange(n) / rate
-    out = rng.normal(0.0, DEFAULT_NOISE[ModalityKind.INERTIAL], size=(n, 3))
+    out = rng.normal(0.0, DEFAULT_NOISE[ModalityKind.INERTIAL], size=(t.size, 3))
     for ed in events_scales:
         ev = ed.event
         if finger not in ev.finger_ids or ev.kind == APPROACH:
@@ -456,13 +475,12 @@ def _synth_inertial(script, finger, events_scales, rng):
         elif ev.kind == STIR:
             out[sel, 0] += 0.9 * np.sin(2.0 * np.pi * 2.0 * tr)
             out[sel, 1] += 0.9 * np.cos(2.0 * np.pi * 2.0 * tr)
-    return t, out.astype("<f4")
+    return out.astype("<f4")
 
 
-def _synth_audio(script, finger, events_scales, rng):
+def _synth_audio(script, finger, t, events_scales, rng):
     rate = script.rate(ModalityKind.SURFACE_AUDIO)
-    n = int(round(script.duration_s * rate))
-    t = np.arange(n) / rate
+    n = t.size
     out = rng.normal(0.0, DEFAULT_NOISE[ModalityKind.SURFACE_AUDIO],
                      size=(n, 4))
     chan_gain = np.array([1.0, 0.85, 0.7, 0.6])
@@ -495,31 +513,33 @@ def _synth_audio(script, finger, events_scales, rng):
                 else 0.55 + 0.45 * np.sin(2.0 * np.pi * 2.0 * tr)
             out[seg] += (model.texture_amp * texture * env)[:, None] \
                 * chan_gain[None, :]
-    return t, np.clip(out * 32767.0 / 4.0, -32768, 32767).astype("<i2")
+    return np.clip(out * 32767.0 / 4.0, -32768, 32767).astype("<i2")
 
 
-def _synth_visuotactile(script, finger, events_scales, rng):
-    rate = script.rate(ModalityKind.VISUOTACTILE)
-    n = int(round(script.duration_s * rate))
-    t = np.arange(n) / rate
+def _synth_visuotactile(finger, t, frames, events_scales, key):
+    """Frames ``frames`` of one finger's visuotactile stream, at times ``t``.
+
+    Imprints are a function of time and each frame's noise of its index
+    (``_frame_noise``), so a frame comes out the same whichever others are
+    made with it.
+    """
     size = IMAGE_SIZE
-    bg = _background()
     noise_sigma = DEFAULT_NOISE[ModalityKind.VISUOTACTILE]
 
     uu, vv, _ = optics.image_grid(size)
     px = 2.0 / size
     sigma = (7.0 + IMAGE_PSF_PX) * px
 
-    base = bg * 255.0
+    base = _background() * 255.0
     active = [(ed, MATERIALS[ed.event.obj.material].imprint_depth
                * ed.depth_scale)
               for ed in events_scales
               if finger in ed.event.finger_ids and ed.event.kind != APPROACH]
 
-    frames = np.empty((n, size, size, 3), dtype=np.uint8)
+    n = t.size
+    out = np.empty((n, size, size, 3), dtype=np.uint8)
     # Frames per pass: the float64 temporaries below hold 8 frames (2.8 MB
-    # each).  Noise is drawn in the same order whatever the block size, so
-    # the frames do not depend on it.
+    # each).
     block = 8
     for b0 in range(0, n, block):
         b1 = min(b0 + block, n)
@@ -544,16 +564,15 @@ def _synth_visuotactile(script, finger, events_scales, rng):
             att[idx] *= 1.0 - 0.45 * d[pos, None, None] \
                 * np.exp(-0.5 * r2 / sigma ** 2)
         img = base[None, :, :, :] * att[:, :, :, None]
-        noisy = img + rng.normal(0.0, noise_sigma, size=img.shape)
-        frames[b0:b1] = np.clip(noisy, 0.0, 255.0).astype(np.uint8)
-    return t, frames
+        for j, frame in enumerate(frames[b0:b1].tolist()):
+            noise = _frame_noise(key, frame, img.shape[1:])
+            img[j] += np.multiply(noise, noise_sigma, out=noise)
+        out[b0:b1] = np.clip(img, 0.0, 255.0, out=img)
+    return out
 
 
-def _synth_gas(script, finger, events_scales, rng):
-    rate = script.rate(ModalityKind.GAS)
-    n = max(int(round(script.duration_s * rate)), 1)
-    t = np.arange(n) / rate
-    out = np.tile(AMBIENT_GAS, (n, 1))
+def _synth_gas(script, finger, t, events_scales, rng):
+    out = np.tile(AMBIENT_GAS, (t.size, 1))
     for ed in events_scales:
         ev = ed.event
         if finger not in ev.finger_ids or ev.kind != APPROACH:
@@ -568,14 +587,11 @@ def _synth_gas(script, finger, events_scales, rng):
             out[after] = AMBIENT_GAS[None, :] + (level - AMBIENT_GAS)[None, :] \
                 * np.exp(-(t[after] - ev.t_end) / 10.0)[:, None]
     out += rng.normal(0.0, GAS_NOISE, size=out.shape)
-    return t, out.astype("<f4")
+    return out.astype("<f4")
 
 
-def _synth_heat(script, finger, events_scales, rng):
-    rate = script.rate(ModalityKind.HEAT)
-    n = max(int(round(script.duration_s * rate)), 1)
-    t = np.arange(n) / rate
-    out = np.full(n, AMBIENT_TEMP_C)
+def _synth_heat(script, finger, t, events_scales, rng):
+    out = np.full(t.size, AMBIENT_TEMP_C)
     for ed in events_scales:
         ev = ed.event
         if finger not in ev.finger_ids or ev.kind == APPROACH:
@@ -589,19 +605,51 @@ def _synth_heat(script, finger, events_scales, rng):
             level = out[during][-1]
             out[after] = AMBIENT_TEMP_C + (level - AMBIENT_TEMP_C) \
                 * np.exp(-(t[after] - ev.t_end) / 8.0)
-    out = out + rng.normal(0.0, DEFAULT_NOISE[ModalityKind.HEAT], size=n)
-    return t, out.astype("<f4")[:, None]
+    out = out + rng.normal(0.0, DEFAULT_NOISE[ModalityKind.HEAT], size=t.size)
+    return out.astype("<f4")[:, None]
 
 
 AUDIO_BLOCK_S = 0.01
 
 
-def run_scenario(script: ScenarioScript) -> RecordLog:
+def stream_times(script: ScenarioScript, kind: ModalityKind):
+    """Sample times (s), chunk timestamps (uint64 ns) and audio block
+    offsets (None for other kinds) of every finger's ``kind`` stream in
+    ``run_scenario(script)``: round(duration * rate) samples at i / rate
+    from 0 (at least one for gas and heat), audio in AUDIO_BLOCK_S blocks.
+    """
+    rate = script.rate(kind)
+    n = int(round(script.duration_s * rate))
+    if kind in (ModalityKind.GAS, ModalityKind.HEAT):
+        n = max(n, 1)
+    t = np.arange(n) / rate
+    chunk_t, offsets = t, None
+    if kind is ModalityKind.SURFACE_AUDIO:
+        block = max(int(round(AUDIO_BLOCK_S * rate)), 1)
+        offsets = np.append(np.arange(0, n, block), n)
+        chunk_t = t[offsets[:-1]]
+    return t, np.round(chunk_t * 1e9).astype(np.uint64), offsets
+
+
+def _frame_indices(frames, n: int) -> np.ndarray:
+    idx = np.asarray(frames)
+    if idx.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    if idx.ndim != 1 or idx.dtype.kind not in "iu" or idx[0] < 0 \
+            or idx[-1] >= n or np.any(idx[1:] <= idx[:-1]):
+        raise errors.ConfigError(
+            f"frames must be increasing frame indices in [0, {n})")
+    return idx
+
+
+def run_scenario(script: ScenarioScript, frames=None) -> RecordLog:
     """Synthesize every stream of a scenario into an in-memory RecordLog.
 
     One stream per (finger, modality), each handed to the log as whole
     columns; chunks are then ordered by (t_ns, stream_id).  Identical
-    (script, seed) produce byte-identical logs.
+    (script, seed) produce byte-identical logs.  ``frames`` (increasing
+    frame indices) makes only those visuotactile frames of every finger,
+    each byte-equal to the same frame of the full stream; None makes all.
     """
     script.validate()
     # Per-event randomization shared across fingers: a global amplitude
@@ -623,21 +671,22 @@ def run_scenario(script: ScenarioScript) -> RecordLog:
             desc = StreamDescriptor.default(
                 stream_id_for(finger, kind), kind, rate_hz=script.rate(kind))
             descs.append(desc)
-            rng = _stream_rng(script.seed, desc.stream_id)
-            t, payload = _SYNTHS[kind](script, finger, events_scales, rng)
-            offsets = None
-            if kind is ModalityKind.SURFACE_AUDIO:
-                block = max(int(round(AUDIO_BLOCK_S * desc.rate_hz)), 1)
-                offsets = np.append(np.arange(0, payload.shape[0], block),
-                                    payload.shape[0])
-                t = t[offsets[:-1]]
-            t_ns = np.round(t * 1e9).astype(np.uint64)
+            seq = np.random.SeedSequence((script.seed, 0x57EA, desc.stream_id))
+            t, t_ns, offsets = stream_times(script, kind)
+            if kind is ModalityKind.VISUOTACTILE:
+                keep = np.arange(t.size) if frames is None \
+                    else _frame_indices(frames, t.size)
+                t_ns = t_ns[keep]
+                payload = _synth_visuotactile(finger, t[keep], keep, events_scales,
+                                              seq.generate_state(2, np.uint64))
+            else:
+                payload = _SYNTHS[kind](script, finger, t, events_scales,
+                                        np.random.default_rng(seq))
             columns[desc.stream_id] = StreamColumns(t_ns, payload, offsets)
     return RecordLog.from_columns(descs, columns)
 
 
 _SYNTHS = {
-    ModalityKind.VISUOTACTILE: _synth_visuotactile,
     ModalityKind.SURFACE_AUDIO: _synth_audio,
     ModalityKind.SURFACE_PRESSURE: _synth_pressure,
     ModalityKind.INERTIAL: _synth_inertial,

@@ -104,9 +104,10 @@ class TestRecordReplay:
                                         "kind": "hold", "material": "wood",
                                         "temperature_c": "hot"}]},
         {"duration_s": 1.0, "rates": [240]},
+        {"duration_s": 1e300, "fingers": [0]},
     ], ids=["negative_duration", "nan_duration", "string_finger", "not_object",
             "negative_seed", "infinite_duration", "infinite_rate", "nan_time",
-            "string_temperature", "rates_list"])
+            "string_temperature", "rates_list", "huge_duration"])
     def test_bad_scenario_exit_2(self, tmp_path, capsys, doc):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))

@@ -6,6 +6,7 @@ from touchlab.core import (
     ModalityKind,
     ModalitySample,
     RecordLog,
+    StreamColumns,
     StreamDescriptor,
     stream_id_for,
 )
@@ -253,6 +254,29 @@ class TestBuildWindows:
             {sid: full.stream(sid) for sid in full.descriptors if sid != pid})
         with pytest.raises(errors.MissingModality):
             build_windows(log)
+
+    def test_frames_found_by_timestamp(self):
+        # Keeping only the sampled frames plus the first and last gives the
+        # same windows; dropping a sampled frame is reported, not skipped.
+        full = make_log(duration_s=3.0)
+        vid = stream_id_for(0, ModalityKind.VISUOTACTILE)
+        cols = full.stream(vid)
+
+        def without(rows):
+            keep = np.setdiff1d(np.arange(len(cols)), rows)
+            streams = {sid: full.stream(sid) for sid in full.descriptors}
+            streams[vid] = StreamColumns(cols.t_ns[keep], cols.payload[keep])
+            return RecordLog.from_columns(full.descriptors.values(), streams)
+
+        want = build_windows(full, stride_s=1.33)
+        row_of = {frame.tobytes(): i for i, frame in enumerate(cols.payload)}
+        used = np.unique([row_of[f.tobytes()] for w in want for f in w.visuotactile])
+        sparse = without(np.setdiff1d(np.arange(1, len(cols) - 1), used))
+        got = build_windows(sparse, stride_s=1.33)
+        assert [w.visuotactile.tobytes() for w in got] == \
+            [w.visuotactile.tobytes() for w in want]
+        with pytest.raises(errors.InsufficientData):
+            build_windows(without([used[3]]), stride_s=1.33)
 
     def test_labels_callable(self):
         log = make_log(duration_s=3.0)

@@ -4,9 +4,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from touchlab import errors, experiments
-from touchlab.core import ModalityKind
+from touchlab import errors, experiments, synth
+from touchlab.core import ModalityKind, stream_id_for
+from touchlab.dsp import build_windows
 from touchlab.experiments import (
     FINGER_DEPENDENT,
     FINGER_INDEPENDENT,
@@ -92,7 +94,9 @@ class TestGasExperiment:
 
 @pytest.fixture(scope="module")
 def windows():
-    return list(iter_fusion_windows(trials_per_class=1, seed=0,
+    # Two trials per class leave finger-dependent fits a validation row
+    # per stratum, so the learning-rate grid trains.
+    return list(iter_fusion_windows(trials_per_class=2, seed=0,
                                     duration_s=2.0, stride_s=0.665))
 
 
@@ -127,6 +131,69 @@ class TestFusionExperiment:
         res = fusion_experiment(windows, max_epochs=40)
         assert res.confusion_action.sum() == res.n_test
         assert res.confusion_material.sum() == res.n_test
+
+    def test_finger_dependent_fit_trains_the_grid(self, windows, monkeypatch):
+        configs = []
+        train = experiments.nn.train
+
+        def recorded(dataset, spec, config):
+            configs.append(config)
+            return train(dataset, spec, config)
+
+        monkeypatch.setattr(experiments.nn, "train", recorded)
+        fusion_experiment(windows, mode=FINGER_DEPENDENT, max_epochs=5)
+        assert [c.lr for c in configs][0] == experiments.LR_GRID
+        assert len(configs) == 2
+
+
+def window_bytes(w):
+    return (w.visuotactile.tobytes(), w.inertial.tobytes(), w.pressure.tobytes(),
+            w.audio.tobytes(), w.action_label, w.material_label, w.finger_id,
+            w.window_start_ns)
+
+
+class TestLazyFrames:
+    """Windows from logs that hold only the frames they read are byte-equal
+    to the windows cut from the full logs."""
+
+    def test_fusion_trials(self, monkeypatch):
+        made = []
+        run = synth.run_scenario
+
+        def recorded(script, frames=None):
+            log = run(script, frames=frames)
+            made.append((script, log))
+            return log
+
+        monkeypatch.setattr(synth, "run_scenario", recorded)
+        lazy = list(iter_fusion_windows(trials_per_class=1, seed=3))
+        monkeypatch.undo()
+        assert len(made) == 9
+        for trial, (script, log) in enumerate(made):
+            for f in script.fingers:
+                assert len(log.stream(stream_id_for(f, ModalityKind.VISUOTACTILE))) == 30
+            action, material = script.events[0].kind, script.events[0].obj.material
+            full = build_windows(run_scenario(script), stride_s=0.665,
+                                 labels={"action": action, "material": material})
+            got = [w for t, w in lazy if t == trial]
+            assert [window_bytes(w) for w in got] == [window_bytes(w) for w in full]
+
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2**16), duration=st.floats(1.4, 3.0),
+           stride=st.floats(0.3, 1.4), fps=st.sampled_from([30.0, 60.0, 240.0]),
+           audio_hz=st.sampled_from([8000.0, 16000.0]), two=st.booleans())
+    def test_random_rates_and_strides(self, seed, duration, stride, fps, audio_hz, two):
+        script = ScenarioScript(
+            seed=seed, duration_s=duration, fingers=(0, 2) if two else (1,),
+            rates={ModalityKind.VISUOTACTILE: fps, ModalityKind.SURFACE_AUDIO: audio_hz},
+            events=[Event(0.2, duration - 0.2, "slide" if two else "stir",
+                          ObjectSpec("plastic"))])
+        frames = experiments.sampled_frames(script, stride)
+        full = build_windows(run_scenario(script), stride_s=stride)
+        lazy = build_windows(run_scenario(script, frames=frames), stride_s=stride)
+        assert full
+        assert [window_bytes(w) for w in lazy] == [window_bytes(w) for w in full]
+        assert frames.size <= 2 + 10 * len(full) // len(script.fingers)
 
 
 def fresh(windows):
@@ -200,20 +267,34 @@ class TestPinnedFusionDigests:
         return h.hexdigest()
 
     @pytest.mark.parametrize("mode,modalities,shuffle,want", [
-        (FINGER_DEPENDENT, MODALITY_NAMES, False,
-         "a6d3aa8263b76968e22e9e950cb6a740f37f361c8e1d61c6f035eb369890c079"),
-        (FINGER_DEPENDENT, ("visuotactile",), False,
-         "c7a76fb0dedd532acfc194346770cf10a5d7cffb74e9e1e9f6a56581298b1a1a"),
-        (FINGER_DEPENDENT, ("audio",), False,
-         "b890c4de7d6dc50587c4bec8db2b1f8fad4e55f075e3b41964f2fa9d84d481ee"),
-        (FINGER_DEPENDENT, ("inertial",), False,
-         "e32582b56c7ffe1f75a0c59f903e3ede6329615be56d8cbc255570ba29a26e7f"),
-        (FINGER_DEPENDENT, ("pressure",), False,
-         "02d87262c622bc0d65fe69aaa803f6b851cedd2c7ffd552dc0789c359389dc8a"),
-        (FINGER_INDEPENDENT, ("pressure",), False,
-         "7b72f9774e91bb143cfb56c15488335a63ef56109addb3805bd3562537d580bf"),
-        (FINGER_DEPENDENT, MODALITY_NAMES, True,
-         "e98b88e7c9d883baa624f1123d921a1b8b2e345a30c5fd12b3dba240c9c1aa1f"),
+        pytest.param(
+            FINGER_DEPENDENT, MODALITY_NAMES, False,
+            "85855de9cb89aafe399de701539cea9cfab4c6b51e511dfc80f9ec0881b74610",
+            id="dependent-all"),
+        pytest.param(
+            FINGER_DEPENDENT, ("visuotactile",), False,
+            "ff607bf3bae89de8e0bf6ab567d52768ea973e21606200fa90a9ec001242072d",
+            id="dependent-visuotactile"),
+        pytest.param(
+            FINGER_DEPENDENT, ("audio",), False,
+            "0ca8269c2b29b6ddcf777639c7017ba0b638d1cc5219520dc9bdd8f2da04b009",
+            id="dependent-audio"),
+        pytest.param(
+            FINGER_DEPENDENT, ("inertial",), False,
+            "b7acf5622cdb785f1bc10c660d4c182960895b33261dd9f76790735a825f1b77",
+            id="dependent-inertial"),
+        pytest.param(
+            FINGER_DEPENDENT, ("pressure",), False,
+            "8a56864f36fe403c21ae8b4eb5bbce1606e9cafcbadd604c22e02e0d2fe1aae1",
+            id="dependent-pressure"),
+        pytest.param(
+            FINGER_INDEPENDENT, ("pressure",), False,
+            "9063cb407062e959386893ea693a0d00fae9c327e236c5c0102b41f260fe3da9",
+            id="independent-pressure"),
+        pytest.param(
+            FINGER_DEPENDENT, MODALITY_NAMES, True,
+            "c1441f08b07dc8af4a1264d1e1f83dd19b18694ac7b7bf464951d994ebfa7765",
+            id="dependent-all-shuffled"),
     ])
     def test_fit(self, windows, mode, modalities, shuffle, want):
         res = fusion_experiment(windows, mode=mode, modalities=modalities,
@@ -257,15 +338,15 @@ class TestPinnedFitDigests:
 
     @pytest.mark.parametrize("modalities,want", [
         (MODALITY_NAMES, [
-            "af335838bdd3f6a0d0eb7091f2197e72f58a323624070306a935f9613ab21a76",
-            "d47f192e19d941d1eabb656ebff59e915767493d6cbf1dca558b4c2c438e6652",
-            "aec7f6ea8b07fc61ad5c9775be36a60efe706ca8b96e6bcf3205c4993068e0cd",
-            "4c5a7110e4f7b0695ecb4f4cf8c6cb5548cbb07bc16dbfee44a215b118d33ac1"]),
+            "160592fb459800f58864a09cefce2a45733000c31f74cf5f91c44043c6fcf341",
+            "ffd55d98386839976f2a56674735d18a8b0eece0c4729465db8e2f13baf5ef0a",
+            "cdf5f04e367c8b4b99fb01d2674be17410ec5baf832d051a837eb006f96be94b",
+            "b5fd3187f240b664c331684b38b74ef762d5946ae93bcc7353cdce6b3bfa0c66"]),
         (("pressure",), [
-            "ea2df6ff0276aca081680ce4ba762b4cb2ba0e342e50568c345544b916bb93bf",
-            "97671a787eab3161dda19f4cac91f086b0c9d18fca5519e01f247b72c04e4f65",
-            "4fbd6b883583312bec9fbc9a17f41a335d0775014096aefc302b1327e7b0d3bf",
-            "da43a009b5604251fb93794cba08e8980b0e49ca408171ed14d00e1db0326b23"]),
+            "15d1f9fa16125576235294d158d6c44d2357a8b5b7867508eb3cbf9187f8e18c",
+            "98e0cf59dd3f92b694787ff8598d9ba2846ba867fb60037972e4d25be74b75a4",
+            "aa31226f18d905626dd6e55239f4eac5ebe202e7bd1619f1932a3ec530066296",
+            "b5af748795732b28a49e9e3054aeaf975c7e4a0af43c433635028cc31106cfeb"]),
     ], ids=["all", "pressure"])
     def test_fusion_fits(self, windows, fusion_fits, modalities, want):
         fusion_experiment(windows, mode=FINGER_INDEPENDENT,

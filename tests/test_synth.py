@@ -2,8 +2,9 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from touchlab import errors, experiments, optics
+from touchlab import errors, experiments, optics, synth
 from touchlab.core import ModalityKind, stream_id_for
 from touchlab.dsp import decay_time, peak_frequency
 from touchlab.recordlog import log_to_bytes
@@ -51,6 +52,8 @@ class TestScenarioScript:
         ("rates", {ModalityKind.GAS: float("nan")}),
         ("rates", {ModalityKind.HEAT: 0.0}),
         ("rates", {ModalityKind.INERTIAL: float("inf")}),
+        ("duration_s", 1e300),
+        ("rates", {ModalityKind.SURFACE_AUDIO: 1e12}),
     ])
     def test_bad_script_field_rejected(self, field, value):
         kwargs = {"seed": 0, "duration_s": 1.0, field: value}
@@ -126,19 +129,83 @@ class TestRunScenario:
         assert 0.5 <= peak_a <= 0.6
 
 
+@st.composite
+def scripts(draw):
+    """Short scenarios at 30/60/240 fps on 1-4 fingers, with back-to-back
+    events of any kind."""
+    duration = draw(st.floats(0.2, 0.6))
+    fingers = tuple(sorted(draw(st.sets(st.sampled_from(synth.FINGERS),
+                                        min_size=1))))
+    events, t = [], 0.0
+    for kind in draw(st.lists(st.sampled_from(synth.EVENT_KINDS), max_size=5)):
+        t_start = t + draw(st.floats(0.0, 0.05))
+        t = t_start + draw(st.floats(0.02, 0.2))
+        if t > duration:
+            break
+        material = draw(st.sampled_from(["wood", "plastic", "silicone", "rubber"]))
+        events.append(Event(t_start, t, kind, ObjectSpec(material),
+                            draw(st.sets(st.sampled_from(fingers), min_size=1))))
+    return ScenarioScript(
+        seed=draw(st.integers(0, 2**32)), duration_s=duration, events=events,
+        fingers=fingers,
+        rates={ModalityKind.VISUOTACTILE: draw(st.sampled_from([30.0, 60.0, 240.0])),
+               ModalityKind.SURFACE_AUDIO: 8000.0})
+
+
+class TestFramesOnDemand:
+    """``run_scenario(script, frames=...)`` makes only the listed frames,
+    each byte-equal to the same row of the full stream, and leaves every
+    other stream as it is."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(script=scripts(), data=st.data())
+    def test_subset_matches_full_stream(self, script, data):
+        full = run_scenario(script)
+        n = len(full.stream(stream_id_for(script.fingers[0], ModalityKind.VISUOTACTILE)))
+        frames = sorted(data.draw(st.sets(st.integers(0, n - 1), max_size=12)))
+        part = run_scenario(script, frames=frames)
+        for sid, desc in full.descriptors.items():
+            want, got = full.stream(sid), part.stream(sid)
+            if desc.kind is ModalityKind.VISUOTACTILE:
+                assert got.t_ns.tobytes() == want.t_ns[frames].tobytes()
+                assert got.payload.tobytes() == want.payload[frames].tobytes()
+            else:
+                assert got.t_ns.tobytes() == want.t_ns.tobytes()
+                assert got.payload.tobytes() == want.payload.tobytes()
+
+    def test_stream_times_match_the_log(self):
+        script = experiments.fusion_trial_script("tap", "wood", seed=1, duration_s=0.5)
+        log = run_scenario(script, frames=[])
+        for kind in ModalityKind:
+            _, t_ns, offsets = synth.stream_times(script, kind)
+            cols = log.stream(stream_id_for(0, kind))
+            if kind is ModalityKind.VISUOTACTILE:
+                assert len(cols) == 0 and t_ns.size == 30
+            else:
+                assert np.array_equal(t_ns, cols.t_ns)
+                assert np.array_equal(offsets, cols.offsets)
+
+    @pytest.mark.parametrize("frames", [[3, 1], [1, 1], [-1], [30], [0.5], [[1]]])
+    def test_bad_frames_rejected(self, frames):
+        script = ScenarioScript(seed=0, duration_s=1.0, fingers=(0,), rates=FAST_RATES)
+        with pytest.raises(errors.ConfigError):
+            run_scenario(script, frames=frames)
+
+
 class TestPinnedLogDigests:
     """SHA-256 of whole recorded logs for fixed scenarios.
 
     Any change to synthesis that alters a sample, or the order or size of
     the random draws, shows up here; a change meant to keep the data must
-    leave these alone.  Pinned with numpy 2.4.6 on x86_64; another numpy
+    leave these alone.  Visuotactile frames are counter-keyed
+    (``synth._frame_noise``), so these digests also pin Philox's output.  Pinned with numpy 2.4.6 on x86_64; another numpy
     build or CPU may need its own digests.
     """
 
     def test_fusion_trial(self):
         script = experiments.fusion_trial_script("slide", "silicone", seed=7)
         assert hashlib.sha256(log_to_bytes(run_scenario(script))).hexdigest() == \
-            "fb567b7bfa3b8ef6b92cba1dc28d6782737aab0c72c3553ae99e6bf71089f515"
+            "1917ccd252b38292f5c3fe2962f48f1c8415b07a25dcc73c330f99cec51ed984"
 
     def test_default_frame_rate_two_fingers(self):
         script = ScenarioScript(
@@ -147,7 +214,7 @@ class TestPinnedLogDigests:
             events=[Event(0.1, 0.16, "tap", ObjectSpec("wood"), (0,)),
                     Event(0.2, 0.5, "slide", ObjectSpec("plastic"), (1,))])
         assert hashlib.sha256(log_to_bytes(run_scenario(script))).hexdigest() == \
-            "24971b2fb38361768b24000bd5241ce8a1efe6cc40c7e45901c3413fb3ddc36e"
+            "5ecc0184e6b5ad3b6e230b057657866eda54869616fc88e07310d7280e3203c4"
 
 
     def test_every_event_kind(self):
@@ -169,7 +236,7 @@ class TestPinnedLogDigests:
                 Event(1.4, 1.9, "hold",
                       ObjectSpec("liquid-coffee", temperature_c=70.0), (1,))])
         assert hashlib.sha256(log_to_bytes(run_scenario(script))).hexdigest() == \
-            "a7531ff8499550513bbba812eb3dd15a2758f9644a532e1841e49d8bdfe39696"
+            "629bc6db806ca3e4eeead21c99795ab0bf530fc73a063283cb7cc1d574033894"
 
 class TestGenRingdown:
     def test_not_a_container(self):
