@@ -142,8 +142,7 @@ class TestFusionExperiment:
 
         monkeypatch.setattr(experiments.nn, "train", recorded)
         fusion_experiment(windows, mode=FINGER_DEPENDENT, max_epochs=5)
-        assert [c.lr for c in configs][0] == experiments.LR_GRID
-        assert len(configs) == 2
+        assert len(configs) == 2 and configs[0].lr == experiments.LR_GRID
 
 
 def window_bytes(w):
