@@ -33,14 +33,7 @@ OUT_DIR_ENV = "TOUCHLAB_OUT_DIR"
 
 REPORT_SCHEMA = 1
 
-_RATE_KEYS = {
-    "visuotactile": ModalityKind.VISUOTACTILE,
-    "surface_audio": ModalityKind.SURFACE_AUDIO,
-    "surface_pressure": ModalityKind.SURFACE_PRESSURE,
-    "inertial": ModalityKind.INERTIAL,
-    "gas": ModalityKind.GAS,
-    "heat": ModalityKind.HEAT,
-}
+_RATE_KEYS = {k.name.lower(): k for k in ModalityKind}
 
 
 def _config_hash(args: dict) -> str:

@@ -345,12 +345,13 @@ def build_windows(log: RecordLog, stride_s: float = WINDOW_DURATION_S,
     its first and last, each found by timestamp, so a log made with
     ``run_scenario(script, frames=...)`` gives the windows of the full one.
     Pressure is run through the preprocessing chain before resampling.
-    ``labels`` maps window start time to (action, material): callers pass
-    either a constant ``{"action": ..., "material": ...}`` or a callable
-    ``labels(t_start_s) -> (action, material)``.
+    ``labels`` is the (action, material) of every window, given as
+    ``{"action": ..., "material": ...}``; None labels them tap and wood.
     """
     if stride_s <= 0:
         raise errors.ConfigError("stride must be positive")
+    action, material = (labels["action"], labels["material"]) if labels \
+        else ("tap", "wood")
     fingers = _finger_streams(log)
 
     windows: list[WindowSample] = []
@@ -384,13 +385,6 @@ def build_windows(log: RecordLog, stride_s: float = WINDOW_DURATION_S,
             q = np.linspace(start, stop, WINDOW_T, endpoint=False)
             inertial = _interp_columns(times[im], cols[im].payload, q).astype("<f4")
             pressure = _interp_columns(times[pr], pr_filtered, q).astype("<f4")
-
-            if callable(labels):
-                action, material = labels(start)
-            elif labels:
-                action, material = labels["action"], labels["material"]
-            else:
-                action, material = "tap", "wood"
 
             windows.append(WindowSample(
                 visuotactile=cols[vt].payload[frame_rows], inertial=inertial,

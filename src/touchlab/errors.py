@@ -125,11 +125,7 @@ class LabelOutOfRange(TouchlabError, ValueError):
     pass
 
 
-# --- reflex loop -------------------------------------------------------------
-
-class ModalityMismatch(TouchlabError, ValueError):
-    pass
-
+# --- liquid-level analysis ---------------------------------------------------
 
 class NoTapsFound(TouchlabError, ValueError):
     pass

@@ -129,13 +129,10 @@ def gas_experiment(dataset: GasDataset, integration_time_s: float,
     result = nn.train((x_tr, y_tr), spec, cfg)
 
     pred = np.argmax(result.model.forward_logits(x_te), axis=1)
-    confusion = np.zeros((n_classes, n_classes), dtype=int)
-    for t, p in zip(y_te, pred):
-        confusion[t, p] += 1
     return GasResult(accuracy=float(np.mean(pred == y_te)),
                      integration_time_s=integration_time_s,
                      n_train=len(train_idx), n_test=len(test_idx),
-                     confusion=confusion)
+                     confusion=_confusion(y_te, pred, n_classes))
 
 
 def gas_integration_sweep(integration_times, n_seeds: int = 10,
@@ -410,18 +407,18 @@ def fusion_experiment(windows, mode: str = FINGER_DEPENDENT,
     final = nn.train((x_tr, y_tr), spec,
                      nn.TrainConfig(lr=best_lr, max_epochs=max_epochs, seed=seed))
     pa, pm = _predict(final.model, x_te)
-    conf_a = np.zeros((len(ACTIONS), len(ACTIONS)), dtype=int)
-    conf_m = np.zeros((len(CLS_MATERIALS), len(CLS_MATERIALS)), dtype=int)
-    for t, p in zip(ya[test_idx], pa):
-        conf_a[t, p] += 1
-    for t, p in zip(ym[test_idx], pm):
-        conf_m[t, p] += 1
     return FusionResult(
         action_accuracy=float(np.mean(pa == ya[test_idx])),
         material_accuracy=float(np.mean(pm == ym[test_idx])),
         mode=mode, modalities=modalities, lr=best_lr,
         n_train=len(train_idx), n_test=len(test_idx),
-        confusion_action=conf_a, confusion_material=conf_m)
+        confusion_action=_confusion(ya[test_idx], pa, len(ACTIONS)),
+        confusion_material=_confusion(ym[test_idx], pm, len(CLS_MATERIALS)))
+
+
+def _confusion(truth: np.ndarray, pred: np.ndarray, n: int) -> np.ndarray:
+    """(n, n) int64 counts of (truth, predicted) class pairs, rows = truth."""
+    return np.bincount(truth * n + pred, minlength=n * n).reshape(n, n)
 
 
 def confusion_csv(matrix: np.ndarray, labels) -> str:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import errors
-from .core import ModalityKind, TimestampNs
+from .core import TimestampNs
 from .link import (DEVICE_PATH, HOST_PATH, JITTERED_STAGES, StageModel,
                    Workload, sample_stages, summarize)
 
@@ -76,49 +76,25 @@ class ActionCommand:
 
 @dataclass
 class ContactDetector:
-    """Debounced threshold detector over one modality.
+    """Debounced threshold detector over surface-pressure samples.
 
     Emits at most one event per contact episode: after a detection the
-    detector re-arms only once the score has stayed below threshold for
-    ``DEBOUNCE_MS``.
+    detector re-arms only once the peak absolute pressure has stayed below
+    threshold for ``DEBOUNCE_MS``.
     """
 
-    source: ModalityKind = ModalityKind.SURFACE_PRESSURE
     threshold: float = 0.05
 
     def __post_init__(self):
         if self.threshold <= 0:
             raise errors.ConfigError("threshold must be positive")
-        if self.source not in (ModalityKind.SURFACE_PRESSURE,
-                               ModalityKind.VISUOTACTILE):
-            raise errors.ConfigError(
-                f"unsupported detector source {self.source}")
         self._armed = True
         self._quiet_since_s: float | None = None
-        self._reference: np.ndarray | None = None
 
-    def reset(self):
-        self._armed = True
-        self._quiet_since_s = None
-        self._reference = None
-
-    def score(self, kind: ModalityKind, payload: np.ndarray) -> float:
-        if kind != self.source:
-            raise errors.ModalityMismatch(
-                f"detector source {self.source.name} got a {kind.name} sample")
-        if kind is ModalityKind.SURFACE_PRESSURE:
-            return float(np.max(np.abs(payload)))
-        frame = np.asarray(payload, dtype=np.float64)
-        if self._reference is None:
-            self._reference = frame
-            return 0.0
-        return float(np.mean(np.abs(frame - self._reference)))
-
-    def update(self, t_s: float, kind: ModalityKind, payload) -> float | None:
-        """Feed one sample; returns the event time (s) when a new contact
-        episode crosses the threshold."""
-        s = self.score(kind, np.asarray(payload))
-        above = s >= self.threshold
+    def update(self, t_s: float, payload) -> float | None:
+        """Feed one pressure sample; returns the event time (s) when a new
+        contact episode crosses the threshold."""
+        above = float(np.max(np.abs(payload))) >= self.threshold
         if above:
             self._quiet_since_s = None
             if self._armed:
@@ -165,8 +141,7 @@ def _trial_acquisition_us(rate_hz: float, rng) -> float:
     synthesized contact transient."""
     period_s = 1.0 / rate_hz
     t_event = rng.uniform(0.0, period_s)
-    detector = ContactDetector(source=ModalityKind.SURFACE_PRESSURE,
-                               threshold=5 * NOISE_SIGMA)
+    detector = ContactDetector(threshold=5 * NOISE_SIGMA)
     # Impact transients rise far faster than one sample period: step onset
     # with a slow ring decay.
     for k in range(1, 64):
@@ -174,7 +149,7 @@ def _trial_acquisition_us(rate_hz: float, rng) -> float:
         value = rng.normal(0.0, NOISE_SIGMA, size=4)
         if t_k >= t_event:
             value = value + PULSE_AMPLITUDE * np.exp(-(t_k - t_event) / 0.03)
-        hit = detector.update(t_k, ModalityKind.SURFACE_PRESSURE, value)
+        hit = detector.update(t_k, value)
         if hit is not None:
             return (hit - t_event) * 1e6
     raise RuntimeError("synthetic transient was never detected")

@@ -283,17 +283,24 @@ def gen_ringdown(obj: ObjectSpec, contact_position: float, duration_s: float,
     if not obj.is_container:
         raise errors.NotAContainer(
             f"{obj.material!r} has no fill_fraction; ring-down undefined")
-    f = ring_frequency(obj.fill_fraction)
-    tau = ring_tau_s(contact_position)
-    t = np.arange(int(round(duration_s * rate_hz))) / rate_hz
-    return amplitude * np.exp(-t / tau) * np.sin(2.0 * np.pi * f * t)
+    return _damped_sine(duration_s, rate_hz, amplitude, ring_tau_s(contact_position),
+                        2.0 * np.pi * ring_frequency(obj.fill_fraction))
 
 
-def _material_ring(model: MaterialModel, duration_s: float, rate_hz: float,
-                   amplitude: float, freq_scale: float = 1.0) -> np.ndarray:
+def _damped_sine(duration_s: float, rate_hz: float, amplitude: float,
+                 tau_s: float, omega: float) -> np.ndarray:
+    """amplitude * exp(-t / tau) * sin(omega t), sampled at ``rate_hz``."""
     t = np.arange(int(round(duration_s * rate_hz))) / rate_hz
-    return amplitude * np.exp(-t / model.ring_tau_s) \
-        * np.sin(2.0 * np.pi * model.ring_f0_hz * freq_scale * t)
+    return amplitude * np.exp(-t / tau_s) * np.sin(omega * t)
+
+
+def _relax(start, target, dt: np.ndarray, tau_s: float):
+    """First-order relaxation from ``start`` toward ``target``, ``dt``
+    seconds in; a vector target gives one row per ``dt``."""
+    decay = np.exp(-dt / tau_s)
+    if np.ndim(target):
+        decay = decay[:, None]
+    return target + (start - target) * decay
 
 
 def gen_gas_approach(obj: ObjectSpec, approach_duration_s: float,
@@ -308,13 +315,15 @@ def gen_gas_approach(obj: ObjectSpec, approach_duration_s: float,
         raise errors.ConfigError(
             f"approach duration must be finite and positive, got "
             f"{approach_duration_s}")
+    if approach_duration_s * GAS_RATE_HZ > MAX_STREAM_SAMPLES:
+        raise errors.ConfigError(
+            f"approach of {approach_duration_s} s at {GAS_RATE_HZ} Hz exceeds "
+            f"{MAX_STREAM_SAMPLES} samples")
     n = int(round(approach_duration_s * GAS_RATE_HZ))
-    t = np.arange(n) / GAS_RATE_HZ
     sig = obj.gas_target().astype(np.float64)
     if rng is not None:
         sig = sig + rng.normal(0.0, GAS_DRIFT)
-    series = sig[None, :] + (AMBIENT_GAS - sig)[None, :] \
-        * np.exp(-t / GAS_TAU_S)[:, None]
+    series = _relax(AMBIENT_GAS, sig, np.arange(n) / GAS_RATE_HZ, GAS_TAU_S)
     if rng is not None:
         series = series + rng.normal(0.0, GAS_NOISE, size=series.shape)
     return series
@@ -326,18 +335,18 @@ class Imprint:
 
     u: float
     v: float
-    radius_px: float = 7.0
     depth: float = 0.5
 
     def __post_init__(self):
-        if self.radius_px <= 0 or self.depth < 0:
-            raise errors.ConfigError("radius must be positive, depth non-negative")
+        if self.depth < 0:
+            raise errors.ConfigError("imprint depth must be non-negative")
         if math.hypot(self.u, self.v) > 0.95:
             raise errors.ContactOutsideSurface(
                 f"imprint at ({self.u:.2f}, {self.v:.2f}) outside the fingertip")
 
 
-#: Camera blur applied to imprint footprints, in pixels.
+#: Imprint footprint radius and the camera blur applied to it, in pixels.
+IMPRINT_RADIUS_PX = 7.0
 IMAGE_PSF_PX = 1.8
 
 #: Scattering of the fingertip's reflective layer behind every frame.
@@ -352,28 +361,32 @@ def _background() -> np.ndarray:
     return np.clip(img / (2.0 * mean), 0.0, 1.0)
 
 
-def gen_visuotactile(contacts, rng=None,
-                     noise_sigma: float = 0.0) -> optics.TaxelImage:
-    """Background illumination field plus per-contact indentation imprints.
+def _imprint_transmission(uu, vv, cu, cv, depth) -> np.ndarray:
+    """Share of the background each pixel of grid (uu, vv) keeps under one
+    imprint per row of ``cu``, ``cv``, ``depth``: shape (rows, size, size).
 
-    The background is a cached render of ``BACKGROUND_SURFACE``; imprints
-    darken a PSF-blurred disc around each contact (full per-frame path
-    tracing is far beyond desk-scale for 240 fps streams).  Output values
-    are in [0, 1], shape (IMAGE_SIZE, IMAGE_SIZE, 3).
+    An imprint darkens a PSF-blurred disc around its centre (full per-frame
+    path tracing is far beyond desk-scale for 240 fps streams).
     """
-    bg = _background().copy()
-    if contacts:
-        u, v, _ = optics.image_grid()
-        px = 2.0 / IMAGE_SIZE
-        attenuation = np.zeros(u.shape)
-        for c in contacts:
-            r2 = (u - c.u) ** 2 + (v - c.v) ** 2
-            sigma = (c.radius_px + IMAGE_PSF_PX) * px
-            attenuation += c.depth * np.exp(-0.5 * r2 / sigma ** 2)
-        bg *= np.clip(1.0 - 0.45 * attenuation, 0.0, 1.0)[:, :, None]
-    if rng is not None and noise_sigma > 0:
-        bg = np.clip(bg + rng.normal(0.0, noise_sigma, size=bg.shape), 0.0, 1.0)
-    return optics.TaxelImage(values=bg)
+    sigma = (IMPRINT_RADIUS_PX + IMAGE_PSF_PX) * (2.0 / uu.shape[0])
+    r2 = (uu[None, :, :] - cu[:, None, None]) ** 2 \
+        + (vv[None, :, :] - cv[:, None, None]) ** 2
+    return 1.0 - 0.45 * depth[:, None, None] * np.exp(-0.5 * r2 / sigma ** 2)
+
+
+def gen_visuotactile(contacts) -> optics.TaxelImage:
+    """Noiseless visuotactile frame of static imprints: the cached render of
+    ``BACKGROUND_SURFACE`` times each contact's transmission, the model of
+    every recorded frame.  Values in [0, 1], shape (IMAGE_SIZE, IMAGE_SIZE, 3).
+    """
+    bg = _background()
+    if not contacts:
+        return optics.TaxelImage(values=bg.copy())
+    uu, vv, _ = optics.image_grid()
+    cu, cv, depth = np.array([(c.u, c.v, c.depth) for c in contacts],
+                             dtype=np.float64).T
+    att = np.prod(_imprint_transmission(uu, vv, cu, cv, depth), axis=0)
+    return optics.TaxelImage(values=np.clip(bg * att[:, :, None], 0.0, 1.0))
 
 
 # --- event kinematics ----------------------------------------------------------------
@@ -426,15 +439,19 @@ def _bandpass_noise(n: int, rate_hz: float, center_hz: float, rng) -> np.ndarray
 # --- scenario synthesis ----------------------------------------------------------------
 
 
+def _contacts(events_scales, finger):
+    """Draws of the events that touch ``finger``: every kind but approach."""
+    return [ed for ed in events_scales
+            if finger in ed.event.finger_ids and ed.event.kind != APPROACH]
+
+
 def _synth_pressure(script, finger, t, events_scales, rng):
     rate = script.rate(ModalityKind.SURFACE_PRESSURE)
     out = rng.normal(0.0, DEFAULT_NOISE[ModalityKind.SURFACE_PRESSURE],
                      size=(t.size, 4))
     chan_gain = np.array([1.0, 0.8, 0.65, 0.5])
-    for ed in events_scales:
+    for ed in _contacts(events_scales, finger):
         ev = ed.event
-        if finger not in ev.finger_ids or ev.kind == APPROACH:
-            continue
         amp = MATERIALS[ev.obj.material].pressure_pattern[finger] \
             * ed.amp_scale * rng.uniform(0.80, 1.20)
         sel = (t >= ev.t_start) & (t < ev.t_end)
@@ -461,10 +478,8 @@ def _synth_pressure(script, finger, t, events_scales, rng):
 def _synth_inertial(script, finger, t, events_scales, rng):
     rate = script.rate(ModalityKind.INERTIAL)
     out = rng.normal(0.0, DEFAULT_NOISE[ModalityKind.INERTIAL], size=(t.size, 3))
-    for ed in events_scales:
+    for ed in _contacts(events_scales, finger):
         ev = ed.event
-        if finger not in ev.finger_ids or ev.kind == APPROACH:
-            continue
         sel = (t >= ev.t_start) & (t < ev.t_end)
         tr = t[sel] - ev.t_start
         if ev.kind == TAP:
@@ -484,10 +499,8 @@ def _synth_audio(script, finger, t, events_scales, rng):
     out = rng.normal(0.0, DEFAULT_NOISE[ModalityKind.SURFACE_AUDIO],
                      size=(n, 4))
     chan_gain = np.array([1.0, 0.85, 0.7, 0.6])
-    for ed in events_scales:
+    for ed in _contacts(events_scales, finger):
         ev = ed.event
-        if finger not in ev.finger_ids or ev.kind == APPROACH:
-            continue
         model = MATERIALS[ev.obj.material]
         i0 = int(round(ev.t_start * rate))
         i1 = min(int(round(ev.t_end * rate)), n)
@@ -503,8 +516,8 @@ def _synth_audio(script, finger, t, events_scales, rng):
                 ring = gen_ringdown(ev.obj, position, (i1 - i0) / rate, rate,
                                     amplitude=0.5)
             else:
-                ring = _material_ring(model, (i1 - i0) / rate, rate, 0.3,
-                                      freq_scale=ed.freq_scale)
+                ring = _damped_sine((i1 - i0) / rate, rate, 0.3, model.ring_tau_s,
+                                    2.0 * np.pi * model.ring_f0_hz * ed.freq_scale)
             out[seg] += ring[:i1 - i0, None] * chan_gain[None, :]
         elif ev.kind in (SLIDE, STIR):
             texture = _bandpass_noise(i1 - i0, rate,
@@ -527,14 +540,10 @@ def _synth_visuotactile(finger, t, frames, events_scales, key):
     noise_sigma = DEFAULT_NOISE[ModalityKind.VISUOTACTILE]
 
     uu, vv, _ = optics.image_grid(size)
-    px = 2.0 / size
-    sigma = (7.0 + IMAGE_PSF_PX) * px
-
     base = _background() * 255.0
     active = [(ed, MATERIALS[ed.event.obj.material].imprint_depth
                * ed.depth_scale)
-              for ed in events_scales
-              if finger in ed.event.finger_ids and ed.event.kind != APPROACH]
+              for ed in _contacts(events_scales, finger)]
 
     n = t.size
     out = np.empty((n, size, size, 3), dtype=np.uint8)
@@ -559,16 +568,24 @@ def _synth_visuotactile(finger, t, frames, events_scales, key):
             if not np.any(pos):
                 continue
             idx = np.nonzero(m)[0][pos]
-            r2 = (uu[None, :, :] - cu[pos, None, None]) ** 2 \
-                + (vv[None, :, :] - cv[pos, None, None]) ** 2
-            att[idx] *= 1.0 - 0.45 * d[pos, None, None] \
-                * np.exp(-0.5 * r2 / sigma ** 2)
+            att[idx] *= _imprint_transmission(uu, vv, cu[pos], cv[pos], d[pos])
         img = base[None, :, :, :] * att[:, :, :, None]
         for j, frame in enumerate(frames[b0:b1].tolist()):
             noise = _frame_noise(key, frame, img.shape[1:])
             img[j] += np.multiply(noise, noise_sigma, out=noise)
         out[b0:b1] = np.clip(img, 0.0, 255.0, out=img)
     return out
+
+
+def _relax_over_event(out, t, ev, ambient, target, tau_s, return_tau_s):
+    """Write into ``out`` (rows at times ``t``) the relaxation from ambient
+    toward ``target`` during ``ev`` and back to ambient after it."""
+    during = (t >= ev.t_start) & (t < ev.t_end)
+    out[during] = _relax(ambient, target, t[during] - ev.t_start, tau_s)
+    after = t >= ev.t_end
+    if np.any(after) and np.any(during):
+        out[after] = _relax(out[during][-1], ambient, t[after] - ev.t_end,
+                            return_tau_s)
 
 
 def _synth_gas(script, finger, t, events_scales, rng):
@@ -578,33 +595,16 @@ def _synth_gas(script, finger, t, events_scales, rng):
         if finger not in ev.finger_ids or ev.kind != APPROACH:
             continue
         sig = ev.obj.gas_target() + rng.normal(0.0, GAS_DRIFT)
-        during = (t >= ev.t_start) & (t < ev.t_end)
-        out[during] = sig[None, :] + (AMBIENT_GAS - sig)[None, :] \
-            * np.exp(-(t[during] - ev.t_start) / GAS_TAU_S)[:, None]
-        after = t >= ev.t_end
-        if np.any(after) and np.any(during):
-            level = out[during][-1]
-            out[after] = AMBIENT_GAS[None, :] + (level - AMBIENT_GAS)[None, :] \
-                * np.exp(-(t[after] - ev.t_end) / 10.0)[:, None]
+        _relax_over_event(out, t, ev, AMBIENT_GAS, sig, GAS_TAU_S, 10.0)
     out += rng.normal(0.0, GAS_NOISE, size=out.shape)
     return out.astype("<f4")
 
 
 def _synth_heat(script, finger, t, events_scales, rng):
     out = np.full(t.size, AMBIENT_TEMP_C)
-    for ed in events_scales:
+    for ed in _contacts(events_scales, finger):
         ev = ed.event
-        if finger not in ev.finger_ids or ev.kind == APPROACH:
-            continue
-        target = ev.obj.temperature()
-        during = (t >= ev.t_start) & (t < ev.t_end)
-        out[during] = target + (AMBIENT_TEMP_C - target) \
-            * np.exp(-(t[during] - ev.t_start) / 5.0)
-        after = t >= ev.t_end
-        if np.any(after) and np.any(during):
-            level = out[during][-1]
-            out[after] = AMBIENT_TEMP_C + (level - AMBIENT_TEMP_C) \
-                * np.exp(-(t[after] - ev.t_end) / 8.0)
+        _relax_over_event(out, t, ev, AMBIENT_TEMP_C, ev.obj.temperature(), 5.0, 8.0)
     out = out + rng.normal(0.0, DEFAULT_NOISE[ModalityKind.HEAT], size=t.size)
     return out.astype("<f4")[:, None]
 

@@ -256,6 +256,7 @@ class TestBenchCommands:
         ["bench-mtf", "--spacings", "1e300"],
         ["bench-mtf", "--spacings", "2000"],
         ["bench-latency", "--runs", "100", "--budget-us", "nan"],
+        ["train-gas", "--duration", "1e300"],
     ])
     def test_bad_flag_value_exit_2(self, tmp_path, capsys, argv):
         out = tmp_path / "report.json"

@@ -278,14 +278,6 @@ class TestBuildWindows:
         with pytest.raises(errors.InsufficientData):
             build_windows(without([used[3]]), stride_s=1.33)
 
-    def test_labels_callable(self):
-        log = make_log(duration_s=3.0)
-        windows = build_windows(
-            log, stride_s=1.33,
-            labels=lambda t: ("slide", "plastic") if t < 1.0 else ("stir", "wood"))
-        assert windows[0].action_label == "slide"
-        assert windows[1].action_label == "stir"
-
     def test_multifinger(self):
         log = make_log(duration_s=3.0, fingers=(0, 1))
         windows = build_windows(log, stride_s=1.33)

@@ -11,7 +11,8 @@ import touchlab
 
 BUILTIN_ERRORS = {"ValueError", "KeyError", "TypeError"}
 
-GUARDED_MODULES = ("optics", "synth", "dsp", "link", "experiments", "nn")
+GUARDED_MODULES = ("optics", "synth", "dsp", "link", "experiments", "nn",
+                   "recordlog", "cli")
 
 
 def _builtin_raises(path: Path) -> list:

@@ -83,6 +83,15 @@ class TestGasExperiment:
         res = gas_experiment(data, 30.0, seed=1)
         assert res.confusion.sum() == res.n_test
 
+    def test_confusion_equals_pair_count_loop(self):
+        from touchlab.experiments import _confusion
+        truth, pred = np.random.default_rng(0).integers(0, 4, size=(2, 200))
+        want = np.zeros((4, 4), dtype=np.int64)
+        for t, p in zip(truth, pred):
+            want[t, p] += 1
+        got = _confusion(truth, pred, 4)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
     def test_confusion_csv(self):
         from touchlab.experiments import confusion_csv
         text = confusion_csv(np.array([[3, 1], [0, 4]]), ("a", "b"))

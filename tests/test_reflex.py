@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from touchlab import errors
-from touchlab.core import ModalityKind
 from touchlab.link import DEVICE_PATH, HOST_PATH, StageModel
 from touchlab.reflex import (
     ACTION_ISSUED,
@@ -70,8 +69,7 @@ class TestContactDetector:
     def test_baseline_noise_no_event(self):
         rng = np.random.default_rng(1)
         det = ContactDetector(threshold=0.05)
-        events = [det.update(k / 1000.0, ModalityKind.SURFACE_PRESSURE,
-                             rng.normal(0, 0.005, size=4))
+        events = [det.update(k / 1000.0, rng.normal(0, 0.005, size=4))
                   for k in range(2000)]
         assert all(e is None for e in events)
 
@@ -85,7 +83,7 @@ class TestContactDetector:
             v = rng.normal(0, 0.005, size=4)
             if t >= t0:
                 v = v + 0.25 * np.exp(-(t - t0) / 0.03)
-            e = det.update(t, ModalityKind.SURFACE_PRESSURE, v)
+            e = det.update(t, v)
             if e is not None:
                 hits.append(e)
         assert len(hits) == 1
@@ -100,24 +98,10 @@ class TestContactDetector:
             for t0 in (0.5, 1.5):
                 if t0 <= t < t0 + 0.05:
                     v += 0.3
-            e = det.update(t, ModalityKind.SURFACE_PRESSURE, v)
+            e = det.update(t, v)
             if e is not None:
                 hits.append(e)
         assert len(hits) == 2
-
-    def test_modality_mismatch(self):
-        det = ContactDetector(source=ModalityKind.SURFACE_PRESSURE)
-        with pytest.raises(errors.ModalityMismatch):
-            det.update(0.0, ModalityKind.VISUOTACTILE, np.zeros((4, 4, 3)))
-
-    def test_visuotactile_detector(self):
-        det = ContactDetector(source=ModalityKind.VISUOTACTILE, threshold=5.0)
-        base = np.full((8, 8, 3), 100.0)
-        assert det.update(0.0, ModalityKind.VISUOTACTILE, base) is None
-        assert det.update(0.1, ModalityKind.VISUOTACTILE, base) is None
-        pressed = base.copy()
-        pressed[2:5, 2:5] = 20.0
-        assert det.update(0.2, ModalityKind.VISUOTACTILE, pressed) is not None
 
     def test_one_event_per_episode_randomized(self):
         rng = np.random.default_rng(3)
@@ -131,7 +115,7 @@ class TestContactDetector:
                 v = rng.normal(0, 0.005, size=4)
                 if t0 <= t < t0 + dur:
                     v = v + rng.uniform(0.1, 0.5)
-                if det.update(t, ModalityKind.SURFACE_PRESSURE, v) is not None:
+                if det.update(t, v) is not None:
                     hits += 1
             assert hits == 1
 

@@ -9,6 +9,7 @@ from touchlab.core import ModalityKind, stream_id_for
 from touchlab.dsp import decay_time, peak_frequency
 from touchlab.recordlog import log_to_bytes
 from touchlab.synth import (
+    DEFAULT_NOISE,
     Event,
     Imprint,
     ObjectSpec,
@@ -328,14 +329,38 @@ class TestGenVisuotactile:
         assert img.values.shape == (120, 120, 3)
 
     def test_contact_deviation_exceeds_noise(self):
-        # Pixel-statistics oracle: imprint deviation >> noise sigma.
-        noise_sigma = 0.006
+        # Pixel-statistics oracle: imprint deviation >> recorded frame noise.
+        noise_sigma = DEFAULT_NOISE[ModalityKind.VISUOTACTILE] / 255.0
         bg = gen_visuotactile([]).values
-        rng = np.random.default_rng(0)
-        img = gen_visuotactile([Imprint(0.0, 0.0, depth=0.6)], rng=rng,
-                               noise_sigma=noise_sigma).values
+        img = gen_visuotactile([Imprint(0.0, 0.0, depth=0.6)]).values
         delta = np.abs(img - bg).mean(axis=2)
         assert delta.max() > 3.0 * noise_sigma
+
+    def test_recorded_hold_frames_are_this_model_plus_noise(self):
+        # A hold keeps one imprint still, so the mean of its recorded frames
+        # is the noiseless frame up to noise and uint8 truncation (-0.5).
+        script = ScenarioScript(
+            seed=3, duration_s=1.0, fingers=(1,), rates=FAST_RATES,
+            events=[Event(0.0, 1.0, "hold", ObjectSpec("silicone"), (1,))])
+        frames = run_scenario(script).stream(
+            stream_id_for(1, ModalityKind.VISUOTACTILE)).payload
+        draws = synth._event_rng(3, 0xE7, 0)
+        draws.uniform(0.6, 1.4), draws.uniform(0.75, 1.25)
+        depth = synth.MATERIALS["silicone"].imprint_depth * draws.uniform(0.7, 1.3)
+        want = 255.0 * gen_visuotactile([Imprint(-0.1, 0.0, depth=depth)]).values
+        bg = 255.0 * gen_visuotactile([]).values
+        lit = want > 20.0
+        got = frames.mean(axis=0) + 0.5
+        assert np.abs(got - want)[lit].max() < 2.0
+        assert np.abs(bg - want)[lit].max() > 20.0
+
+    def test_overlapping_imprints_multiply(self):
+        # Each imprint passes a share of the light the other one left.
+        a, b = Imprint(-0.05, 0.0, depth=0.9), Imprint(0.05, 0.0, depth=0.9)
+        bg = gen_visuotactile([]).values
+        lit = bg > 0.05
+        share = [gen_visuotactile(c).values[lit] / bg[lit] for c in ([a], [b], [a, b])]
+        assert np.allclose(share[2], share[0] * share[1], rtol=0, atol=1e-12)
 
     def test_two_contacts_two_regions(self):
         # Connected-components oracle on the relative deviation map (the
