@@ -13,24 +13,30 @@ import argparse
 
 from touchlab.optics import scatter_sweep
 
-parser = argparse.ArgumentParser()
-parser.add_argument("--photons", type=int, default=1_000_000)
-args = parser.parse_args()
 
-res = scatter_sweep(photons=args.photons)
+def main():
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--photons", type=int, default=1_000_000)
+    args = parser.parse_args()
 
-if args.photons < 1_000_000:
-    print(f"note: objective weights are calibrated at 1e6 photons; "
-          f"{args.photons} photons shifts the columns and can move the "
-          f"recommendation\n")
+    res = scatter_sweep(photons=args.photons)
 
-print(f"{'alpha':>11}{'std/mean':>10}{'range/mean':>12}"
-      f"{'cnr on-axis':>12}{'cnr mid':>9}{'cnr far':>9}{'objective':>11}")
-for row in res["rows"]:
-    print(f"{row['alpha']:>11}{row['std_over_mean']:>10.3f}"
-          f"{row['range_over_mean']:>12.3f}{row['cnr_on_axis']:>12.2f}"
-          f"{row['cnr_mid']:>9.2f}{row['cnr_far']:>9.2f}"
-          f"{row['objective']:>11.4f}")
+    if args.photons < 1_000_000:
+        print(f"note: objective weights are calibrated at 1e6 photons; "
+              f"{args.photons} photons shifts the columns and can move the "
+              f"recommendation\n")
 
-print(f"\nrecommended scatter: {res['recommended']} "
-      f"(band: {', '.join(res['recommended_band'])})")
+    print(f"{'alpha':>11}{'std/mean':>10}{'range/mean':>12}"
+          f"{'cnr on-axis':>12}{'cnr mid':>9}{'cnr far':>9}{'objective':>11}")
+    for row in res["rows"]:
+        print(f"{row['alpha']:>11}{row['std_over_mean']:>10.3f}"
+              f"{row['range_over_mean']:>12.3f}{row['cnr_on_axis']:>12.2f}"
+              f"{row['cnr_mid']:>9.2f}{row['cnr_far']:>9.2f}"
+              f"{row['objective']:>11.4f}")
+
+    print(f"\nrecommended scatter: {res['recommended']} "
+          f"(band: {', '.join(res['recommended_band'])})")
+
+
+if __name__ == "__main__":
+    main()

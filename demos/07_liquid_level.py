@@ -24,16 +24,21 @@ def bottle_log(fill, finger=0, seed=7):
                ModalityKind.SURFACE_AUDIO: 48_000.0}))
 
 
-for fill, name in ((0.0, "empty"), (0.5, "half"), (1.0, "full")):
-    taps = analyze_liquid(bottle_log(fill), finger_id=0)
-    freqs = [t.peak_hz for t in taps]
-    preds = {t.predicted_fill for t in taps}
-    print(f"{name:>6} bottle: peak {np.mean(freqs):6.1f} Hz over "
-          f"{len(taps)} taps -> predicted {preds}")
+def main():
+    for fill, name in ((0.0, "empty"), (0.5, "half"), (1.0, "full")):
+        taps = analyze_liquid(bottle_log(fill), finger_id=0)
+        freqs = [t.peak_hz for t in taps]
+        preds = {t.predicted_fill for t in taps}
+        print(f"{name:>6} bottle: peak {np.mean(freqs):6.1f} Hz over "
+              f"{len(taps)} taps -> predicted {preds}")
 
-print("\nsame bottle, two finger placements:")
-for finger in (0, 3):
-    taps = analyze_liquid(bottle_log(0.5, finger=finger), finger_id=finger)
-    print(f"  finger {finger}: peak {np.mean([t.peak_hz for t in taps]):6.1f} Hz, "
-          f"decay tau {np.mean([t.tau_s for t in taps]) * 1e3:5.1f} ms")
-print("peak frequency is position-invariant; the decay time is not.")
+    print("\nsame bottle, two finger placements:")
+    for finger in (0, 3):
+        taps = analyze_liquid(bottle_log(0.5, finger=finger), finger_id=finger)
+        print(f"  finger {finger}: peak {np.mean([t.peak_hz for t in taps]):6.1f} Hz, "
+              f"decay tau {np.mean([t.tau_s for t in taps]) * 1e3:5.1f} ms")
+    print("peak frequency is position-invariant; the decay time is not.")
+
+
+if __name__ == "__main__":
+    main()

@@ -8,17 +8,23 @@ network; accuracy grows with the integration time.
 
 from touchlab.experiments import gas_experiment, make_gas_dataset
 
-data = make_gas_dataset(n_per_material=60, duration_s=90.0, seed=0)
-print(f"dataset: {len(data.series)} approaches over "
-      f"{', '.join(data.label_names)}")
 
-print(f"\n{'integration [s]':>16}{'accuracy':>10}")
-for t in (3, 6, 15, 30, 60, 90):
-    res = gas_experiment(data, float(t), seed=0)
-    print(f"{t:>16}{res.accuracy:>10.3f}")
+def main():
+    data = make_gas_dataset(n_per_material=60, duration_s=90.0, seed=0)
+    print(f"dataset: {len(data.series)} approaches over "
+          f"{', '.join(data.label_names)}")
 
-res = gas_experiment(data, 90.0, seed=0)
-print("\nconfusion matrix at 90 s (rows = truth):")
-width = max(len(n) for n in data.label_names)
-for name, row in zip(data.label_names, res.confusion):
-    print(f"  {name:<{width}} " + " ".join(f"{v:3d}" for v in row))
+    print(f"\n{'integration [s]':>16}{'accuracy':>10}")
+    for t in (3, 6, 15, 30, 60, 90):
+        res = gas_experiment(data, float(t), seed=0)
+        print(f"{t:>16}{res.accuracy:>10.3f}")
+
+    res = gas_experiment(data, 90.0, seed=0)
+    print("\nconfusion matrix at 90 s (rows = truth):")
+    width = max(len(n) for n in data.label_names)
+    for name, row in zip(data.label_names, res.confusion):
+        print(f"  {name:<{width}} " + " ".join(f"{v:3d}" for v in row))
+
+
+if __name__ == "__main__":
+    main()

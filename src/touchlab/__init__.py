@@ -18,6 +18,8 @@ Subsystems:
 - :mod:`touchlab.link` -- the six-stage event-to-action latency model
 - :mod:`touchlab.reflex` -- contact-detection state machine and the
   event-to-action reflex benchmark
+- :mod:`touchlab.pool` -- independent jobs in one bounded pool of worker
+  processes
 - :mod:`touchlab.cli` -- command-line front door
 """
 

@@ -10,11 +10,12 @@ and the liquid-level analysis of container tap ring-downs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from contextlib import closing
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import dsp, errors, nn, synth
+from . import dsp, errors, nn, pool, synth
 from .core import ACTIONS, MATERIALS as CLS_MATERIALS, ModalityKind, RecordLog
 from .dsp import build_windows, decay_time, peak_frequency
 from .synth import (
@@ -272,28 +273,45 @@ def sampled_frames(script: ScenarioScript, stride_s: float) -> np.ndarray:
 
 def iter_fusion_windows(trials_per_class: int = 12, seed: int = 0,
                         duration_s: float = 2.66, stride_s: float = 0.665):
-    """Yield (trial_index, WindowSample) lazily, one scenario at a time.
+    """Yield (trial_index, WindowSample) lazily, trial by trial.
 
-    Each trial makes only the visuotactile frames its windows read
+    Each (trial, finger) is one job of ``pool.ordered_map``
+    (``_finger_windows``), so only a few trials' windows are held at a
+    time.  Each trial makes only the visuotactile frames its windows read
     (``sampled_frames``: 30 of 160 per finger at the defaults); the windows
-    are byte-equal to those cut from the full log.  Windows are produced
-    per trial and the trial log is dropped right after, keeping memory flat.
+    are byte-equal to those cut from the full log.
     """
-    trial = 0
-    for ai, action in enumerate(ACTIONS):
-        for mi, material in enumerate(CLS_MATERIALS):
-            for k in range(trials_per_class):
-                trial_seed = int(np.random.SeedSequence(
-                    (seed, ai, mi, k)).generate_state(1)[0])
-                script = fusion_trial_script(
-                    action, material, seed=trial_seed, duration_s=duration_s)
-                log = synth.run_scenario(
-                    script, frames=sampled_frames(script, stride_s))
-                for w in build_windows(log, stride_s=stride_s,
-                                       labels={"action": action,
-                                               "material": material}):
-                    yield trial, w
-                trial += 1
+    jobs = _fusion_jobs(trials_per_class, seed, duration_s, stride_s)
+    with closing(pool.ordered_map(_finger_windows, jobs)) as results:
+        for i, windows in enumerate(results):
+            for w in windows:
+                yield i // len(synth.FINGERS), w
+
+
+def _fusion_jobs(trials_per_class: int, seed: int, duration_s: float,
+                 stride_s: float) -> list:
+    """The ``_finger_windows`` arguments of every (trial, finger), in trial
+    order, then finger order."""
+    return [(action, material,
+             int(np.random.SeedSequence((seed, ai, mi, k)).generate_state(1)[0]),
+             duration_s, stride_s, finger)
+            for ai, action in enumerate(ACTIONS)
+            for mi, material in enumerate(CLS_MATERIALS)
+            for k in range(trials_per_class)
+            for finger in synth.FINGERS]
+
+
+def _finger_windows(action: str, material: str, trial_seed: int,
+                    duration_s: float, stride_s: float, finger: int) -> list:
+    """The windows of one finger of one fusion trial: its streams alone are
+    the same as in the trial's full log, and ``build_windows`` cuts each
+    finger on its own."""
+    script = fusion_trial_script(action, material, seed=trial_seed,
+                                 duration_s=duration_s)
+    log = synth.run_scenario(replace(script, fingers=(finger,)),
+                             frames=sampled_frames(script, stride_s))
+    return build_windows(log, stride_s=stride_s,
+                         labels={"action": action, "material": material})
 
 
 @dataclass

@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import errors
+from . import errors, pool
 from .core import IMAGE_SIZE
 
 DOME_RADIUS_MM = 12.0
@@ -332,30 +332,22 @@ def fov_mask(size: int = IMAGE_SIZE) -> np.ndarray:
 
 
 def render(surface: ScatterSurface, contacts=(), photons: int = 1_000_000,
-           seed: int = 0, shards: int = 1) -> TaxelImage:
+           seed: int = 0) -> TaxelImage:
     """Path-trace the dome interior and return the camera's taxel image.
 
-    The photon budget is split into ``shards`` shards, each with its own
-    child seed of ``seed``; the shards run one after another in this process
-    and their images are summed in shard order.  The output is bit-identical
-    for a fixed (seed, shards) plan.  The LEDs are white, so the three
+    The photons draw from the first child seed of ``seed``, so the output
+    is bit-identical for a fixed seed.  The LEDs are white, so the three
     colour channels are one accumulated image repeated.
     """
     if photons < MIN_PHOTONS:
         raise errors.BudgetTooSmall(f"photon budget {photons} < {MIN_PHOTONS}")
-    contacts = tuple(contacts)
-    seeds = np.random.SeedSequence(seed).spawn(shards)
-    counts = [photons // shards] * shards
-    counts[-1] += photons - sum(counts)
-    img = np.zeros(IMAGE_SIZE * IMAGE_SIZE)
-    for shard_seed, n in zip(seeds, counts):
-        img += _render_shard(surface, contacts, n,
-                             np.random.default_rng(shard_seed))
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    img = _trace(surface, tuple(contacts), photons, rng)
     values = img.reshape(IMAGE_SIZE, IMAGE_SIZE, 1) / photons
     return TaxelImage(values=np.repeat(values, 3, axis=2))
 
 
-def _render_shard(surface, contacts, photons, rng) -> np.ndarray:
+def _trace(surface, contacts, photons, rng) -> np.ndarray:
     """Wavefront tracer: each bounce advances every live photon at once,
     then keeps only the photons that hit the dome, in their original order.
     Every RNG draw is sized by the live count, so the draws, and the order in
@@ -567,7 +559,8 @@ def scatter_sweep(alphas=DEFAULT_SWEEP_ALPHAS, photons: int = 1_000_000,
     recommendation is the argmax; the recommended band is every sweep point
     whose objective is within ``BAND_REL`` (relative) of the maximum.
     Renders share one seed across sweep points (common random numbers), so
-    columns vary smoothly in alpha.
+    columns vary smoothly in alpha.  Each render is one job of
+    ``pool.ordered_map``.
     """
     surfaces = [sweep_surface(alpha) for alpha in alphas]
     if not surfaces:
@@ -575,12 +568,11 @@ def scatter_sweep(alphas=DEFAULT_SWEEP_ALPHAS, photons: int = 1_000_000,
     size = IMAGE_SIZE
     mask = fov_mask()
     rows = []
-    for surface in surfaces:
-        bg_img = render(surface, contacts=(), photons=photons, seed=seed)
-        cn_img = render(surface, contacts=SWEEP_CONTACTS, photons=photons,
-                        seed=seed)
+    plan = [(surface, contacts, photons, seed) for surface in surfaces
+            for contacts in ((), SWEEP_CONTACTS)]
+    images = list(pool.ordered_map(render, plan))
+    for surface, bg_img, cn_img in zip(surfaces, images[::2], images[1::2]):
         metrics = uniformity_metrics(bg_img, mask)
-
         values = cn_img.scalar()
         noise_ref = SENSOR_NOISE_REL * values[mask].mean()
         ring_cnr = {}

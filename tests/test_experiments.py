@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from touchlab import errors, experiments, synth
+from touchlab import errors, experiments, pool, synth
 from touchlab.core import ModalityKind, stream_id_for
 from touchlab.dsp import build_windows
 from touchlab.experiments import (
@@ -173,13 +173,20 @@ class TestLazyFrames:
             made.append((script, log))
             return log
 
+        # One worker: the recording wrapper sees only this process's calls.
+        monkeypatch.setattr(pool, "worker_count", lambda: 1)
         monkeypatch.setattr(synth, "run_scenario", recorded)
         lazy = list(iter_fusion_windows(trials_per_class=1, seed=3))
         monkeypatch.undo()
-        assert len(made) == 9
-        for trial, (script, log) in enumerate(made):
-            for f in script.fingers:
-                assert len(log.stream(stream_id_for(f, ModalityKind.VISUOTACTILE))) == 30
+        n_fingers = len(synth.FINGERS)
+        assert len(made) == 9 * n_fingers  # one run per (trial, finger)
+        for i, (script, log) in enumerate(made):
+            assert script.fingers == (synth.FINGERS[i % n_fingers],)
+            assert len(log.stream(stream_id_for(script.fingers[0],
+                                                ModalityKind.VISUOTACTILE))) == 30
+        for trial in range(9):
+            script = dataclasses.replace(made[trial * n_fingers][0],
+                                         fingers=synth.FINGERS)
             action, material = script.events[0].kind, script.events[0].obj.material
             full = build_windows(run_scenario(script), stride_s=0.665,
                                  labels={"action": action, "material": material})

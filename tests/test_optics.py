@@ -99,11 +99,6 @@ class TestRender:
             render(ScatterSurface.gaussian(5.0), photons=200_000, seed=0), mask)
         assert m_lam["std_over_mean"] < m_g5["std_over_mean"] < m_spec["std_over_mean"]
 
-    def test_shard_plan_deterministic(self):
-        a = render(ScatterSurface.gaussian(10.0), photons=120_000, seed=7, shards=3)
-        b = render(ScatterSurface.gaussian(10.0), photons=120_000, seed=7, shards=3)
-        assert np.array_equal(a.values, b.values)
-
     def test_contact_outside_surface(self):
         with pytest.raises(errors.ContactOutsideSurface):
             Contact(polar_deg=95.0, azimuth_deg=0.0)
@@ -120,7 +115,7 @@ class TestRender:
 
 
 class TestPinnedDigests:
-    """SHA-256 of render and sampler outputs for fixed seeds and shard plans.
+    """SHA-256 of render and sampler outputs for fixed seeds.
 
     Any change to the tracer that reorders floating-point work or RNG draws
     shows up here; a change meant to keep the data must leave these alone.
@@ -160,12 +155,6 @@ class TestPinnedDigests:
                      contacts=SWEEP_CONTACTS if contacts else (),
                      photons=100_000, seed=5)
         assert self.digest(img.values) == want
-
-    def test_render_sharded(self):
-        img = render(ScatterSurface.gaussian(10.0), contacts=SWEEP_CONTACTS[:3],
-                     photons=100_000, seed=2, shards=3)
-        assert self.digest(img.values) == \
-            "c4d6a386e11d3c0b6eb760fbefe86d86b45b0322c90509ab75110966309f503c"
 
     @pytest.mark.parametrize("surface,want", [
         ("specular",
