@@ -14,12 +14,15 @@ pickled, the function by its import path.
 from __future__ import annotations
 
 import os
+import sys
 from collections import deque
 
 #: Added to every worker's start-up environment.  The workers already fill
 #: the CPUs, so each runs BLAS with one thread; OpenBLAS reads its thread
 #: count once, when numpy loads, so the count cannot be set later.
-WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1"}
+
+_PR_SET_PDEATHSIG = 1  # prctl option, <linux/prctl.h>
 
 _pool = None       # the ProcessPoolExecutor, once made
 _pool_size = 0
@@ -73,7 +76,8 @@ def _executor(workers: int):
         os.environ.update(WORKER_ENV)
         try:
             _pool = ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context("spawn"))
+                workers, mp_context=multiprocessing.get_context("spawn"),
+                initializer=_die_with_parent, initargs=(os.getpid(),))
             _pool_size = workers
             # A worker starts inside ``submit`` when none is idle, so these
             # start every worker now, while the environment holds WORKER_ENV.
@@ -88,6 +92,23 @@ def _executor(workers: int):
         # Runs at exit after the finalizers that release the semaphores.
         util.Finalize(None, _shut_down, exitpriority=-100)
     return _pool
+
+
+def _die_with_parent(parent_pid: int) -> None:
+    """Worker initializer: on Linux, have the kernel kill this worker when
+    its parent dies.  A worker holds the job pipe's write end itself, so it
+    would never see the pipe close and would wait for jobs forever."""
+    if not sys.platform.startswith("linux"):
+        return
+    import ctypes
+    import signal
+
+    libc = ctypes.CDLL(None, use_errno=True)
+    libc.prctl.argtypes = [ctypes.c_int] + [ctypes.c_ulong] * 4
+    libc.prctl.restype = ctypes.c_int
+    libc.prctl(_PR_SET_PDEATHSIG, signal.SIGKILL, 0, 0, 0)
+    if os.getppid() != parent_pid:  # the parent died before the call
+        os._exit(1)
 
 
 def _drop() -> None:

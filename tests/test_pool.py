@@ -60,6 +60,27 @@ def cpu_ticks(pid: int) -> int:
     return int(fields[11]) + int(fields[12])  # utime + stime
 
 
+def start_session(code: str, **kwargs) -> subprocess.Popen:
+    """Run ``code`` in a child interpreter that leads a new session."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    return subprocess.Popen([sys.executable, "-c", code], env=env,
+                            start_new_session=True, **kwargs)
+
+
+def session_members(sid: int) -> list:
+    """The processes still listed in session ``sid`` (field 6 of
+    /proc/<pid>/stat)."""
+    pids = []
+    for entry in Path("/proc").iterdir():
+        try:
+            fields = (entry / "stat").read_text().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue
+        if int(fields[3]) == sid:
+            pids.append(int(entry.name))
+    return pids
+
+
 SWEEP_POINTS = (5.0, "lambertian")
 
 
@@ -75,7 +96,6 @@ class TestSameBytes:
                       for img in pool.ordered_map(optics.render, plan)]
             out[n] = rows, images
         assert out[1] == out[2]
-        assert out[1][1][-1] == optics.render(*plan[-1]).values.tobytes()
 
     @pytest.fixture(scope="class")
     def serial_windows(self):
@@ -160,19 +180,27 @@ class TestWorkers:
                 "env = dict(os.environ)\n"
                 "optics.scatter_sweep(alphas=(5.0, 'lambertian'), photons=100_000)\n"
                 "assert dict(os.environ) == env\n")
-        env = {**os.environ, "PYTHONPATH": str(SRC)}
-        proc = subprocess.Popen([sys.executable, "-c", code], env=env,
-                                start_new_session=True)
+        proc = start_session(code)
         assert proc.wait(timeout=120) == 0
-        left = []
-        for entry in Path("/proc").iterdir():
-            try:
-                fields = (entry / "stat").read_text().rsplit(")", 1)[1].split()
-            except (OSError, IndexError):
-                continue
-            if int(fields[3]) == proc.pid:  # the session id
-                left.append(entry.name)
-        assert left == []
+        assert session_members(proc.pid) == []
+
+    @pytest.mark.skipif(not LINUX, reason="reads /proc")
+    def test_no_worker_outlives_a_killed_parent(self):
+        code = ("import os, signal\n"
+                "from touchlab import pool\n"
+                "pool.worker_count = lambda: 2\n"
+                "assert list(pool.ordered_map(pow, [(2, 3), (3, 2)])) == [8, 9]\n"
+                "os.kill(os.getpid(), signal.SIGKILL)\n")
+        proc = start_session(code, stderr=subprocess.DEVNULL)
+        assert proc.wait(timeout=120) == -signal.SIGKILL
+        deadline = time.monotonic() + 10
+        try:
+            while session_members(proc.pid) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert session_members(proc.pid) == []
+        finally:
+            for pid in session_members(proc.pid):
+                os.kill(pid, signal.SIGKILL)
 
 
 def test_demos_define_but_do_not_run_at_import():
