@@ -317,6 +317,20 @@ class TestTrainGas:
         assert lines[0].startswith("truth\\predicted,")
         assert len(lines) == 7
 
+    def test_pinned_rows(self, tmp_path):
+        out = tmp_path / "gas.json"
+        assert main(["train-gas", "--format", "json", "--seed", "0",
+                     "--approaches", "12", "--duration", "30",
+                     "--integration", "6,15,30", "--out", str(out)]) == EXIT_OK
+        assert json.loads(out.read_text())["rows"] == [
+            {"integration_s": 6.0, "accuracy": 0.2916666666666667,
+             "n_train": 48, "n_test": 24},
+            {"integration_s": 15.0, "accuracy": 0.6666666666666666,
+             "n_train": 48, "n_test": 24},
+            {"integration_s": 30.0, "accuracy": 0.9166666666666666,
+             "n_train": 48, "n_test": 24},
+        ]
+
 
 class TestTrainingExitCodes:
     @pytest.mark.parametrize("argv,code", [

@@ -78,6 +78,13 @@ class TestGasExperiment:
         assert h.hexdigest() == \
             "ea8eeebf4c993f2917559f5335a2f0aa84807f91cc5c9d53306f272910d853e7"
 
+    def test_pinned_sweep_digest(self):
+        # SHA-256 of every seed's accuracy at every integration time.
+        sweep = experiments.gas_integration_sweep(
+            (6.0, 15.0, 30.0, 60.0, 90.0), n_seeds=3, n_per_material=10)
+        assert hashlib.sha256(sweep["per_seed"].tobytes()).hexdigest() == \
+            "09e09ff08c320fbd181220cc9a12881d28c5b53147490e9db879ab45f02ac1dc"
+
     def test_confusion_matrix_sums(self):
         data = make_gas_dataset(n_per_material=10, duration_s=30.0, seed=1)
         res = gas_experiment(data, 30.0, seed=1)
