@@ -125,6 +125,12 @@ class LabelOutOfRange(TouchlabError, ValueError):
     pass
 
 
+# --- reflex arc ---------------------------------------------------------------
+
+class InvalidTransition(TouchlabError, ValueError):
+    pass
+
+
 # --- liquid-level analysis ---------------------------------------------------
 
 class NoTapsFound(TouchlabError, ValueError):

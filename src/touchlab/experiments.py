@@ -33,10 +33,11 @@ FINGER_DEPENDENT = "finger_dependent"
 
 MODALITY_NAMES = ("visuotactile", "audio", "inertial", "pressure")
 
-# The gas classifier's hidden width and Adam rate; a fusion trial's stream
-# rates (others default); a tap episode's audio envelope exceeds
-# TAP_THRESHOLD_REL times its median until TAP_MIN_GAP_S passes below it.
-GAS_HIDDEN, GAS_LR = 64, 0.1
+# The gas classifier's hidden width and Adam rate, and the default length of
+# one approach; a fusion trial's stream rates (others default); a tap
+# episode's audio envelope exceeds TAP_THRESHOLD_REL times its median until
+# TAP_MIN_GAP_S passes below it.
+GAS_HIDDEN, GAS_LR, GAS_APPROACH_S = 64, 0.1, 90.0
 FUSION_RATES = {ModalityKind.VISUOTACTILE: 60.0, ModalityKind.SURFACE_AUDIO: 24_000.0}
 TAP_THRESHOLD_REL, TAP_MIN_GAP_S = 6.0, 0.1
 
@@ -51,7 +52,7 @@ class GasDataset:
     label_names: tuple
 
 
-def make_gas_dataset(n_per_material: int = 60, duration_s: float = 90.0,
+def make_gas_dataset(n_per_material: int = 60, duration_s: float = GAS_APPROACH_S,
                      seed: int = 0) -> GasDataset:
     """Synthesize repeated approach runs for each of ``GAS_MATERIALS``."""
     if n_per_material < 1:
@@ -138,15 +139,32 @@ def gas_experiment(dataset: GasDataset, integration_time_s: float,
 
 def gas_integration_sweep(integration_times, n_seeds: int = 10,
                           n_per_material: int = 40) -> dict:
-    """Mean test accuracy per integration time, averaged over seeds."""
+    """Mean test accuracy per integration time, averaged over seeds.
+
+    Seed ``s`` builds its own dataset of ``GAS_APPROACH_S`` approaches and
+    makes its own split and fits, all from ``s``, so each seed is one job of
+    ``pool.ordered_map``; rows come back in seed order.  Inputs are checked
+    here, before any job starts.
+    """
     times = list(integration_times)
-    acc = np.zeros((n_seeds, len(times)))
-    for s in range(n_seeds):
-        data = make_gas_dataset(n_per_material=n_per_material, seed=s)
-        for j, t in enumerate(times):
-            acc[s, j] = gas_experiment(data, t, seed=s).accuracy
+    if n_seeds < 1:
+        raise errors.ConfigError(f"need at least one seed, got {n_seeds}")
+    if not times:
+        raise errors.ConfigError("sweep needs at least one integration time")
+    for t in times:
+        if not (math.isfinite(t) and 0 < t <= GAS_APPROACH_S):
+            raise errors.ConfigError(
+                f"integration time must be in (0, {GAS_APPROACH_S}] s, got {t}")
+    jobs = [(times, n_per_material, s) for s in range(n_seeds)]
+    acc = np.array(list(pool.ordered_map(_seed_accuracies, jobs)))
     return {"integration_times": times, "mean_accuracy": acc.mean(axis=0),
             "per_seed": acc}
+
+
+def _seed_accuracies(times, n_per_material: int, seed: int) -> list:
+    """One seed of the sweep: test accuracy at each integration time."""
+    data = make_gas_dataset(n_per_material=n_per_material, seed=seed)
+    return [gas_experiment(data, t, seed=seed).accuracy for t in times]
 
 
 # --- fusion feature encoders --------------------------------------------------------

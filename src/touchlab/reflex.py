@@ -48,23 +48,23 @@ class ReflexStateMachine:
 
     def on_contact(self, t_event: TimestampNs) -> None:
         if self.state != IDLE:
-            raise ValueError(f"contact in state {self.state}")
+            raise errors.InvalidTransition(f"contact in state {self.state}")
         self.state = CONTACT_DETECTED
         self.t_event = t_event
         self.t_action = None
 
     def on_action(self, t_action: TimestampNs) -> "ActionCommand":
         if self.state != CONTACT_DETECTED:
-            raise ValueError(f"action in state {self.state}")
+            raise errors.InvalidTransition(f"action in state {self.state}")
         if self.t_event is not None and t_action < self.t_event:
-            raise ValueError("action cannot precede its event")
+            raise errors.InvalidTransition("action cannot precede its event")
         self.state = ACTION_ISSUED
         self.t_action = t_action
         return ActionCommand(kind=RETRACT, issue_t_ns=t_action)
 
     def reset(self) -> None:
         if self.state != ACTION_ISSUED:
-            raise ValueError(f"reset in state {self.state}")
+            raise errors.InvalidTransition(f"reset in state {self.state}")
         self.state = IDLE
 
 

@@ -12,7 +12,7 @@ import touchlab
 BUILTIN_ERRORS = {"ValueError", "KeyError", "TypeError"}
 
 GUARDED_MODULES = ("optics", "synth", "dsp", "link", "experiments", "nn",
-                   "recordlog", "cli")
+                   "recordlog", "cli", "reflex")
 
 
 def _builtin_raises(path: Path) -> list:

@@ -116,6 +116,15 @@ class TestSameBytes:
                for trial, w in experiments.iter_fusion_windows(trials_per_class=1)]
         assert got == [(i // 4, d) for i, digests in enumerate(per_job) for d in digests]
 
+    def test_gas_sweep(self, monkeypatch):
+        per_seed = {}
+        for n in (1, 2):
+            set_workers(monkeypatch, n)
+            sweep = experiments.gas_integration_sweep(
+                (6.0, 30.0, 90.0), n_seeds=3, n_per_material=10)
+            per_seed[n] = sweep["per_seed"].tobytes()
+        assert per_seed[1] == per_seed[2]
+
     @settings(max_examples=12, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(picks=st.lists(st.integers(0, 35), min_size=2, max_size=6, unique=True))
@@ -134,6 +143,24 @@ class TestWorkers:
             optics.scatter_sweep(alphas=(5.0,), photons=50_000)
         assert main(["bench-optics", "--alpha-sweep", "5", "--photons", "50000",
                      "--out", str(tmp_path / "r.json")]) == EXIT_CONFIG
+
+    def test_gas_seed_error_keeps_its_class(self, monkeypatch):
+        set_workers(monkeypatch, 2)
+        with pytest.raises(errors.EmptyDataset):  # one approach: no test row
+            experiments.gas_integration_sweep((6.0,), n_seeds=2, n_per_material=1)
+
+    @pytest.mark.parametrize("times,n_seeds", [
+        ((6.0,), 0), ((6.0,), -1), ((), 2), ((0.0,), 2), ((-5.0,), 2),
+        ((float("nan"),), 2), ((float("inf"),), 2), ((6.0, 90.5), 2)],
+        ids=["no_seeds", "negative_seeds", "no_times", "zero_time",
+             "negative_time", "nan_time", "inf_time", "beyond_approach"])
+    def test_gas_sweep_checks_inputs_before_jobs(self, monkeypatch, times, n_seeds):
+        def fail(*args, **kwargs):
+            raise AssertionError("a job was submitted or a dataset built")
+        monkeypatch.setattr(pool, "ordered_map", fail)
+        monkeypatch.setattr(experiments, "make_gas_dataset", fail)
+        with pytest.raises(errors.ConfigError):
+            experiments.gas_integration_sweep(times, n_seeds=n_seeds)
 
     @pytest.mark.skipif(not LINUX, reason="reads /proc")
     def test_close_leaves_no_job_running(self, monkeypatch):

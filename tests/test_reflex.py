@@ -41,6 +41,14 @@ class TestStateMachine:
         with pytest.raises(ValueError):
             arc.on_action(50)
 
+    def test_invalid_transition_is_a_touchlab_error(self):
+        arc = ReflexStateMachine()
+        with pytest.raises(errors.InvalidTransition) as info:
+            arc.reset()
+        assert isinstance(info.value, errors.TouchlabError)
+        assert isinstance(info.value, ValueError)
+        assert arc.state == IDLE
+
     def test_random_sequences_never_skip_states(self):
         # Drive the machine with random operations; invalid transitions must
         # raise and the state must stay consistent.
