@@ -141,10 +141,10 @@ class TestTrain:
 
 class TestPinnedTrainDigests:
     """SHA-256 of the trained parameters (layer by layer, weight then
-    bias) and per-epoch losses of two ``train`` runs: shuffled minibatches
-    through a ReLU net with cross-entropy, and a tanh net with a linear
-    head under MSE.  The products go through BLAS, so another numpy build
-    or CPU may need its own digests."""
+    bias) and per-epoch losses of ``train`` runs: shuffled minibatches
+    through a ReLU net and through a tanh net with cross-entropy, and a
+    tanh net with a linear head under MSE.  The products go through BLAS,
+    so another numpy build or CPU may need its own digests."""
 
     @staticmethod
     def digest(res):
@@ -163,6 +163,15 @@ class TestPinnedTrainDigests:
                     TrainConfig(lr=0.02, max_epochs=30, batch_size=8, seed=3))
         assert self.digest(res) == (
             "f5ea4279766b973d3893129b59eb3d1d951ec9769d5a3782bac9851c579d5af2")
+
+    def test_minibatch_tanh(self):
+        rng = np.random.default_rng(22)
+        x = rng.normal(size=(40, 3))
+        y = (np.sin(x[:, 0]) + x[:, 1] > 0).astype(int) + (x[:, 2] ** 2 > 1)
+        res = train((x, y), MlpSpec((3, 9, 3), activation="tanh"),
+                    TrainConfig(lr=0.01, max_epochs=40, batch_size=16, seed=4))
+        assert self.digest(res) == (
+            "6c165270786b9f91f903ba1a2b34d503ce65f576f48ee406cfe6c6e08d751c40")
 
     def test_tanh_mse(self):
         rng = np.random.default_rng(22)
@@ -255,6 +264,8 @@ class TestStackedFit:
         y = (x[:, 0] * x[:, 1] > 0).astype(int) + (x[:, 2] > 0.5)
         yield "minibatch_relu", (x, y), MlpSpec((4, 8, 5, 3)), \
             {"batch_size": 7, "max_epochs": 25, "seed": 2}
+        yield "tanh", (x, y), MlpSpec((4, 6, 3), activation="tanh"), \
+            {"batch_size": 12, "max_epochs": 25, "seed": 3}
         t = np.stack([np.tanh(x[:, 0]), x[:, 1] - x[:, 3]], axis=1)
         yield "tanh_mse", (x, t), \
             MlpSpec((4, 6, 2), activation="tanh", head="linear"), \
@@ -263,7 +274,8 @@ class TestStackedFit:
             MlpSpec((4, 9, 6), heads={"a": 3, "b": 2}), \
             {"max_epochs": 30, "seed": 4}
 
-    @pytest.mark.parametrize("case", ["minibatch_relu", "tanh_mse", "two_heads"])
+    @pytest.mark.parametrize("case", ["minibatch_relu", "tanh", "tanh_mse",
+                                      "two_heads"])
     def test_replicas_match_single_fits(self, case):
         _, data, spec, kwargs = next(c for c in self.cases() if c[0] == case)
         stacked = train(data, spec, TrainConfig(lr=self.LRS, **kwargs))
