@@ -170,8 +170,13 @@ def _seed_accuracies(times, n_per_material: int, seed: int) -> list:
 # --- fusion feature encoders --------------------------------------------------------
 
 
-def _pool2d(frames: np.ndarray, grid: int = 4) -> np.ndarray:
-    """Block-mean pooling of (t, h, w) down to (t, grid, grid)."""
+#: Side of the block grid a visuotactile frame is pooled to.
+VT_GRID = 4
+
+
+def _pool2d(frames: np.ndarray) -> np.ndarray:
+    """Block-mean pooling of (t, h, w) down to (t, VT_GRID, VT_GRID)."""
+    grid = VT_GRID
     t, h, w = frames.shape
     bh, bw = h // grid, w // grid
     return frames[:, :grid * bh, :grid * bw] \
@@ -180,7 +185,7 @@ def _pool2d(frames: np.ndarray, grid: int = 4) -> np.ndarray:
 
 def encode_visuotactile(vt: np.ndarray) -> np.ndarray:
     gray = vt.astype(np.float64).mean(axis=3) / 255.0  # (10, 120, 120)
-    pooled = _pool2d(gray)                              # (10, 6, 6)
+    pooled = _pool2d(gray)                              # (10, 4, 4)
     motion = np.abs(np.diff(pooled, axis=0)).mean(axis=0)
     return np.concatenate([pooled.mean(axis=0).ravel(),
                            pooled.std(axis=0).ravel(),

@@ -49,6 +49,10 @@ STAGE_NAMES = ("acquisition", "transfer", "subsample", "inference",
 #: The stages ``sample_stages`` jitters, in draw order.
 JITTERED_STAGES = STAGE_NAMES[1:]
 
+#: Most runs one ``run_pipeline`` call simulates (about 1 GB of stage
+#: arrays); a larger count is rejected before anything is allocated.
+MAX_RUNS = 10**7
+
 
 @dataclass(frozen=True)
 class StageModel:
@@ -151,8 +155,8 @@ def run_pipeline(path: PathProfile, workload: Workload = Workload(),
     """Simulate ``n_runs`` pipeline executions.  Draws come in a fixed
     order (acquisition phases, then each jittered stage) so matched seeds
     align across paths; a run's total is the sum of its stages."""
-    if n_runs < 1:
-        raise errors.ConfigError("n_runs must be >= 1")
+    if not 1 <= n_runs <= MAX_RUNS:
+        raise errors.ConfigError(f"n_runs must be in [1, {MAX_RUNS}], got {n_runs}")
     rng = np.random.default_rng(np.random.SeedSequence((0x11A7, seed)))
     u_acq = rng.random(n_runs)
     z = rng.standard_normal((len(JITTERED_STAGES), n_runs))

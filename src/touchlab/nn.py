@@ -1,8 +1,8 @@
-"""Dense-network engine: forward, backprop, Adam, and the analytic
-convolution cost model.
+"""Dense-network engine: forward, cross-entropy backprop, Adam, and the
+analytic convolution cost model.
 
 One engine serves every classifier: a trunk of activated dense layers
-read out by one output layer or by named linear heads.  A model's weights
+read out by one softmax layer or by named softmax heads.  A model's weights
 and biases are views into one contiguous float64 vector, and so are their
 gradients, so Adam is a few in-place ufunc calls over the whole vector.
 ``replicas`` stacks copies along a leading axis that start from the same
@@ -13,7 +13,6 @@ weights, and replica r of a stacked fit equals the same fit run alone.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,11 +21,6 @@ from . import errors
 
 RELU = "relu"
 TANH = "tanh"
-SOFTMAX = "softmax"
-LINEAR = "linear"
-
-CROSS_ENTROPY = "cross_entropy"
-MSE = "mse"
 
 #: Adam's moment decay rates and denominator guard (Kingma & Ba's
 #: defaults), and the central-difference step of ``grad_check``.
@@ -37,15 +31,14 @@ GRAD_CHECK_H = 1e-5
 @dataclass(frozen=True)
 class MlpSpec:
     """Network shape: layer sizes from input to output, hidden activation,
-    and output head.  With ``heads`` (head name -> width, e.g.
+    and named heads.  With ``heads`` (head name -> width, e.g.
     ``{"action": 3, "material": 3}``) ``layer_sizes`` ends at the last
-    activated trunk layer and each head is a linear read-out drawn at
-    N(0, 1/fan_in); without, the last size is the one output layer, drawn
-    at the trunk activation's scale."""
+    activated trunk layer and each head is a softmax read-out drawn at
+    N(0, 1/fan_in); without, the last size is the one softmax output
+    layer, drawn at the trunk activation's scale."""
 
     layer_sizes: tuple
     activation: str = RELU
-    head: str = SOFTMAX
     heads: tuple = ()
 
     def __post_init__(self):
@@ -59,8 +52,6 @@ class MlpSpec:
             raise errors.ConfigError("layer sizes must be >= 1")
         if self.activation not in (RELU, TANH):
             raise errors.ConfigError(f"unknown activation {self.activation!r}")
-        if self.head not in (SOFTMAX, LINEAR):
-            raise errors.ConfigError(f"unknown head {self.head!r}")
 
     @property
     def n_trunk(self) -> int:
@@ -106,9 +97,9 @@ def _views(flat: np.ndarray, shapes) -> tuple:
 
 class MlpModel:
     """Dense network on one flat parameter vector ``params``: each layer's
-    row-major weight matrix, then its bias, trunk first (the weights file's
-    order).  ``weights``/``biases`` view it, ``grad_weights``/``grad_biases``
-    view ``grads``; with ``replicas`` > 1 all gain a leading replica axis."""
+    row-major weight matrix, then its bias, trunk first.  ``weights`` and
+    ``biases`` view it, ``grad_weights``/``grad_biases`` view ``grads``;
+    with ``replicas`` > 1 all gain a leading replica axis."""
 
     def __init__(self, spec: MlpSpec, seed: int = 0, replicas: int = 1):
         if replicas < 1:
@@ -160,17 +151,15 @@ class MlpModel:
             if self.spec.heads else outs[0]
 
     def forward_logits(self, x: np.ndarray):
-        """Pre-head output; a dict by head name for named heads."""
+        """Pre-softmax output; a dict by head name for named heads."""
         return self._by_head(self._forward(
             np.atleast_2d(np.asarray(x, dtype=np.float64))))
 
     def forward(self, x: np.ndarray):
-        """Full forward pass; a softmax head returns probabilities summing
-        to 1."""
+        """Full forward pass: each head's probabilities, summing to 1."""
         single = np.asarray(x).ndim == 1
-        outs = self._forward(np.atleast_2d(np.asarray(x, dtype=np.float64)))
-        if self.spec.head == SOFTMAX:
-            outs = [softmax(z) for z in outs]
+        outs = [softmax(z) for z in
+                self._forward(np.atleast_2d(np.asarray(x, dtype=np.float64)))]
         return self._by_head([z[..., 0, :] if single else z for z in outs])
 
     def backward(self, cache: list, dlogits: list):
@@ -212,15 +201,6 @@ def cross_entropy_loss(logits: np.ndarray, labels: np.ndarray):
     return loss, p
 
 
-def mse_loss(y: np.ndarray, target: np.ndarray):
-    """Mean squared error over all entries, per replica; returns (loss,
-    d(loss)/d(y))."""
-    diff = y - target
-    loss = np.mean(diff ** 2, axis=(-2, -1))
-    size = diff.shape[-2] * diff.shape[-1]
-    return (float(loss) if loss.ndim == 0 else loss), 2.0 * diff / size
-
-
 @dataclass
 class TrainConfig:
     """Learning rate and schedule; several ``lr`` values train side by side."""
@@ -229,7 +209,6 @@ class TrainConfig:
     max_epochs: int = 200
     batch_size: int | None = None
     seed: int = 0
-    loss: str = CROSS_ENTROPY
 
     def __post_init__(self):
         if np.ndim(self.lr):
@@ -238,8 +217,6 @@ class TrainConfig:
             raise errors.ConfigError("need learning rates >= 0")
         if self.max_epochs < 1:
             raise errors.ConfigError("max_epochs must be >= 1")
-        if self.loss not in (CROSS_ENTROPY, MSE):
-            raise errors.ConfigError(f"unknown loss {self.loss!r}")
 
     @property
     def replicas(self) -> int:
@@ -288,9 +265,7 @@ class TrainResult:
     losses: list
 
 
-def _targets(y, n: int, width: int, loss: str) -> np.ndarray:
-    if loss == MSE:
-        return np.atleast_2d(np.asarray(y, dtype=np.float64))
+def _labels(y, n: int, width: int) -> np.ndarray:
     y = np.asarray(y)
     if y.shape != (n,):
         raise errors.ShapeMismatch("labels must be shape (n,)")
@@ -301,14 +276,13 @@ def _targets(y, n: int, width: int, loss: str) -> np.ndarray:
 
 
 def train(dataset, spec: MlpSpec, config: TrainConfig = TrainConfig()) -> TrainResult:
-    """Train an MLP on (X, y).
+    """Train an MLP on (X, y) by cross-entropy.
 
-    ``y`` holds integer class labels for cross-entropy or float targets
-    (n, output_size) for MSE; named heads take a mapping by head name and
-    minimize the sum of their losses.  Several learning rates train one
-    replica each (bit-identical to its fit alone), and each epoch's loss
-    is then an array over replicas.  Deterministic for a fixed (dataset,
-    spec, config) tuple.
+    ``y`` holds integer class labels; named heads take a mapping by head
+    name and minimize the sum of their losses.  Several learning rates
+    train one replica each (bit-identical to its fit alone), and each
+    epoch's loss is then an array over replicas.  Deterministic for a
+    fixed (dataset, spec, config) tuple.
     """
     x, y = dataset
     x = np.ascontiguousarray(x, dtype=np.float64)
@@ -316,9 +290,7 @@ def train(dataset, spec: MlpSpec, config: TrainConfig = TrainConfig()) -> TrainR
         raise errors.EmptyDataset("dataset must be a non-empty (n, d) array")
     n = x.shape[0]
     widths = [w for _, w in spec.heads] or [spec.layer_sizes[-1]]
-    targets = [_targets(t, n, w, config.loss)
-               for t, w in zip(spec.per_head(y), widths)]
-    loss_fn = cross_entropy_loss if config.loss == CROSS_ENTROPY else mse_loss
+    labels = [_labels(t, n, w) for t, w in zip(spec.per_head(y), widths)]
 
     model = MlpModel(spec, seed=config.seed, replicas=config.replicas)
     opt = AdamState(model.params)
@@ -333,8 +305,8 @@ def train(dataset, spec: MlpSpec, config: TrainConfig = TrainConfig()) -> TrainR
         for start in range(0, n, batch):
             idx = slice(None) if order is None else order[start:start + batch]
             cache = []
-            heads = [loss_fn(z, t[idx]) for z, t in
-                     zip(model._forward(x[idx], cache), targets)]
+            heads = [cross_entropy_loss(z, t[idx]) for z, t in
+                     zip(model._forward(x[idx], cache), labels)]
             model.backward(cache, [d for _, d in heads])
             opt.step(model.params, model.grads, config)
             epoch_loss += sum(loss for loss, _ in heads)
@@ -361,8 +333,7 @@ class GradCheckResult:
 def _loss_and_kinks(model: MlpModel, x: np.ndarray, label):
     cache = []
     outs = model._forward(x, cache)
-    loss_fn = cross_entropy_loss if model.spec.head == SOFTMAX else mse_loss
-    heads = [loss_fn(z, np.asarray([t]))
+    heads = [cross_entropy_loss(z, np.asarray([t]))
              for z, t in zip(outs, model.spec.per_head(label))]
     kinks = [h > 0.0 for h in cache[1:]] if model.spec.activation == RELU else []
     return sum(loss for loss, _ in heads), [d for _, d in heads], cache, kinks
@@ -478,68 +449,3 @@ def mlp_macs(layer_sizes) -> int:
     """Multiply-accumulate count for a dense network."""
     sizes = list(layer_sizes)
     return int(sum(a * b for a, b in zip(sizes[:-1], sizes[1:])))
-
-
-# --- weight serialization -----------------------------------------------------------
-
-WEIGHTS_MAGIC = b"TLNN"
-WEIGHTS_VERSION = 1
-
-_ACT_CODES = {RELU: 1, TANH: 2}
-_HEAD_CODES = {SOFTMAX: 1, LINEAR: 2}
-
-
-def save_model(model: MlpModel, path) -> int:
-    """Write model weights in the shape-tagged little-endian format.
-
-    Layout: magic ``TLNN``, version u16, activation u8, head u8,
-    layer-size count u16, sizes u32 each, then per layer the float64
-    weight matrix (row-major) followed by the bias vector.
-    """
-    if model.spec.heads or model.replicas > 1:
-        raise errors.ConfigError(
-            "the weights format holds one single-output, single-replica network")
-    sizes = model.spec.layer_sizes
-    blob = [WEIGHTS_MAGIC,
-            struct.pack("<HBBH", WEIGHTS_VERSION,
-                        _ACT_CODES[model.spec.activation],
-                        _HEAD_CODES[model.spec.head], len(sizes)),
-            struct.pack(f"<{len(sizes)}I", *sizes),
-            model.params.astype("<f8").tobytes()]
-    data = b"".join(blob)
-    with open(path, "wb") as fh:
-        fh.write(data)
-    return len(data)
-
-
-def load_model(path) -> MlpModel:
-    """Read a file written by :func:`save_model`.  A short or overlong file
-    raises TruncatedChunk, an unknown activation or head code UnknownKind."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != WEIGHTS_MAGIC:
-        raise errors.BadMagic(f"bad weights magic {data[:4]!r}")
-    if len(data) < 10:
-        raise errors.TruncatedChunk("weights header truncated")
-    version, act_c, head_c, n_sizes = struct.unpack_from("<HBBH", data, 4)
-    if version != WEIGHTS_VERSION:
-        raise errors.VersionMismatch(f"unsupported weights version {version}")
-    off = 4 + 6
-    if len(data) < off + 4 * n_sizes:
-        raise errors.TruncatedChunk("weights layer-size table truncated")
-    sizes = struct.unpack_from(f"<{n_sizes}I", data, off)
-    off += 4 * n_sizes
-    act = {v: k for k, v in _ACT_CODES.items()}.get(act_c)
-    head = {v: k for k, v in _HEAD_CODES.items()}.get(head_c)
-    if act is None or head is None:
-        raise errors.UnknownKind(f"unknown activation/head code {act_c}/{head_c}")
-    n_params = sum(a * b + b for a, b in zip(sizes[:-1], sizes[1:]))
-    if len(data) != off + 8 * n_params:
-        raise errors.TruncatedChunk(
-            f"weights file is {len(data)} bytes, its layer sizes need {off + 8 * n_params}")
-    if n_sizes < 2 or 0 in sizes:
-        raise errors.ShapeMismatch(f"bad layer sizes {sizes}")
-    model = MlpModel(MlpSpec(sizes, activation=act, head=head), seed=0)
-    model.params[...] = np.frombuffer(data, dtype="<f8", count=n_params,
-                                      offset=off)
-    return model

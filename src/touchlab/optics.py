@@ -38,6 +38,9 @@ DOME_RADIUS_MM = 12.0
 CAMERA_POS_MM = np.array([0.0, 0.0, -6.0])
 LED_RING_RADIUS_MM = 9.0
 MIN_PHOTONS = 100_000
+#: Most photons one render traces (about 1 GB of photon state); a larger
+#: budget is rejected before anything is allocated.
+MAX_PHOTONS = 10**7
 
 # The rig: bounces per photon and the energy a dome bounce keeps, the
 # angular tolerance of a specular glint, every contact's dent, and the
@@ -341,6 +344,8 @@ def render(surface: ScatterSurface, contacts=(), photons: int = 1_000_000,
     """
     if photons < MIN_PHOTONS:
         raise errors.BudgetTooSmall(f"photon budget {photons} < {MIN_PHOTONS}")
+    if photons > MAX_PHOTONS:
+        raise errors.ConfigError(f"photon budget {photons} > {MAX_PHOTONS}")
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     img = _trace(surface, tuple(contacts), photons, rng)
     values = img.reshape(IMAGE_SIZE, IMAGE_SIZE, 1) / photons

@@ -135,6 +135,10 @@ class ReflexResult:
 NOISE_SIGMA = 0.005
 PULSE_AMPLITUDE = 50 * NOISE_SIGMA
 
+#: Fewest and most trials of one ``reflex_benchmark`` call; a count outside
+#: is rejected before anything is allocated.
+MIN_TRIALS, MAX_TRIALS = 100, 10**6
+
 
 def _trial_acquisition_us(rate_hz: float, rng) -> float:
     """Sampling-phase delay measured by running the detector on a
@@ -167,8 +171,9 @@ def reflex_benchmark(path: str, n_trials: int = 2000,
     if path not in REFLEX_PATHS:
         raise errors.ConfigError(
             f"unknown reflex path {path!r}; choose from {sorted(REFLEX_PATHS)}")
-    if n_trials < 100:
-        raise errors.ConfigError("n_trials must be >= 100")
+    if not MIN_TRIALS <= n_trials <= MAX_TRIALS:
+        raise errors.ConfigError(
+            f"n_trials must be in [{MIN_TRIALS}, {MAX_TRIALS}], got {n_trials}")
     profile, workload = REFLEX_PATHS[path]
     acquisition = np.empty(n_trials)
     z = np.empty((len(JITTERED_STAGES), n_trials))

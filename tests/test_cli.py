@@ -257,6 +257,9 @@ class TestBenchCommands:
         ["bench-mtf", "--spacings", "2000"],
         ["bench-latency", "--runs", "100", "--budget-us", "nan"],
         ["train-gas", "--duration", "1e300"],
+        ["bench-latency", "--runs", "10000001"],
+        ["bench-reflex", "--trials", "1000001"],
+        ["bench-optics", "--alpha-sweep", "5", "--photons", "10000001"],
     ])
     def test_bad_flag_value_exit_2(self, tmp_path, capsys, argv):
         out = tmp_path / "report.json"
