@@ -342,14 +342,18 @@ def render(surface: ScatterSurface, contacts=(), photons: int = 1_000_000,
     is bit-identical for a fixed seed.  The LEDs are white, so the three
     colour channels are one accumulated image repeated.
     """
-    if photons < MIN_PHOTONS:
-        raise errors.BudgetTooSmall(f"photon budget {photons} < {MIN_PHOTONS}")
-    if photons > MAX_PHOTONS:
-        raise errors.ConfigError(f"photon budget {photons} > {MAX_PHOTONS}")
+    _check_photons(photons)
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     img = _trace(surface, tuple(contacts), photons, rng)
     values = img.reshape(IMAGE_SIZE, IMAGE_SIZE, 1) / photons
     return TaxelImage(values=np.repeat(values, 3, axis=2))
+
+
+def _check_photons(photons: int) -> None:
+    if photons < MIN_PHOTONS:
+        raise errors.BudgetTooSmall(f"photon budget {photons} < {MIN_PHOTONS}")
+    if photons > MAX_PHOTONS:
+        raise errors.ConfigError(f"photon budget {photons} > {MAX_PHOTONS}")
 
 
 def _trace(surface, contacts, photons, rng) -> np.ndarray:
@@ -565,11 +569,13 @@ def scatter_sweep(alphas=DEFAULT_SWEEP_ALPHAS, photons: int = 1_000_000,
     whose objective is within ``BAND_REL`` (relative) of the maximum.
     Renders share one seed across sweep points (common random numbers), so
     columns vary smoothly in alpha.  Each render is one job of
-    ``pool.ordered_map``.
+    ``pool.ordered_map``; the points and the photon budget are checked
+    before any job starts.
     """
     surfaces = [sweep_surface(alpha) for alpha in alphas]
     if not surfaces:
         raise errors.ConfigError("sweep needs at least one point")
+    _check_photons(photons)
     size = IMAGE_SIZE
     mask = fov_mask()
     rows = []

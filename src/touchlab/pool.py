@@ -3,12 +3,16 @@
 ``ordered_map(fn, jobs)`` yields ``fn(*job)`` for every job, in job order.
 With more than one CPU it runs the jobs in a pool of ``spawn`` workers,
 one per CPU this process may use, with at most one job more than workers
-in flight.  With one CPU (``taskset -c 0``) or fewer than two jobs it is a
-plain loop in this process.  The pool is made on the first parallel call
-and kept.  A call during which a worker dies raises ``BrokenProcessPool``;
-a call that finds the pool broken replaces it.  A worker's exception
-reaches the caller as the same class.  Everything sent to a worker is
-pickled, the function by its import path.
+in flight.  With one CPU (``taskset -c 0``), fewer than two jobs, or when
+called by a job in a worker, it is a plain loop in the calling process, so
+no worker starts a pool of its own.  The pool is made on the first
+parallel call and kept.  A call during which a worker dies raises
+``BrokenProcessPool``; a call that finds the pool broken replaces it.  A
+worker's exception reaches the caller as the same class.  Everything sent
+to a worker is pickled, the function by its import path.  A job's array
+result comes back through a shared-memory segment, and the result pipe
+carries only its name: the executor unpickles results in a thread of its
+own, whose malloc arena would keep the pages of the large results it held.
 """
 
 from __future__ import annotations
@@ -16,6 +20,9 @@ from __future__ import annotations
 import os
 import sys
 from collections import deque
+from dataclasses import dataclass
+
+import numpy as np
 
 #: Added to every worker's start-up environment.  The workers already fill
 #: the CPUs, so each runs BLAS with one thread; OpenBLAS reads its thread
@@ -26,6 +33,7 @@ _PR_SET_PDEATHSIG = 1  # prctl option, <linux/prctl.h>
 
 _pool = None       # the ProcessPoolExecutor, once made
 _pool_size = 0
+_in_worker = False  # True in a worker of the pool (``_start_worker``)
 
 
 def worker_count() -> int:
@@ -41,7 +49,7 @@ def ordered_map(fn, jobs):
     waits for the running ones, so no job outlives it."""
     jobs = list(jobs)
     workers = worker_count()
-    if workers < 2 or len(jobs) < 2:
+    if _in_worker or workers < 2 or len(jobs) < 2:
         for job in jobs:
             yield fn(*job)
         return
@@ -51,15 +59,62 @@ def ordered_map(fn, jobs):
     pending = deque()
     try:
         for job in jobs:
-            pending.append(executor.submit(fn, *job))
+            pending.append(executor.submit(_run, fn, *job))
             if len(pending) > workers:
-                yield pending.popleft().result()
+                yield _unpark(pending.popleft().result())
         while pending:
-            yield pending.popleft().result()
+            yield _unpark(pending.popleft().result())
     finally:
         for future in pending:
             future.cancel()
         wait(pending)
+        for future in pending:  # finished, but never yielded
+            if not future.cancelled() and future.exception() is None:
+                _unpark(future.result())
+
+
+@dataclass(frozen=True)
+class _Parked:
+    """An array result a worker left in a shared-memory segment: the name,
+    shape and dtype are all the result pipe carries."""
+
+    name: str
+    shape: tuple
+    dtype: str
+
+    @classmethod
+    def park(cls, arr):
+        from multiprocessing.shared_memory import SharedMemory
+
+        shm = SharedMemory(create=True, size=arr.nbytes)
+        try:
+            np.ndarray(arr.shape, arr.dtype, buffer=shm.buf)[...] = arr
+        finally:
+            shm.close()
+        return cls(shm.name, arr.shape, arr.dtype.str)
+
+    def take(self) -> np.ndarray:
+        """A copy of the array; the segment is removed."""
+        from multiprocessing.shared_memory import SharedMemory
+
+        shm = SharedMemory(self.name)
+        try:
+            return np.ndarray(self.shape, self.dtype, buffer=shm.buf).copy()
+        finally:
+            shm.close()
+            shm.unlink()
+
+
+def _run(fn, *args):
+    """Worker side of a job: a non-empty array of plain values is parked."""
+    result = fn(*args)
+    if isinstance(result, np.ndarray) and result.nbytes and not result.dtype.hasobject:
+        return _Parked.park(result)
+    return result
+
+
+def _unpark(result):
+    return result.take() if isinstance(result, _Parked) else result
 
 
 def _executor(workers: int):
@@ -77,7 +132,7 @@ def _executor(workers: int):
         try:
             _pool = ProcessPoolExecutor(
                 workers, mp_context=multiprocessing.get_context("spawn"),
-                initializer=_die_with_parent, initargs=(os.getpid(),))
+                initializer=_start_worker, initargs=(os.getpid(),))
             _pool_size = workers
             # A worker starts inside ``submit`` when none is idle, so these
             # start every worker now, while the environment holds WORKER_ENV.
@@ -94,10 +149,13 @@ def _executor(workers: int):
     return _pool
 
 
-def _die_with_parent(parent_pid: int) -> None:
-    """Worker initializer: on Linux, have the kernel kill this worker when
-    its parent dies.  A worker holds the job pipe's write end itself, so it
-    would never see the pipe close and would wait for jobs forever."""
+def _start_worker(parent_pid: int) -> None:
+    """Worker initializer: mark this process as a worker, so that its own
+    ``ordered_map`` calls run in it; and, on Linux, have the kernel kill it
+    when its parent dies.  A worker holds the job pipe's write end itself,
+    so it would never see the pipe close and would wait for jobs forever."""
+    global _in_worker
+    _in_worker = True
     if not sys.platform.startswith("linux"):
         return
     import ctypes

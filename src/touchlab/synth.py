@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import errors, optics
+from . import errors, optics, pool
 from .core import (
     DEFAULT_RATES,
     IMAGE_SIZE,
@@ -611,6 +611,9 @@ def _synth_heat(script, finger, t, events_scales, rng):
 
 AUDIO_BLOCK_S = 0.01
 
+#: Visuotactile frames of one ``pool.ordered_map`` job in ``run_scenario``.
+FRAMES_PER_JOB = 48
+
 
 def stream_times(script: ScenarioScript, kind: ModalityKind):
     """Sample times (s), chunk timestamps (uint64 ns) and audio block
@@ -650,8 +653,17 @@ def run_scenario(script: ScenarioScript, frames=None) -> RecordLog:
     (script, seed) produce byte-identical logs.  ``frames`` (increasing
     frame indices) makes only those visuotactile frames of every finger,
     each byte-equal to the same frame of the full stream; None makes all.
+
+    The script and ``frames`` are checked before any work starts.  The
+    visuotactile frames are made by ``pool.ordered_map`` in jobs of
+    FRAMES_PER_JOB frames of one finger (``_synth_visuotactile``), all
+    fingers' jobs in one call, and each block is copied into its finger's
+    column as it arrives; the other streams are made in this process.
+    Called by a job in a worker, the map runs in that worker.
     """
     script.validate()
+    vt_t, vt_t_ns, _ = stream_times(script, ModalityKind.VISUOTACTILE)
+    keep = np.arange(vt_t.size) if frames is None else _frame_indices(frames, vt_t.size)
     # Per-event randomization shared across fingers: a global amplitude
     # rescale (the material's cross-finger ratio pattern must survive it)
     # and a frequency jitter that blurs single-modality material cues.
@@ -665,25 +677,30 @@ def run_scenario(script: ScenarioScript, frames=None) -> RecordLog:
             depth_scale=ev_rng.uniform(0.7, 1.3),
         ))
 
-    descs, columns = [], {}
+    descs, columns, jobs, blocks = [], {}, [], []  # blocks: where each job's frames go
     for finger in script.fingers:
         for kind in ModalityKind:
             desc = StreamDescriptor.default(
                 stream_id_for(finger, kind), kind, rate_hz=script.rate(kind))
             descs.append(desc)
             seq = np.random.SeedSequence((script.seed, 0x57EA, desc.stream_id))
-            t, t_ns, offsets = stream_times(script, kind)
             if kind is ModalityKind.VISUOTACTILE:
-                keep = np.arange(t.size) if frames is None \
-                    else _frame_indices(frames, t.size)
-                t_ns = t_ns[keep]
-                payload = _synth_visuotactile(finger, t[keep], keep, events_scales,
-                                              seq.generate_state(2, np.uint64))
+                payload = np.empty((keep.size, IMAGE_SIZE, IMAGE_SIZE, 3), np.uint8)
+                key = seq.generate_state(2, np.uint64)
+                for b0 in range(0, keep.size, FRAMES_PER_JOB):
+                    sel = keep[b0:b0 + FRAMES_PER_JOB]
+                    jobs.append((finger, vt_t[sel], sel, events_scales, key))
+                    blocks.append(payload[b0:b0 + FRAMES_PER_JOB])
+                columns[desc.stream_id] = (vt_t_ns[keep], payload, None)
             else:
+                t, t_ns, offsets = stream_times(script, kind)
                 payload = _SYNTHS[kind](script, finger, t, events_scales,
                                         np.random.default_rng(seq))
-            columns[desc.stream_id] = StreamColumns(t_ns, payload, offsets)
-    return RecordLog.from_columns(descs, columns)
+                columns[desc.stream_id] = (t_ns, payload, offsets)
+    for block, made in zip(blocks, pool.ordered_map(_synth_visuotactile, jobs)):
+        block[...] = made
+    return RecordLog.from_columns(descs, {sid: StreamColumns(*cols)
+                                          for sid, cols in columns.items()})
 
 
 _SYNTHS = {

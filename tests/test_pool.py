@@ -4,6 +4,7 @@ with one thread, and no helper process outlives the interpreter."""
 
 import ast
 import hashlib
+import json
 import multiprocessing
 import os
 import signal
@@ -13,12 +14,15 @@ import time
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import touchlab
-from touchlab import errors, experiments, optics, pool
+from touchlab import errors, experiments, optics, pool, synth
 from touchlab.cli import EXIT_CONFIG, main
+from touchlab.core import ModalityKind
+from touchlab.recordlog import log_to_bytes
 
 LINUX = sys.platform.startswith("linux")
 SRC = Path(touchlab.__file__).parents[1]
@@ -52,6 +56,32 @@ def render_then_threads():
 def kill_self():
     """A pool job that kills its worker."""
     os.kill(os.getpid(), signal.SIGKILL)
+
+
+def raise_with_pid(_):
+    """A pool job that fails with a TouchlabError naming its process."""
+    raise errors.ShapeMismatch(str(os.getpid()))
+
+
+def nested_pids():
+    """A pool job that runs an ``ordered_map`` of its own, as if on two CPUs:
+    its pid, the inner jobs' pids and the processes it has started."""
+    saved = pool.worker_count
+    pool.worker_count = lambda: 2
+    try:
+        inner = list(pool.ordered_map(os.getpid, [(), (), ()]))
+    finally:
+        pool.worker_count = saved
+    return os.getpid(), inner, len(multiprocessing.active_children())
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("a job was submitted or work started")
+
+
+def segments() -> set:
+    """The shared-memory segments ``multiprocessing.shared_memory`` names."""
+    return set(Path("/dev/shm").glob("psm_*"))
 
 
 def cpu_ticks(pid: int) -> int:
@@ -136,13 +166,101 @@ class TestSameBytes:
             [per_job[i] for i in picks]
 
 
+@st.composite
+def pooled_scripts(draw):
+    """Scenarios on 1-4 fingers with events of every kind, at 30/60/240 fps:
+    at 240 fps a finger has 24-120 frames, 1-3 jobs of
+    ``synth.FRAMES_PER_JOB``, the last one mostly short."""
+    duration = draw(st.floats(0.1, 0.5))
+    fingers = tuple(sorted(draw(st.sets(st.sampled_from(synth.FINGERS), min_size=1))))
+    events, t = [], 0.0
+    for kind in draw(st.permutations(synth.EVENT_KINDS)):
+        t_start = t + draw(st.floats(0.0, 0.03))
+        t = t_start + draw(st.floats(0.02, 0.1))
+        if t > duration:
+            break
+        material = draw(st.sampled_from(["wood", "silicone", "coffee-powder"]))
+        events.append(synth.Event(t_start, t, kind, synth.ObjectSpec(material),
+                                  draw(st.sets(st.sampled_from(fingers), min_size=1))))
+    return synth.ScenarioScript(
+        seed=draw(st.integers(0, 2**32)), duration_s=duration, events=events,
+        fingers=fingers,
+        rates={ModalityKind.VISUOTACTILE: draw(st.sampled_from([30.0, 60.0, 240.0])),
+               ModalityKind.SURFACE_AUDIO: 8000.0})
+
+
+class TestSameScenario:
+    """``run_scenario`` makes its visuotactile frames in pool jobs of
+    ``synth.FRAMES_PER_JOB``: whole logs are byte-equal at 1 and 2 workers,
+    with all frames or a subset whose blocks start anywhere."""
+
+    @settings(max_examples=10, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(script=pooled_scripts(), data=st.data())
+    def test_logs(self, monkeypatch, script, data):
+        n, _, _ = synth.stream_times(script, ModalityKind.VISUOTACTILE)
+        n = n.size
+        frames = data.draw(st.one_of(st.none(), st.integers(0, 2**n - 1).map(
+            lambda bits: [i for i in range(n) if bits >> i & 1])))
+        logs = []
+        for workers in (1, 2):
+            set_workers(monkeypatch, workers)
+            logs.append(log_to_bytes(synth.run_scenario(script, frames=frames)))
+        assert logs[0] == logs[1]
+
+
 class TestWorkers:
-    def test_error_keeps_its_class(self, monkeypatch, tmp_path):
+    def test_error_keeps_its_class(self, monkeypatch):
         set_workers(monkeypatch, 2)
-        with pytest.raises(errors.BudgetTooSmall):
-            optics.scatter_sweep(alphas=(5.0,), photons=50_000)
-        assert main(["bench-optics", "--alpha-sweep", "5", "--photons", "50000",
+        with pytest.raises(errors.ShapeMismatch) as caught:
+            list(pool.ordered_map(raise_with_pid, [(0,), (1,)]))
+        assert str(caught.value) != str(os.getpid())
+
+    @pytest.mark.parametrize("photons,error", [
+        (5, errors.BudgetTooSmall), (optics.MIN_PHOTONS - 1, errors.BudgetTooSmall),
+        (optics.MAX_PHOTONS + 1, errors.ConfigError)], ids=["5", "below", "above"])
+    def test_sweep_checks_photons_before_jobs(self, monkeypatch, tmp_path, photons, error):
+        monkeypatch.setattr(pool, "ordered_map", refuse)
+        with pytest.raises(error):
+            optics.scatter_sweep(alphas=(5.0,), photons=photons)
+        assert main(["bench-optics", "--alpha-sweep", "5", "--photons", str(photons),
                      "--out", str(tmp_path / "r.json")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("script,frames", [
+        (synth.ScenarioScript(seed=-1, duration_s=1.0), None),
+        (synth.ScenarioScript(seed=0, duration_s=float("nan")), None),
+        (synth.ScenarioScript(seed=0, duration_s=1.0), [3, 1]),
+        (synth.ScenarioScript(seed=0, duration_s=1.0), [5, 5]),
+        (synth.ScenarioScript(seed=0, duration_s=1.0), [0, 240]),
+        (synth.ScenarioScript(seed=0, duration_s=1.0), [-1, 0])],
+        ids=["bad_seed", "nan_duration", "decreasing_frames", "repeated_frame",
+             "frame_past_the_end", "negative_frame"])
+    def test_scenario_checks_inputs_before_jobs(self, monkeypatch, script, frames):
+        set_workers(monkeypatch, 2)
+        monkeypatch.setattr(pool, "ordered_map", refuse)
+        monkeypatch.setattr(synth, "_synth_visuotactile", refuse)
+        with pytest.raises(errors.ConfigError):
+            synth.run_scenario(script, frames=frames)
+
+    def test_nested_map_runs_in_the_worker(self, monkeypatch):
+        set_workers(monkeypatch, 2)
+        results = list(pool.ordered_map(nested_pids, [(), ()]))
+        for pid, inner, children in results:
+            assert pid != os.getpid()
+            assert inner == [pid] * 3
+            assert children == 0
+
+    @pytest.mark.skipif(not LINUX, reason="reads /dev/shm")
+    def test_array_results_leave_no_segment(self, monkeypatch):
+        set_workers(monkeypatch, 2)
+        before = segments()
+        jobs = [((3, 4), k) for k in range(6)]
+        assert [a.tolist() for a in pool.ordered_map(np.full, jobs)] == \
+            [np.full(*job).tolist() for job in jobs]
+        results = pool.ordered_map(np.full, jobs)
+        next(results)
+        results.close()
+        assert segments() - before == set()
 
     def test_gas_seed_error_keeps_its_class(self, monkeypatch):
         set_workers(monkeypatch, 2)
@@ -210,6 +328,24 @@ class TestWorkers:
         proc = start_session(code)
         assert proc.wait(timeout=120) == 0
         assert session_members(proc.pid) == []
+
+    @pytest.mark.skipif(not LINUX, reason="reads /proc")
+    def test_record_leaves_no_process(self, tmp_path):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({
+            "seed": 5, "duration_s": 0.5, "fingers": [0, 1],
+            "rates": {"surface_audio": 8000},
+            "events": [{"t_start": 0.1, "t_end": 0.4, "kind": "stir",
+                        "material": "silicone", "finger_ids": [0, 1]}]}))
+        args = ["record", str(scenario), "--out", str(tmp_path / "log.d36r")]
+        code = ("from touchlab import cli, pool\n"
+                "pool.worker_count = lambda: 2\n"
+                f"assert cli.main({args!r}) == 0\n")
+        before = segments()
+        proc = start_session(code, stdout=subprocess.DEVNULL)
+        assert proc.wait(timeout=120) == 0
+        assert session_members(proc.pid) == []
+        assert segments() - before == set()
 
     @pytest.mark.skipif(not LINUX, reason="reads /proc")
     def test_no_worker_outlives_a_killed_parent(self):
