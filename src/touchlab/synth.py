@@ -530,7 +530,8 @@ def _synth_audio(script, finger, t, events_scales, rng):
 
 
 def _synth_visuotactile(finger, t, frames, events_scales, key):
-    """Frames ``frames`` of one finger's visuotactile stream, at times ``t``.
+    """Frames ``frames`` of one finger's visuotactile stream, at times ``t``:
+    one ``pool.ordered_map`` job of ``run_scenario``.
 
     Imprints are a function of time and each frame's noise of its index
     (``_frame_noise``), so a frame comes out the same whichever others are

@@ -1,6 +1,8 @@
 """The worker pool: outputs equal the in-process loop byte for byte, errors
-keep their class, an early close leaves no job running, workers run BLAS
-with one thread, and no helper process outlives the interpreter."""
+keep their class, inputs are checked before any job, a job's own map runs
+in its worker, an early close leaves no job running and no shared-memory
+segment, workers run BLAS with one thread, and no helper process outlives
+the interpreter."""
 
 import ast
 import hashlib
@@ -111,6 +113,29 @@ def session_members(sid: int) -> list:
     return pids
 
 
+@st.composite
+def pooled_scripts(draw):
+    """Scenarios on 1-4 fingers with events of every kind, at 30/60/240 fps:
+    at 240 fps a finger has 24-120 frames, 1-3 jobs of
+    ``synth.FRAMES_PER_JOB``, the last one mostly short."""
+    duration = draw(st.floats(0.1, 0.5))
+    fingers = tuple(sorted(draw(st.sets(st.sampled_from(synth.FINGERS), min_size=1))))
+    events, t = [], 0.0
+    for kind in draw(st.permutations(synth.EVENT_KINDS)):
+        t_start = t + draw(st.floats(0.0, 0.03))
+        t = t_start + draw(st.floats(0.02, 0.1))
+        if t > duration:
+            break
+        material = draw(st.sampled_from(["wood", "silicone", "coffee-powder"]))
+        events.append(synth.Event(t_start, t, kind, synth.ObjectSpec(material),
+                                  draw(st.sets(st.sampled_from(fingers), min_size=1))))
+    return synth.ScenarioScript(
+        seed=draw(st.integers(0, 2**32)), duration_s=duration, events=events,
+        fingers=fingers,
+        rates={ModalityKind.VISUOTACTILE: draw(st.sampled_from([30.0, 60.0, 240.0])),
+               ModalityKind.SURFACE_AUDIO: 8000.0})
+
+
 SWEEP_POINTS = (5.0, "lambertian")
 
 
@@ -155,6 +180,22 @@ class TestSameBytes:
             per_seed[n] = sweep["per_seed"].tobytes()
         assert per_seed[1] == per_seed[2]
 
+    @settings(max_examples=10, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(script=pooled_scripts(), data=st.data())
+    def test_scenario_logs(self, monkeypatch, script, data):
+        """``run_scenario`` makes its frames in jobs of
+        ``synth.FRAMES_PER_JOB``: whole logs, with all frames or a subset
+        whose blocks start anywhere, are byte-equal at 1 and 2 workers."""
+        n = synth.stream_times(script, ModalityKind.VISUOTACTILE)[0].size
+        frames = data.draw(st.one_of(st.none(), st.integers(0, 2**n - 1).map(
+            lambda bits: [i for i in range(n) if bits >> i & 1])))
+        logs = []
+        for workers in (1, 2):
+            set_workers(monkeypatch, workers)
+            logs.append(log_to_bytes(synth.run_scenario(script, frames=frames)))
+        assert logs[0] == logs[1]
+
     @settings(max_examples=12, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(picks=st.lists(st.integers(0, 35), min_size=2, max_size=6, unique=True))
@@ -164,49 +205,6 @@ class TestSameBytes:
         got = pool.ordered_map(experiments._finger_windows, [jobs[i] for i in picks])
         assert [[window_digest(w) for w in ws] for ws in got] == \
             [per_job[i] for i in picks]
-
-
-@st.composite
-def pooled_scripts(draw):
-    """Scenarios on 1-4 fingers with events of every kind, at 30/60/240 fps:
-    at 240 fps a finger has 24-120 frames, 1-3 jobs of
-    ``synth.FRAMES_PER_JOB``, the last one mostly short."""
-    duration = draw(st.floats(0.1, 0.5))
-    fingers = tuple(sorted(draw(st.sets(st.sampled_from(synth.FINGERS), min_size=1))))
-    events, t = [], 0.0
-    for kind in draw(st.permutations(synth.EVENT_KINDS)):
-        t_start = t + draw(st.floats(0.0, 0.03))
-        t = t_start + draw(st.floats(0.02, 0.1))
-        if t > duration:
-            break
-        material = draw(st.sampled_from(["wood", "silicone", "coffee-powder"]))
-        events.append(synth.Event(t_start, t, kind, synth.ObjectSpec(material),
-                                  draw(st.sets(st.sampled_from(fingers), min_size=1))))
-    return synth.ScenarioScript(
-        seed=draw(st.integers(0, 2**32)), duration_s=duration, events=events,
-        fingers=fingers,
-        rates={ModalityKind.VISUOTACTILE: draw(st.sampled_from([30.0, 60.0, 240.0])),
-               ModalityKind.SURFACE_AUDIO: 8000.0})
-
-
-class TestSameScenario:
-    """``run_scenario`` makes its visuotactile frames in pool jobs of
-    ``synth.FRAMES_PER_JOB``: whole logs are byte-equal at 1 and 2 workers,
-    with all frames or a subset whose blocks start anywhere."""
-
-    @settings(max_examples=10, deadline=None,
-              suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(script=pooled_scripts(), data=st.data())
-    def test_logs(self, monkeypatch, script, data):
-        n, _, _ = synth.stream_times(script, ModalityKind.VISUOTACTILE)
-        n = n.size
-        frames = data.draw(st.one_of(st.none(), st.integers(0, 2**n - 1).map(
-            lambda bits: [i for i in range(n) if bits >> i & 1])))
-        logs = []
-        for workers in (1, 2):
-            set_workers(monkeypatch, workers)
-            logs.append(log_to_bytes(synth.run_scenario(script, frames=frames)))
-        assert logs[0] == logs[1]
 
 
 class TestWorkers:
