@@ -134,8 +134,8 @@ def _digest(a) -> str:
 
 
 class TestPinnedPipelineDigests:
-    """SHA-256 of every stage array and the totals of 10,000 pipeline runs
-    (seed 0), and of the rows of criterion 03's two depth sweeps.  Stage
+    """SHA-256 of every stage array, the totals and the statistics of 10,000
+    pipeline runs (seed 0), and of the rows of criterion 03's two depth sweeps.  Stage
     draws and sums are elementwise IEEE arithmetic, so a change to the stage
     model that alters any sample shows up here."""
 
@@ -212,6 +212,24 @@ class TestPinnedPipelineDigests:
                 "7359df6bf26bdb484e56e17ac9c4fe58dfab1f4fc91753e3d686161f1c3f057e",
         },
     }
+
+    #: SHA-256 of ``json.dumps(stats, sort_keys=True)``: the mean, std,
+    #: p50, p95 and p99 of every stage and of the totals.
+    STATS_DIGESTS = {
+        "host": "89b4cca3c9838cf2e2dedfcda137ff27727d4bb09d3cd228848e7d0fcf987bc7",
+        "device": "b4c1261f72f0ca9e0aecfcc40d77e993c147b3ae89f0153d64d54b4846002c04",
+        "host_240hz_300us":
+            "fd460468ebdc20a9a750d5806d2b65eb1eda2a64b3248ec28339bd56f55659e7",
+        "host_no_jitter":
+            "8cef1ffbc2aff028b866c7a9d3e7fca571ea0828883cbc590a5988300de06db8",
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_stats(self, case):
+        path, workload = self.CASES[case]
+        stats = run_pipeline(path, workload, n_runs=10_000, seed=0).stats
+        got = hashlib.sha256(json.dumps(stats, sort_keys=True).encode())
+        assert got.hexdigest() == self.STATS_DIGESTS[case]
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_stages_and_totals(self, case):

@@ -1,4 +1,5 @@
 import hashlib
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -184,9 +185,10 @@ class TestReflexPaths:
 
 
 class TestPinnedReflexDigests:
-    """SHA-256 of criterion 02's inputs: 2,000 trial latencies per path at
-    seed 0.  Each trial draws from its own SeedSequence, so any change to
-    the draw order or the stage sums shows up here."""
+    """SHA-256 of criterion 02's inputs, 2,000 trial latencies per path at
+    seed 0, and of the statistics of 500 trials.  Each trial draws from its
+    own SeedSequence, so any change to the draw order, the stage sums or
+    the summary shows up here."""
 
     @pytest.mark.parametrize("path,want", [
         ("device",
@@ -200,4 +202,17 @@ class TestPinnedReflexDigests:
         res = reflex_benchmark(path, n_trials=2000, seed=0)
         got = hashlib.sha256(
             np.ascontiguousarray(res.latencies_us, dtype="<f8").tobytes())
+        assert got.hexdigest() == want
+
+    @pytest.mark.parametrize("path,want", [
+        ("device",
+         "d1d590f7e9df56315b6616ffbd69bf200fe4d29019ad92c9eedb7f96867f1da3"),
+        ("host",
+         "86ca243c643f1d52e0879e59545241a2ad66f49cabd0d7d2bcd40496cdf61842"),
+        ("legacy",
+         "62ac62c97bf23f520da1bae986c126b4142b157f5606edde3c90055784dd775a"),
+    ])
+    def test_stats(self, path, want):
+        stats = reflex_benchmark(path, n_trials=500, seed=0).stats
+        got = hashlib.sha256(json.dumps(stats, sort_keys=True).encode())
         assert got.hexdigest() == want
