@@ -129,15 +129,25 @@ def sample_stages(path: PathProfile, workload: Workload, z) -> dict:
     }
 
 
-def summarize(samples: np.ndarray) -> dict:
-    samples = np.asarray(samples, dtype=np.float64)
-    return {
-        "mean": float(samples.mean()),
-        "std": float(samples.std()),
-        "p50": float(np.percentile(samples, 50)),
-        "p95": float(np.percentile(samples, 95)),
-        "p99": float(np.percentile(samples, 99)),
-    }
+def summarize(samples) -> dict | list[dict]:
+    """Mean, std and type-7 p50, p95 and p99 of each row of ``samples``.
+
+    One pass over the stacked rows: one ``mean``, one ``std`` and one
+    ``np.percentile`` call for all rows, each row giving the same bits as
+    it would alone.  A 2-D input gives one summary per row; a 1-D input is
+    the one-row case and gives its summary.
+    """
+    rows = np.array(samples, dtype=np.float64, ndmin=1)
+    if rows.shape[-1] == 0:
+        raise errors.EmptyDataset("no samples to summarize")
+    mean, std = rows.mean(axis=-1), rows.std(axis=-1)
+    # ``rows`` is this function's own copy, so once the moments are taken
+    # the percentiles may partition it in place.
+    pct = np.percentile(rows, (50, 95, 99), axis=-1, overwrite_input=True)
+    table = np.atleast_2d(np.stack((mean, std, *pct), axis=-1))
+    summaries = [dict(zip(("mean", "std", "p50", "p95", "p99"), map(float, row)))
+                 for row in table]
+    return summaries[0] if rows.ndim == 1 else summaries
 
 
 @dataclass
@@ -165,8 +175,8 @@ def run_pipeline(path: PathProfile, workload: Workload = Workload(),
     stages = {"acquisition": acquisition, **sample_stages(path, workload, z)}
     totals = sum(stages[name] for name in STAGE_NAMES)
 
-    stats = {name: summarize(stages[name]) for name in STAGE_NAMES}
-    stats["total"] = summarize(totals)
+    stats = dict(zip((*STAGE_NAMES, "total"),
+                     summarize([stages[name] for name in STAGE_NAMES] + [totals])))
     return PipelineStats(n_runs=n_runs, stages=stages, totals=totals,
                          stats=stats)
 
@@ -213,8 +223,9 @@ DEVICE_MACS_PER_US = MLP_WIDTH * MLP_WIDTH / DEVICE_US_PER_LAYER_W64
 
 def mlp_inference_us(depth: int, hw_accel: bool = False) -> float:
     """Analytic on-device inference cost of a ``depth``-layer dense network."""
-    if depth < 0:
-        raise errors.ConfigError("depth must be >= 0")
+    if isinstance(depth, bool) or not isinstance(depth, (int, np.integer)) \
+            or depth < 0:
+        raise errors.ConfigError(f"depth must be an int >= 0, got {depth!r}")
     if depth == 0:
         return 0.0
     macs = mlp_macs([MLP_WIDTH] * (depth + 1))
@@ -225,17 +236,30 @@ def mlp_inference_us(depth: int, hw_accel: bool = False) -> float:
 def mlp_depth_sweep(depths=tuple(range(0, 65)), hw_accel: bool = False,
                     seed: int = 0) -> dict:
     """Latency of the on-device pipeline as MLP depth grows; marks the first
-    depth whose mean total exceeds the budget."""
+    depth whose mean total exceeds the budget.
+
+    Every depth shares one set of ``DEPTH_SWEEP_RUNS`` draws on ``seed``:
+    one unit-inference pipeline run, whose inference column is scaled by
+    each depth's cost.  A depth's row is therefore the one its own
+    ``run_pipeline`` of ``mlp_inference_us(depth)`` on ``seed`` would give,
+    bit for bit, since a stage's samples are its mean times jitter
+    multipliers that do not depend on the mean.  Every depth is checked
+    before the draw.
+    """
     depths = list(depths)
     if not depths:
         raise errors.ConfigError("depths must be non-empty")
+    costs = [mlp_inference_us(depth, hw_accel) for depth in depths]
+    unit = run_pipeline(DEVICE_PATH, Workload(inference_us=1.0),
+                        DEPTH_SWEEP_RUNS, seed).stages
+    # One (depth, run) row per depth, summed in STAGE_NAMES order as in
+    # run_pipeline.
+    stages = dict(unit, inference=np.multiply.outer(costs, unit["inference"]))
+    means = sum(stages[name] for name in STAGE_NAMES).mean(axis=1)
     rows = []
     first_exceeding = None
-    for depth in depths:
-        inf_us = mlp_inference_us(depth, hw_accel)
-        stats = run_pipeline(DEVICE_PATH, Workload(inference_us=inf_us),
-                             n_runs=DEPTH_SWEEP_RUNS, seed=seed)
-        check = latency_budget_check(stats)
+    for depth, inf_us, mean in zip(depths, costs, means):
+        check = latency_budget_check(float(mean))
         if not check.passed and first_exceeding is None:
             first_exceeding = depth
         rows.append({
@@ -246,4 +270,3 @@ def mlp_depth_sweep(depths=tuple(range(0, 65)), hw_accel: bool = False,
         })
     return {"rows": rows, "first_exceeding_depth": first_exceeding,
             "hw_accel": hw_accel, "budget_us": DEFAULT_BUDGET_US}
-

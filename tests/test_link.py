@@ -1,10 +1,12 @@
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from touchlab import errors
+from touchlab import errors, link
 from touchlab.link import (
     DEFAULT_BUDGET_US,
     DEVICE_PATH,
@@ -69,10 +71,51 @@ class TestJitterStats:
         assert s["mean"] == pytest.approx(3.0)
         assert s["std"] == pytest.approx(np.sqrt(2.0))
 
+    def test_empty_samples(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for empty in ([], np.empty((3, 0))):
+                with pytest.raises(errors.EmptyDataset):
+                    summarize(empty)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_rows=st.integers(1, 8), length=st.integers(1, 3000),
+           kinds=st.lists(st.sampled_from(("normal", "ties", "constant")),
+                          min_size=8, max_size=8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_stacked_rows_match_rows_alone(self, n_rows, length, kinds, seed):
+        rng = np.random.default_rng(seed)
+        rows = np.empty((n_rows, length))
+        for row, kind in zip(rows, kinds):
+            if kind == "normal":
+                row[:] = rng.normal(rng.normal(0.0, 1e3), 1e2, length)
+            elif kind == "ties":
+                row[:] = rng.integers(-3, 4, length) * 0.5
+            else:
+                row[:] = -rng.exponential(10.0)
+        before = rows.copy()
+        stacked = summarize(rows)
+        assert np.array_equal(rows, before)
+        assert [_bits(s) for s in stacked] == [_bits(summarize(r)) for r in rows]
+        assert [_bits(s) for s in stacked] == [_bits(_summary_alone(r)) for r in rows]
+
     def test_device_jitter_below_host(self):
         host = run_pipeline(HOST_PATH, Workload(), n_runs=10_000, seed=2)
         dev = run_pipeline(DEVICE_PATH, Workload(), n_runs=10_000, seed=2)
         assert dev.stats["total"]["std"] < host.stats["total"]["std"]
+
+
+def _summary_alone(row) -> dict:
+    """The per-series summary ``summarize`` replaced: three percentile
+    calls on one 1-D series."""
+    return {"mean": float(row.mean()), "std": float(row.std()),
+            "p50": float(np.percentile(row, 50)),
+            "p95": float(np.percentile(row, 95)),
+            "p99": float(np.percentile(row, 99))}
+
+
+def _bits(summary: dict) -> dict:
+    return {k: float(v).hex() for k, v in summary.items()}
 
 
 class TestBudgetCheck:
@@ -117,6 +160,36 @@ class TestDepthSweep:
             mlp_depth_sweep(depths=())
         with pytest.raises(errors.ConfigError):
             mlp_inference_us(-1)
+
+    @pytest.mark.parametrize("depths", [(), (1.5,), ("3",), (0, 5, -1),
+                                        (True,), (2, np.float64(4.0))])
+    def test_depths_checked_before_any_draw(self, monkeypatch, depths):
+        def fail(*args, **kwargs):
+            raise AssertionError("a pipeline was run")
+        monkeypatch.setattr(link, "run_pipeline", fail)
+        with pytest.raises(errors.ConfigError):
+            mlp_depth_sweep(depths=depths)
+
+    @pytest.mark.parametrize("depth", [1.5, "3", True, None])
+    def test_non_int_depth_rejected(self, depth):
+        with pytest.raises(errors.ConfigError):
+            mlp_inference_us(depth)
+
+    @settings(max_examples=25, deadline=None)
+    @given(depths=st.lists(st.integers(0, 80), min_size=1, max_size=6),
+           hw_accel=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_rows_match_one_pipeline_per_depth(self, depths, hw_accel, seed):
+        want = []
+        for depth in depths:
+            inf_us = mlp_inference_us(depth, hw_accel)
+            stats = run_pipeline(DEVICE_PATH, Workload(inference_us=inf_us),
+                                 link.DEPTH_SWEEP_RUNS, seed)
+            total = stats.stats["total"]["mean"]
+            want.append({"depth": depth, "inference_us": inf_us,
+                         "total_mean_us": total,
+                         "within_budget": total <= DEFAULT_BUDGET_US})
+        got = mlp_depth_sweep(depths=depths, hw_accel=hw_accel, seed=seed)
+        assert json.dumps(got["rows"]) == json.dumps(want)
 
     def test_depth_zero_costs_nothing(self):
         assert mlp_inference_us(0) == 0.0
