@@ -106,8 +106,8 @@ class TestJitterStats:
 
 
 def _summary_alone(row) -> dict:
-    """The per-series summary ``summarize`` replaced: three percentile
-    calls on one 1-D series."""
+    """Reference summary of one 1-D series, one percentile call per
+    quantile."""
     return {"mean": float(row.mean()), "std": float(row.std()),
             "p50": float(np.percentile(row, 50)),
             "p95": float(np.percentile(row, 95)),
@@ -158,10 +158,11 @@ class TestDepthSweep:
     def test_bad_depths_rejected(self):
         with pytest.raises(errors.ConfigError):
             mlp_depth_sweep(depths=())
-        with pytest.raises(errors.ConfigError):
-            mlp_inference_us(-1)
+        for depth in (-1, 1.5, "3", True, None):
+            with pytest.raises(errors.ConfigError):
+                mlp_inference_us(depth)
 
-    @pytest.mark.parametrize("depths", [(), (1.5,), ("3",), (0, 5, -1),
+    @pytest.mark.parametrize("depths", [(1.5,), ("3",), (0, 5, -1),
                                         (True,), (2, np.float64(4.0))])
     def test_depths_checked_before_any_draw(self, monkeypatch, depths):
         def fail(*args, **kwargs):
@@ -169,11 +170,6 @@ class TestDepthSweep:
         monkeypatch.setattr(link, "run_pipeline", fail)
         with pytest.raises(errors.ConfigError):
             mlp_depth_sweep(depths=depths)
-
-    @pytest.mark.parametrize("depth", [1.5, "3", True, None])
-    def test_non_int_depth_rejected(self, depth):
-        with pytest.raises(errors.ConfigError):
-            mlp_inference_us(depth)
 
     @settings(max_examples=25, deadline=None)
     @given(depths=st.lists(st.integers(0, 80), min_size=1, max_size=6),
@@ -207,10 +203,10 @@ def _digest(a) -> str:
 
 
 class TestPinnedPipelineDigests:
-    """SHA-256 of every stage array, the totals and the statistics of 10,000
-    pipeline runs (seed 0), and of the rows of criterion 03's two depth sweeps.  Stage
-    draws and sums are elementwise IEEE arithmetic, so a change to the stage
-    model that alters any sample shows up here."""
+    """SHA-256 of every stage array, the totals and the statistics of
+    10,000 pipeline runs (seed 0), and of the rows of criterion 03's two
+    depth sweeps.  Stage draws and sums are elementwise IEEE arithmetic, so
+    a change to the stage model that alters any sample shows up here."""
 
     CASES = {
         "host": (HOST_PATH, Workload()),
