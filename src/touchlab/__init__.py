@@ -11,8 +11,7 @@ Subsystems:
   feature extraction
 - :mod:`touchlab.optics` -- Monte-Carlo illumination of the hemispherical
   fingertip, scatter sweeps, MTF analysis
-- :mod:`touchlab.nn` -- dense network engine (forward/backward/Adam) and the
-  analytic convolution cost model
+- :mod:`touchlab.nn` -- dense network engine (forward/backward/Adam)
 - :mod:`touchlab.experiments` -- gas and multimodal fusion classification
   experiments
 - :mod:`touchlab.link` -- the six-stage event-to-action latency model
@@ -34,7 +33,6 @@ from .core import (
     RecordLog,
     StreamDescriptor,
     WindowSample,
-    frame_delay,
     stream_id_for,
     validate_descriptor,
 )
@@ -49,7 +47,6 @@ __all__ = [
     "StreamDescriptor",
     "WindowSample",
     "errors",
-    "frame_delay",
     "read_log",
     "stream_id_for",
     "validate_descriptor",

@@ -264,6 +264,8 @@ def cmd_bench_optics(args) -> int:
 def cmd_bench_mtf(args) -> int:
     spacings = [_float_token(s, "--spacings")
                 for s in args.spacings.split(",") if s.strip()]
+    if not spacings:
+        raise errors.ConfigError("empty --spacings")
     rows = []
     for region in (1, 2, 3) if args.region == 0 else (args.region,):
         sigma = optics.region_psf_sigma_um(region)
@@ -306,8 +308,9 @@ def cmd_train_gas(args) -> int:
 
 
 def cmd_train_fusion(args) -> int:
-    modalities = experiments.MODALITY_NAMES if args.modalities == "all" \
-        else tuple(m.strip() for m in args.modalities.split(","))
+    modalities = experiments.check_modalities(
+        experiments.MODALITY_NAMES if args.modalities == "all"
+        else (m.strip() for m in args.modalities.split(",")))
     windows = list(experiments.iter_fusion_windows(
         trials_per_class=args.trials_per_class, seed=args.seed))
     modes = (experiments.FINGER_DEPENDENT, experiments.FINGER_INDEPENDENT) \

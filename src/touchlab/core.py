@@ -72,10 +72,6 @@ VALID_SAMPLE_BITS = (8, 16, 32)
 #: Side of the square fingertip camera image, in pixels.
 IMAGE_SIZE = 120
 
-#: Gas record channel order: oxidation resistance (ohm), relative humidity
-#: (%), temperature (degC), barometric pressure (hPa).
-GAS_CHANNELS = ("gas_ohm", "humidity_pct", "temperature_c", "pressure_hpa")
-
 #: Per-finger stream id layout: finger f, modality m -> f * 8 + offset[m].
 STREAM_OFFSETS = {
     ModalityKind.VISUOTACTILE: 0,
@@ -139,16 +135,6 @@ def validate_descriptor(desc: StreamDescriptor) -> None:
         raise errors.UnknownKind(f"stream_id must fit u16, got {desc.stream_id}")
 
 
-def frame_delay(rate_hz: float) -> float:
-    """Capture delay imposed by a sampled sensor: one frame period, 1/rate.
-
-    240 fps -> 4.17 ms, 60 fps -> 16.7 ms.
-    """
-    if not (rate_hz > 0):
-        raise errors.ZeroRate(f"rate_hz must be positive, got {rate_hz}")
-    return 1.0 / rate_hz
-
-
 # Canonical little-endian payload dtypes per modality.
 PAYLOAD_DTYPES = {
     ModalityKind.VISUOTACTILE: np.dtype("u1"),
@@ -178,7 +164,7 @@ class ModalitySample:
 
     def __post_init__(self):
         if not (0 <= self.t_ns <= MAX_TIMESTAMP_NS):
-            raise ValueError(f"timestamp out of u64 range: {self.t_ns}")
+            raise errors.ConfigError(f"timestamp out of u64 range: {self.t_ns}")
         # Freeze the payload so samples are safe to share.
         self.payload.setflags(write=False)
 
@@ -283,7 +269,7 @@ class RecordLog:
     def append(self, sample: ModalitySample) -> None:
         desc = self.descriptors.get(sample.stream_id)
         if desc is None:
-            raise KeyError(f"no descriptor for stream {sample.stream_id}")
+            raise errors.UnknownKind(f"no descriptor for stream {sample.stream_id}")
         p, t_ns = sample.payload, np.array([sample.t_ns], dtype=np.uint64)
         if desc.kind is ModalityKind.SURFACE_AUDIO:
             one = StreamColumns(t_ns, p, np.array([0, p.shape[0] if p.ndim else 0]))

@@ -99,14 +99,6 @@ class ZeroMean(TouchlabError, ValueError):
     pass
 
 
-class OverlappingRois(TouchlabError, ValueError):
-    pass
-
-
-class ZeroNoise(TouchlabError, ValueError):
-    pass
-
-
 class NoPeaksFound(TouchlabError, ValueError):
     pass
 

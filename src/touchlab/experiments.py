@@ -365,6 +365,18 @@ def _predict(model: nn.MlpModel, x: np.ndarray):
             np.argmax(logits["material"], axis=-1))
 
 
+def check_modalities(modalities) -> tuple:
+    """``modalities`` as a tuple; MissingModality unless it names at least
+    one modality and only names from MODALITY_NAMES."""
+    modalities = tuple(modalities)
+    if not modalities:
+        raise errors.MissingModality("need at least one modality")
+    unknown = set(modalities) - set(MODALITY_NAMES)
+    if unknown:
+        raise errors.MissingModality(f"unknown modalities {sorted(unknown)}")
+    return modalities
+
+
 def fusion_experiment(windows, mode: str = FINGER_DEPENDENT,
                       modalities=MODALITY_NAMES, seed: int = 0,
                       max_epochs: int = 200,
@@ -383,13 +395,7 @@ def fusion_experiment(windows, mode: str = FINGER_DEPENDENT,
     of one model; the chosen rate is retrained on the full training set, and
     the result holds held-out accuracies plus confusion matrices.
     """
-    modalities = tuple(modalities)
-    if not modalities:
-        raise errors.MissingModality("need at least one modality")
-    unknown = set(modalities) - set(MODALITY_NAMES)
-    if unknown:
-        raise errors.MissingModality(f"unknown modalities {sorted(unknown)}")
-
+    modalities = check_modalities(modalities)
     feats = {}
     labels = {}
     for item in windows:

@@ -1,5 +1,5 @@
 """Dense-network engine: forward, cross-entropy backprop, Adam, and the
-analytic convolution cost model.
+dense MAC count that the latency model scales inference by.
 
 One engine serves every classifier: a trunk of activated dense layers
 read out by one softmax layer or by named softmax heads.  A model's weights
@@ -372,77 +372,6 @@ def grad_check(model: MlpModel, x, label) -> GradCheckResult:
         n_checked += 1
     return GradCheckResult(max_rel_error=max_err, n_checked=n_checked,
                            excluded=excluded)
-
-
-# --- analytic convolution cost model -----------------------------------------------
-
-CONV = "conv"
-DSCONV = "dsconv"
-
-
-@dataclass(frozen=True)
-class ConvLayer:
-    """One convolution layer: standard or depthwise-separable."""
-
-    kind: str
-    kernel: int
-    c_in: int
-    c_out: int
-    stride: int = 1
-
-    def __post_init__(self):
-        if self.kind not in (CONV, DSCONV):
-            raise errors.ConfigError(f"unknown layer kind {self.kind!r}")
-        if min(self.kernel, self.c_in, self.c_out, self.stride) < 1:
-            raise errors.ConfigError("kernel, channels and stride must be >= 1")
-
-
-@dataclass(frozen=True)
-class ConvCostSpec:
-    """Block stack plus square input size, e.g. a MobileNet-style network
-    with a 64 x 64 input."""
-
-    layers: tuple
-    input_size: int = 64
-
-    def __post_init__(self):
-        object.__setattr__(self, "layers", tuple(self.layers))
-        if self.input_size < 1:
-            raise errors.ConfigError("input_size must be >= 1")
-
-
-@dataclass(frozen=True)
-class DeviceProfile:
-    """Analytic compute throughput of an inference device."""
-
-    name: str
-    macs_per_us: float
-    per_layer_overhead_us: float = 0.0
-
-
-def conv_cost(spec: ConvCostSpec, profile: DeviceProfile | None = None) -> dict:
-    """Multiply-accumulate count of a conv stack, with optional latency
-    estimate macs / throughput + per-layer overhead.
-
-    Spatial dims follow 'same' padding: out = ceil(size / stride).
-    """
-    size = spec.input_size
-    total = 0
-    for layer in spec.layers:
-        out = -(-size // layer.stride)  # >= 1: size and stride are >= 1
-        area = out * out
-        if layer.kind == CONV:
-            total += area * layer.kernel ** 2 * layer.c_in * layer.c_out
-        else:
-            total += area * layer.kernel ** 2 * layer.c_in  # depthwise
-            total += area * layer.c_in * layer.c_out        # pointwise
-        size = out
-    result = {"macs": int(total)}
-    if profile is not None:
-        result["est_latency_us"] = (total / profile.macs_per_us
-                                    + profile.per_layer_overhead_us
-                                    * len(spec.layers))
-    return result
 
 
 def mlp_macs(layer_sizes) -> int:

@@ -17,9 +17,9 @@ BSDF-sampled direction until it exits through the base plane or the bounce
 limit is reached.  Contacts press a spherical-cap dent into the dome and
 tilt the local normals, which is what makes indentations visible.
 
-The same module hosts the image metrics used to grade illumination designs
-(background non-uniformity, contrast-to-noise ratio), the scatter-angle
-sweep with its frozen combined objective, and the two-prong MTF spatial
+The same module hosts the background-uniformity metrics used to grade
+illumination designs, the scatter-angle sweep with its contrast-to-noise
+column and frozen combined objective, and the two-prong MTF spatial
 resolution analysis with per-region calibrated Gaussian PSFs.
 """
 
@@ -36,7 +36,7 @@ from .core import IMAGE_SIZE
 
 DOME_RADIUS_MM = 12.0
 CAMERA_POS_MM = np.array([0.0, 0.0, -6.0])
-LED_RING_RADIUS_MM = 9.0
+LED_COUNT, LED_RING_RADIUS_MM = 8, 9.0
 MIN_PHOTONS = 100_000
 #: Most photons one render traces (about 1 GB of photon state); a larger
 #: budget is rejected before anything is allocated.
@@ -99,12 +99,11 @@ class ScatterSurface:
         return f"{self.alpha_hwhm_deg:g}deg" if self.mode == GAUSSIAN else self.mode
 
 
-@dataclass(frozen=True)
 class LedRing:
-    """Eight equal white LEDs equally spaced on a ring in the base plane."""
+    """``LED_COUNT`` equal white LEDs equally spaced on a ring in the base plane."""
 
-    count: int = 8
-    radius_mm: float = LED_RING_RADIUS_MM
+    count = LED_COUNT
+    radius_mm = LED_RING_RADIUS_MM
 
     def positions(self) -> np.ndarray:
         phi = 2.0 * np.pi * np.arange(self.count) / self.count
@@ -361,7 +360,7 @@ def _trace(surface, contacts, photons, rng) -> np.ndarray:
     then keeps only the photons that hit the dome, in their original order.
     Every RNG draw is sized by the live count, so the draws, and the order in
     which ``bincount`` sums each pixel, do not depend on the compaction."""
-    n_led = LedRing().count
+    n_led = LED_COUNT
     counts = np.full(n_led, photons // n_led)
     counts[:photons % n_led] += 1
     led_idx = np.repeat(np.arange(n_led), counts)
@@ -463,23 +462,6 @@ def uniformity_metrics(img: TaxelImage, mask: np.ndarray) -> dict:
         "std_over_mean": float(sel.std() / mean),
         "range_over_mean": float((sel.max() - sel.min()) / mean),
     }
-
-
-def cnr(img: TaxelImage, roi_indentation: np.ndarray,
-        roi_background: np.ndarray) -> float:
-    """Contrast-to-noise ratio between an indentation ROI and a background
-    ROI: |mean_ind - mean_bg| / std_bg."""
-    values = img.scalar()
-    if roi_indentation.sum() < 25 or roi_background.sum() < 25:
-        raise errors.EmptyMask("each ROI must select at least 25 taxels")
-    if np.any(roi_indentation & roi_background):
-        raise errors.OverlappingRois("indentation and background ROIs overlap")
-    ind = values[roi_indentation]
-    bg = values[roi_background]
-    noise = bg.std()
-    if noise == 0:
-        raise errors.ZeroNoise("background ROI has zero variance")
-    return float(abs(ind.mean() - bg.mean()) / noise)
 
 
 def disc_roi(size: int, polar_deg: float, azimuth_deg: float,

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import touchlab
-from touchlab import recordlog, synth
+from touchlab import experiments, recordlog, synth
 from touchlab.cli import EXIT_CONFIG, EXIT_EMPTY, EXIT_OK, main
 from touchlab.core import ModalityKind, ModalitySample, RecordLog, StreamDescriptor
 
@@ -260,6 +260,8 @@ class TestBenchCommands:
         ["bench-latency", "--runs", "10000001"],
         ["bench-reflex", "--trials", "1000001"],
         ["bench-optics", "--alpha-sweep", "5", "--photons", "10000001"],
+        ["bench-mtf", "--spacings", ","],
+        ["bench-mtf", "--spacings", " "],
     ])
     def test_bad_flag_value_exit_2(self, tmp_path, capsys, argv):
         out = tmp_path / "report.json"
@@ -350,6 +352,18 @@ class TestTrainingExitCodes:
         assert main(argv + ["--out", str(out)]) == code
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("modalities", ["sonar", ",", "audio,sonar"])
+    def test_fusion_checks_modalities_before_windows(self, monkeypatch, tmp_path,
+                                                     capsys, modalities):
+        def fail(*args, **kwargs):
+            raise AssertionError("fusion windows were built")
+        monkeypatch.setattr(experiments, "iter_fusion_windows", fail)
+        out = tmp_path / "report.json"
+        assert main(["train-fusion", f"--modalities={modalities}",
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
 
 

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from touchlab import errors
 from touchlab.core import (
@@ -11,7 +10,6 @@ from touchlab.core import (
     StreamColumns,
     StreamDescriptor,
     WindowSample,
-    frame_delay,
     validate_descriptor,
 )
 
@@ -44,26 +42,6 @@ class TestValidateDescriptor:
             validate_descriptor(desc)
 
 
-class TestFrameDelay:
-    def test_240_fps(self):
-        assert frame_delay(240.0) == pytest.approx(4.17e-3, abs=0.01e-3)
-
-    def test_60_fps(self):
-        assert frame_delay(60.0) == pytest.approx(16.7e-3, abs=0.05e-3)
-
-    def test_unit_rate(self):
-        assert frame_delay(1.0) == 1.0
-
-    def test_zero_rate(self):
-        with pytest.raises(errors.ZeroRate):
-            frame_delay(0.0)
-
-    @given(st.floats(min_value=0.1, max_value=1e5),
-           st.floats(min_value=1e-6, max_value=1e4))
-    def test_strictly_decreasing(self, rate, bump):
-        assert frame_delay(rate + bump) < frame_delay(rate)
-
-
 class TestRecordLogModel:
     def test_payload_shape_enforced(self):
         log = RecordLog()
@@ -81,8 +59,13 @@ class TestRecordLogModel:
 
     def test_unknown_stream_rejected(self):
         log = RecordLog()
-        with pytest.raises(KeyError):
+        with pytest.raises(errors.UnknownKind):
             log.append(ModalitySample(7, 0, np.zeros(3, dtype="<f4")))
+
+    @pytest.mark.parametrize("t_ns", [-1, 2**64])
+    def test_timestamp_out_of_range_rejected(self, t_ns):
+        with pytest.raises(errors.ConfigError):
+            ModalitySample(0, t_ns, np.zeros(1, dtype="<f4"))
 
     def test_unsorted_per_stream_detected(self):
         log = RecordLog()

@@ -11,8 +11,8 @@ import touchlab
 
 BUILTIN_ERRORS = {"ValueError", "KeyError", "TypeError"}
 
-GUARDED_MODULES = ("optics", "synth", "dsp", "link", "experiments", "nn",
-                   "recordlog", "cli", "reflex")
+GUARDED_MODULES = ("core", "optics", "synth", "dsp", "link", "experiments",
+                   "nn", "recordlog", "cli", "reflex")
 
 
 def _builtin_raises(path: Path) -> list:

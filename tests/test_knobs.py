@@ -1,6 +1,8 @@
 """Constants, not knobs: every defaulted parameter or dataclass field of
 ``touchlab`` is set by some call in ``src/``, ``demos/``, ``perfbench/``
-or the acceptance tests, or is on ``EXEMPT`` with its reason.
+or the acceptance tests, or is on ``EXEMPT`` with its reason.  Reach:
+every module-level public function, class or constant of ``touchlab`` is
+referenced there, or is on ``UNREACHED`` with its reason.
 
 A static walk of the syntax trees.  A call sets a parameter when it
 passes it by keyword or passes at least that many positional arguments to
@@ -9,6 +11,10 @@ method is matched by its name alone, ``cls`` by its class).
 ``dataclasses.replace`` sets the fields it names on any dataclass, and
 ``pool.ordered_map(fn, jobs)`` passes each job to ``fn`` as positional
 arguments.  A call through a ``**`` mapping sets nothing the walk can see.
+A name is referenced when some caller loads it or reads an attribute of
+that name, again matched by the last name alone.  A definition or an
+import is not a reference, so neither is the re-export in
+``touchlab/__init__.py``.
 """
 
 import ast
@@ -24,17 +30,13 @@ EXEMPT = {
     "experiments.fusion_experiment.max_epochs": "unit tests shorten fits",
     "optics.sample_bsdf.normal": "test seam of the recorded BSDF model",
     "synth.Imprint.depth": "test seam of the recorded imprint model",
-    "nn.ConvLayer.stride": "conv cost model, kept whole by the README",
-    "nn.ConvCostSpec.input_size": "conv cost model, kept whole by the README",
-    "nn.DeviceProfile.per_layer_overhead_us":
-        "conv cost model, kept whole by the README",
-    "nn.conv_cost.profile": "conv cost model, kept whole by the README",
-    "optics.LedRing.count":
-        "perfbench reads LedRing().count; a constant waits for a benchmark change",
-    "optics.LedRing.radius_mm":
-        "perfbench reads LedRing().count; a constant waits for a benchmark change",
     "synth.ObjectSpec.temperature_c":
         "cli.load_scenario sets it through a ** mapping the walk cannot see",
+}
+
+UNREACHED = {
+    "optics.sample_bsdf": "test seam of the recorded BSDF model",
+    "synth.Imprint": "test seam of the recorded imprint model",
 }
 
 
@@ -135,11 +137,16 @@ class _Calls(ast.NodeVisitor):
         self.positional[callee] = max(self.positional.get(callee, 0), n)
 
 
-def call_sites() -> _Calls:
-    calls = _Calls()
+def _caller_trees():
     for c in CALLERS:
         for path in [c] if c.is_file() else sorted(c.rglob("*.py")):
-            calls.visit(ast.parse(path.read_text()))
+            yield ast.parse(path.read_text())
+
+
+def call_sites() -> _Calls:
+    calls = _Calls()
+    for tree in _caller_trees():
+        calls.visit(tree)
     return calls
 
 
@@ -159,3 +166,42 @@ def test_every_knob_is_set_or_exempt():
 
 def test_exemptions_are_still_unset():
     assert sorted(set(EXEMPT) - set(unset_knobs())) == []
+
+
+def public_names() -> list:
+    """``module.name`` of every module-level public function, class and
+    constant of the package."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name)]
+            else:
+                continue
+            found += [f"{path.stem}.{n}" for n in names if not n.startswith("_")]
+    return found
+
+
+def unreached_names() -> list:
+    referenced = set()
+    for tree in _caller_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    return sorted(q for q in public_names()
+                  if q.rsplit(".", 1)[1] not in referenced)
+
+
+def test_every_public_name_is_reached_or_exempt():
+    assert [n for n in unreached_names() if n not in UNREACHED] == []
+
+
+def test_unreached_exemptions_are_still_unreached():
+    assert sorted(set(UNREACHED) - set(unreached_names())) == []

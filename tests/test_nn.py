@@ -8,18 +8,12 @@ from touchlab.nn import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
-    CONV,
-    DSCONV,
     AdamState,
-    ConvCostSpec,
-    ConvLayer,
-    DeviceProfile,
     GradCheckResult,
     MlpModel,
     MlpSpec,
     TrainConfig,
     accuracy,
-    conv_cost,
     grad_check,
     mlp_macs,
     train,
@@ -273,9 +267,6 @@ class TestConfigErrors:
         lambda: TrainConfig(lr=-0.1),
         lambda: TrainConfig(lr=()),
         lambda: TrainConfig(max_epochs=0),
-        lambda: ConvLayer("pool", 3, 1, 1),
-        lambda: ConvLayer(CONV, 0, 1, 1),
-        lambda: ConvCostSpec(layers=(), input_size=0),
         lambda: MlpModel(MlpSpec((3, 4)), replicas=0),
     ])
     def test_config_error(self, make):
@@ -323,31 +314,6 @@ class TestGradCheck:
             assert res.n_checked > 0.9 * model.params.size
 
 
-class TestConvCost:
-    def test_single_1x1_conv(self):
-        # Closed-form layer arithmetic oracle: H * W * K^2 * C_in * C_out.
-        spec = ConvCostSpec(layers=(ConvLayer(CONV, 1, 8, 8),), input_size=64)
-        assert conv_cost(spec)["macs"] == 64 * 64 * 8 * 8 == 262_144
-
-    def test_quadratic_spatial_scaling(self):
-        layers = (ConvLayer(CONV, 3, 3, 16), ConvLayer(DSCONV, 3, 16, 32))
-        small = conv_cost(ConvCostSpec(layers=layers, input_size=64))["macs"]
-        big = conv_cost(ConvCostSpec(layers=layers, input_size=96))["macs"]
-        assert big / small == pytest.approx((96 / 64) ** 2)
-
-    def test_empty_stack(self):
-        assert conv_cost(ConvCostSpec(layers=(), input_size=64))["macs"] == 0
-
-    def test_depthwise_separable_arithmetic(self):
-        spec = ConvCostSpec(layers=(ConvLayer(DSCONV, 3, 8, 16),), input_size=32)
-        want = 32 * 32 * 9 * 8 + 32 * 32 * 8 * 16
-        assert conv_cost(spec)["macs"] == want
-
-    def test_latency_estimate(self):
-        spec = ConvCostSpec(layers=(ConvLayer(CONV, 1, 8, 8),), input_size=64)
-        profile = DeviceProfile("dev", macs_per_us=1000.0, per_layer_overhead_us=5.0)
-        got = conv_cost(spec, profile)["est_latency_us"]
-        assert got == pytest.approx(262_144 / 1000.0 + 5.0)
-
+class TestMlpMacs:
     def test_mlp_macs(self):
         assert mlp_macs((64, 64, 64)) == 2 * 64 * 64

@@ -12,7 +12,6 @@ from touchlab.optics import (
     ScatterSurface,
     TaxelImage,
     annulus_roi,
-    cnr,
     count_glints,
     disc_roi,
     fov_mask,
@@ -205,62 +204,6 @@ class TestUniformityMetrics:
         img = TaxelImage(values=np.zeros((20, 20)))
         with pytest.raises(errors.ZeroMean):
             uniformity_metrics(img, np.ones((20, 20), dtype=bool))
-
-
-class TestCnr:
-    def _rois(self):
-        a = np.zeros((20, 20), dtype=bool)
-        b = np.zeros((20, 20), dtype=bool)
-        a[:10] = True
-        b[10:] = True
-        return a, b
-
-    def test_identical_stats_zero(self):
-        rng = np.random.default_rng(1)
-        values = rng.normal(10.0, 2.0, size=(20, 20))
-        values[:10] = values[10:]
-        a, b = self._rois()
-        assert cnr(TaxelImage(values=np.abs(values)), a, b) == pytest.approx(0.0)
-
-    def test_direct_arithmetic(self):
-        a, b = self._rois()
-        values = np.zeros((20, 20))
-        values[:10] = 10.0
-        rng = np.random.default_rng(2)
-        noise = rng.normal(0.0, 2.0, size=(10, 20))
-        values[10:] = 4.0 + noise - noise.mean()
-        img = TaxelImage(values=values - values.min())
-        got = cnr(img, a, b)
-        want = abs(10.0 - 4.0) / values[10:].std()
-        assert got == pytest.approx(want)
-
-    def test_translation_invariance(self):
-        a, b = self._rois()
-        rng = np.random.default_rng(3)
-        values = rng.random((20, 20)) + 1.0
-        values[:5, :5] += 2.0
-        c1 = cnr(TaxelImage(values=values), a, b)
-        c2 = cnr(TaxelImage(values=values + 123.0), a, b)
-        assert c1 == pytest.approx(c2)
-
-    def test_overlapping_rois(self):
-        a, b = self._rois()
-        b[5] = True
-        with pytest.raises(errors.OverlappingRois):
-            cnr(TaxelImage(values=np.ones((20, 20))), a, b)
-
-    def test_zero_noise(self):
-        a, b = self._rois()
-        with pytest.raises(errors.ZeroNoise):
-            cnr(TaxelImage(values=np.ones((20, 20))), a, b)
-
-    def test_small_roi_rejected(self):
-        a = np.zeros((20, 20), dtype=bool)
-        a[0, :10] = True
-        b = np.zeros((20, 20), dtype=bool)
-        b[10:] = True
-        with pytest.raises(errors.EmptyMask):
-            cnr(TaxelImage(values=np.ones((20, 20))), a, b)
 
 
 class TestScatterSweep:
