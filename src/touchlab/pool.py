@@ -7,7 +7,7 @@ in flight.  With one CPU (``taskset -c 0``), fewer than two jobs, or when
 called by a job in a worker, it is a plain loop in the calling process, so
 no worker starts a pool of its own.  The pool is made on the first
 parallel call and kept.  A call during which a worker dies raises
-``BrokenProcessPool``; a call that finds the pool broken replaces it.  A
+``BrokenProcessPool``; a call that finds a worker dead replaces the pool.  A
 worker's exception reaches the caller as the same class.  Everything sent
 to a worker is pickled, the function by its import path.  A job's array
 result comes back through a shared-memory segment, and the result pipe
@@ -119,8 +119,7 @@ def _unpark(result):
 
 def _executor(workers: int):
     global _pool, _pool_size
-    # ``_broken`` is set once the pool has seen a worker die.
-    if _pool is not None and (_pool_size != workers or _pool._broken):
+    if _pool is not None and (_pool_size != workers or _broken(_pool)):
         _drop()
     if _pool is None:
         import multiprocessing
@@ -147,6 +146,14 @@ def _executor(workers: int):
         # Runs at exit after the finalizers that release the semaphores.
         util.Finalize(None, _shut_down, exitpriority=-100)
     return _pool
+
+
+def _broken(executor) -> bool:
+    """Whether a worker of ``executor`` has died.  ``_broken`` is set only
+    once the executor's manager thread has seen the death, which may come
+    after the next call has begun submitting."""
+    return bool(executor._broken) or not all(
+        p.is_alive() for p in list(executor._processes.values()))
 
 
 def _start_worker(parent_pid: int) -> None:

@@ -267,7 +267,9 @@ class TestConfigErrors:
         lambda: TrainConfig(lr=-0.1),
         lambda: TrainConfig(lr=()),
         lambda: TrainConfig(max_epochs=0),
-        lambda: MlpModel(MlpSpec((3, 4)), replicas=0),
+        # This case keeps the id it had while the conv cost cases stood
+        # before it.
+        pytest.param(lambda: MlpModel(MlpSpec((3, 4)), replicas=0), id="<lambda>10"),
     ])
     def test_config_error(self, make):
         with pytest.raises(errors.ConfigError):

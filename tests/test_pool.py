@@ -298,7 +298,6 @@ class TestWorkers:
         os.kill(victim.pid, signal.SIGKILL)
         victim.join(timeout=10)
         assert not victim.is_alive()
-        time.sleep(0.5)  # for the pool's manager thread to see the death
         assert list(pool.ordered_map(pow, jobs)) == [8, 9, 32]
 
     def test_worker_death_during_a_call_raises(self, monkeypatch):
