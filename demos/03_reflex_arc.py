@@ -1,10 +1,10 @@
 """Reflex-arc benchmark: event-to-action latency across processing paths.
 
-A contact transient is injected at a random sampling phase, picked up by
-the debounced contact detector, and routed through one of three paths:
-local processing on the fingertip, round trip through the host, or the
-legacy 60 fps vision-only pipeline.  Matched trials share random draws, so
-the on-device path wins in every single trial, not just on average.
+A contact lands at a random phase of the sampling period, is detected on
+the next sample, and is routed through one of three paths: local
+processing on the fingertip, round trip through the host, or the legacy
+60 fps vision-only pipeline.  Matched trials share random draws, so the
+on-device path wins in every single trial, not just on average.
 """
 
 import numpy as np

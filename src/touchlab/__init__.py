@@ -15,8 +15,8 @@ Subsystems:
 - :mod:`touchlab.experiments` -- gas and multimodal fusion classification
   experiments
 - :mod:`touchlab.link` -- the six-stage event-to-action latency model
-- :mod:`touchlab.reflex` -- contact-detection state machine and the
-  event-to-action reflex benchmark
+- :mod:`touchlab.reflex` -- the event-to-action reflex benchmark over link
+  paths
 - :mod:`touchlab.pool` -- independent jobs in one bounded pool of worker
   processes
 - :mod:`touchlab.cli` -- command-line front door

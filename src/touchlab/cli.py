@@ -232,21 +232,19 @@ def _float_token(token: str, flag: str) -> float:
         raise errors.ConfigError(f"{flag}: not a number: {token!r}") from None
 
 
-def _parse_alphas(text: str):
-    alphas = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        alphas.append(token if token in (optics.LAMBERTIAN, optics.SPECULAR)
-                      else _float_token(token, "--alpha-sweep"))
-    if not alphas:
-        raise errors.ConfigError("empty --alpha-sweep")
-    return alphas
+def _list_flag(text: str, flag: str, words=()) -> list:
+    """The comma-separated values of ``flag``: each token a number, or kept
+    as a string when it is one of ``words``; empty tokens are dropped."""
+    values = [token if token in words else _float_token(token, flag)
+              for token in (t.strip() for t in text.split(",")) if token]
+    if not values:
+        raise errors.ConfigError(f"empty {flag}")
+    return values
 
 
 def cmd_bench_optics(args) -> int:
-    alphas = _parse_alphas(args.alpha_sweep)
+    alphas = _list_flag(args.alpha_sweep, "--alpha-sweep",
+                        (optics.LAMBERTIAN, optics.SPECULAR))
     result = optics.scatter_sweep(alphas=alphas, photons=args.photons,
                                   seed=args.seed)
     for row in result["rows"]:
@@ -262,10 +260,7 @@ def cmd_bench_optics(args) -> int:
 
 
 def cmd_bench_mtf(args) -> int:
-    spacings = [_float_token(s, "--spacings")
-                for s in args.spacings.split(",") if s.strip()]
-    if not spacings:
-        raise errors.ConfigError("empty --spacings")
+    spacings = _list_flag(args.spacings, "--spacings")
     rows = []
     for region in (1, 2, 3) if args.region == 0 else (args.region,):
         sigma = optics.region_psf_sigma_um(region)
@@ -283,10 +278,7 @@ def cmd_bench_mtf(args) -> int:
 
 
 def cmd_train_gas(args) -> int:
-    times = [_float_token(t, "--integration")
-             for t in args.integration.split(",") if t.strip()]
-    if not times:
-        raise errors.ConfigError("empty --integration")
+    times = _list_flag(args.integration, "--integration")
     data = experiments.make_gas_dataset(n_per_material=args.approaches,
                                         duration_s=args.duration,
                                         seed=args.seed)

@@ -117,12 +117,6 @@ class LabelOutOfRange(TouchlabError, ValueError):
     pass
 
 
-# --- reflex arc ---------------------------------------------------------------
-
-class InvalidTransition(TouchlabError, ValueError):
-    pass
-
-
 # --- liquid-level analysis ---------------------------------------------------
 
 class NoTapsFound(TouchlabError, ValueError):

@@ -41,6 +41,11 @@ GAS_HIDDEN, GAS_LR, GAS_APPROACH_S = 64, 0.1, 90.0
 FUSION_RATES = {ModalityKind.VISUOTACTILE: 60.0, ModalityKind.SURFACE_AUDIO: 24_000.0}
 TAP_THRESHOLD_REL, TAP_MIN_GAP_S = 6.0, 0.1
 
+#: Most approaches per material of one ``make_gas_dataset`` call and most
+#: trials per (action, material) class of one ``iter_fusion_windows`` call;
+#: a count above is rejected before anything is synthesized.
+MAX_APPROACHES, MAX_TRIALS_PER_CLASS = 10**5, 10**4
+
 
 # --- gas sensing -----------------------------------------------------------------
 
@@ -55,9 +60,10 @@ class GasDataset:
 def make_gas_dataset(n_per_material: int = 60, duration_s: float = GAS_APPROACH_S,
                      seed: int = 0) -> GasDataset:
     """Synthesize repeated approach runs for each of ``GAS_MATERIALS``."""
-    if n_per_material < 1:
+    if not 1 <= n_per_material <= MAX_APPROACHES:
         raise errors.ConfigError(
-            f"need at least one approach per material, got {n_per_material}")
+            f"approaches per material must be in [1, {MAX_APPROACHES}], "
+            f"got {n_per_material}")
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x6A5)))
     series, labels = [], []
     for label, material in enumerate(GAS_MATERIALS):
@@ -304,6 +310,10 @@ def iter_fusion_windows(trials_per_class: int = 12, seed: int = 0,
     (``sampled_frames``: 30 of 160 per finger at the defaults); the windows
     are byte-equal to those cut from the full log.
     """
+    if trials_per_class > MAX_TRIALS_PER_CLASS:
+        raise errors.ConfigError(
+            f"trials per class must be <= {MAX_TRIALS_PER_CLASS}, "
+            f"got {trials_per_class}")
     jobs = _fusion_jobs(trials_per_class, seed, duration_s, stride_s)
     with closing(pool.ordered_map(_finger_windows, jobs)) as results:
         for i, windows in enumerate(results):

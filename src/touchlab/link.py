@@ -1,7 +1,7 @@
 """The six-stage event-to-action latency model.
 
 This module is the one place stage latencies are declared and sampled; the
-reflex-arc benchmark reuses its paths and its stage sampler.  The pipeline
+reflex-arc benchmark is ``run_pipeline`` over a reflex path.  The pipeline
 decomposes event-to-action time into acquisition, data transfer,
 sub-sampling, inference, action transfer and action.  A ``PathProfile``
 holds one processing path's calibrated stage means (microseconds) and
@@ -45,9 +45,6 @@ DEFAULT_BUDGET_US = 2463.0
 
 STAGE_NAMES = ("acquisition", "transfer", "subsample", "inference",
                "action_transfer", "action")
-
-#: The stages ``sample_stages`` jitters, in draw order.
-JITTERED_STAGES = STAGE_NAMES[1:]
 
 #: Most runs one ``run_pipeline`` call simulates (about 1 GB of stage
 #: arrays); a larger count is rejected before anything is allocated.
@@ -114,21 +111,6 @@ class Workload:
     rate_hz: float | None = None
 
 
-def sample_stages(path: PathProfile, workload: Workload, z) -> dict:
-    """The jittered stages for standard-normal draws ``z``: one row of
-    draws per stage in ``JITTERED_STAGES`` order, a row holding one draw
-    per run."""
-    transfer, subsample, inference, action_transfer, action = z
-    return {
-        "transfer": path.transfer.sample(transfer),
-        "subsample": path.subsample.sample(subsample),
-        "inference": StageModel(workload.inference_us,
-                                path.inference_sigma).sample(inference),
-        "action_transfer": path.action_transfer.sample(action_transfer),
-        "action": path.action.sample(action),
-    }
-
-
 def summarize(samples) -> dict | list[dict]:
     """Mean, std and type-7 p50, p95 and p99 of each row of ``samples``.
 
@@ -169,10 +151,19 @@ def run_pipeline(path: PathProfile, workload: Workload = Workload(),
         raise errors.ConfigError(f"n_runs must be in [1, {MAX_RUNS}], got {n_runs}")
     rng = np.random.default_rng(np.random.SeedSequence((0x11A7, seed)))
     u_acq = rng.random(n_runs)
-    z = rng.standard_normal((len(JITTERED_STAGES), n_runs))
+    transfer, subsample, inference, action_transfer, action = \
+        rng.standard_normal((len(STAGE_NAMES) - 1, n_runs))
     acquisition = u_acq * (1e6 / workload.rate_hz) if workload.rate_hz \
         else np.zeros(n_runs)
-    stages = {"acquisition": acquisition, **sample_stages(path, workload, z)}
+    stages = {
+        "acquisition": acquisition,
+        "transfer": path.transfer.sample(transfer),
+        "subsample": path.subsample.sample(subsample),
+        "inference": StageModel(workload.inference_us,
+                                path.inference_sigma).sample(inference),
+        "action_transfer": path.action_transfer.sample(action_transfer),
+        "action": path.action.sample(action),
+    }
     totals = sum(stages[name] for name in STAGE_NAMES)
 
     stats = dict(zip((*STAGE_NAMES, "total"),

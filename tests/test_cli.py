@@ -262,6 +262,8 @@ class TestBenchCommands:
         ["bench-optics", "--alpha-sweep", "5", "--photons", "10000001"],
         ["bench-mtf", "--spacings", ","],
         ["bench-mtf", "--spacings", " "],
+        ["train-fusion", "--trials-per-class", "10001"],
+        ["train-gas", "--approaches", "100001"],
     ])
     def test_bad_flag_value_exit_2(self, tmp_path, capsys, argv):
         out = tmp_path / "report.json"

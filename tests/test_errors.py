@@ -12,7 +12,7 @@ import touchlab
 BUILTIN_ERRORS = {"ValueError", "KeyError", "TypeError"}
 
 GUARDED_MODULES = ("core", "optics", "synth", "dsp", "link", "experiments",
-                   "nn", "recordlog", "cli", "reflex")
+                   "nn", "recordlog", "cli", "reflex", "pool")
 
 
 def _builtin_raises(path: Path) -> list:
