@@ -7,12 +7,13 @@ network; accuracy grows with the integration time.
 """
 
 from touchlab.experiments import gas_experiment, make_gas_dataset
+from touchlab.synth import GAS_MATERIALS
 
 
 def main():
     data = make_gas_dataset(n_per_material=60, duration_s=90.0, seed=0)
     print(f"dataset: {len(data.series)} approaches over "
-          f"{', '.join(data.label_names)}")
+          f"{', '.join(GAS_MATERIALS)}")
 
     print(f"\n{'integration [s]':>16}{'accuracy':>10}")
     for t in (3, 6, 15, 30, 60, 90):
@@ -21,8 +22,8 @@ def main():
 
     res = gas_experiment(data, 90.0, seed=0)
     print("\nconfusion matrix at 90 s (rows = truth):")
-    width = max(len(n) for n in data.label_names)
-    for name, row in zip(data.label_names, res.confusion):
+    width = max(len(n) for n in GAS_MATERIALS)
+    for name, row in zip(GAS_MATERIALS, res.confusion):
         print(f"  {name:<{width}} " + " ".join(f"{v:3d}" for v in row))
 
 

@@ -291,11 +291,11 @@ def cmd_train_gas(args) -> int:
         print(f"integration {t:5.1f} s: accuracy {last.accuracy:.3f}")
     if args.confusion_out and last is not None:
         with open(args.confusion_out, "w") as fh:
-            fh.write(experiments.confusion_csv(last.confusion, data.label_names))
+            fh.write(experiments.confusion_csv(last.confusion, synth.GAS_MATERIALS))
         print(f"wrote confusion matrix (integration {times[-1]:g} s) to "
               f"{args.confusion_out}")
     _emit(_report("train-gas", vars(args), rows,
-                  {"materials": list(data.label_names)}), args.out, args.format)
+                  {"materials": list(synth.GAS_MATERIALS)}), args.out, args.format)
     return EXIT_OK
 
 

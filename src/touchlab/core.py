@@ -38,53 +38,42 @@ class ModalityKind(enum.Enum):
     HEAT = 6
 
 
-#: Default stream rates (Hz).  The audio container rate is 48 kHz with a
-#: content band up to 10 kHz.
-DEFAULT_RATES = {
-    ModalityKind.VISUOTACTILE: 240.0,
-    ModalityKind.SURFACE_AUDIO: 48_000.0,
-    ModalityKind.SURFACE_PRESSURE: 1_000.0,
-    ModalityKind.INERTIAL: 200.0,
-    ModalityKind.GAS: 1.0,
-    ModalityKind.HEAT: 1.0,
-}
+@dataclass(frozen=True)
+class ModalityFormat:
+    """One modality's fixed format: default rate (Hz), channel count,
+    canonical little-endian payload dtype and stream-id offset within its
+    finger's block (see :func:`stream_id_for`)."""
 
-DEFAULT_CHANNELS = {
-    ModalityKind.VISUOTACTILE: 3,
-    ModalityKind.SURFACE_AUDIO: 4,
-    ModalityKind.SURFACE_PRESSURE: 4,
-    ModalityKind.INERTIAL: 3,
-    ModalityKind.GAS: 4,
-    ModalityKind.HEAT: 1,
-}
+    rate_hz: float
+    channels: int
+    dtype: np.dtype
+    stream_offset: int
 
-DEFAULT_SAMPLE_BITS = {
-    ModalityKind.VISUOTACTILE: 8,
-    ModalityKind.SURFACE_AUDIO: 16,
-    ModalityKind.SURFACE_PRESSURE: 32,
-    ModalityKind.INERTIAL: 32,
-    ModalityKind.GAS: 32,
-    ModalityKind.HEAT: 32,
-}
 
-VALID_SAMPLE_BITS = (8, 16, 32)
+#: The format of every modality.  The audio container rate is 48 kHz with
+#: a content band up to 10 kHz.
+FORMATS = {
+    ModalityKind.VISUOTACTILE: ModalityFormat(240.0, 3, np.dtype("u1"), 0),
+    ModalityKind.SURFACE_AUDIO: ModalityFormat(48_000.0, 4, np.dtype("<i2"), 1),
+    ModalityKind.SURFACE_PRESSURE: ModalityFormat(1_000.0, 4, np.dtype("<f4"), 2),
+    ModalityKind.INERTIAL: ModalityFormat(200.0, 3, np.dtype("<f4"), 3),
+    ModalityKind.GAS: ModalityFormat(1.0, 4, np.dtype("<f4"), 4),
+    ModalityKind.HEAT: ModalityFormat(1.0, 1, np.dtype("<f4"), 5),
+}
 
 #: Side of the square fingertip camera image, in pixels.
 IMAGE_SIZE = 120
 
-#: Per-finger stream id layout: finger f, modality m -> f * 8 + offset[m].
-STREAM_OFFSETS = {
-    ModalityKind.VISUOTACTILE: 0,
-    ModalityKind.SURFACE_AUDIO: 1,
-    ModalityKind.SURFACE_PRESSURE: 2,
-    ModalityKind.INERTIAL: 3,
-    ModalityKind.GAS: 4,
-    ModalityKind.HEAT: 5,
-}
-
 
 def stream_id_for(finger_id: int, kind: ModalityKind) -> int:
-    return finger_id * 8 + STREAM_OFFSETS[kind]
+    """Stream id of finger ``finger_id``'s ``kind`` stream: each finger owns
+    a block of 8 ids."""
+    return finger_id * 8 + FORMATS[kind].stream_offset
+
+
+def finger_of(stream_id: int) -> int:
+    """The finger whose block holds ``stream_id``."""
+    return stream_id // 8
 
 
 @dataclass(frozen=True)
@@ -112,9 +101,9 @@ class StreamDescriptor:
         return cls(
             stream_id=stream_id,
             kind=kind,
-            rate_hz=DEFAULT_RATES[kind] if rate_hz is None else rate_hz,
-            channels=DEFAULT_CHANNELS[kind],
-            sample_bits=DEFAULT_SAMPLE_BITS[kind],
+            rate_hz=FORMATS[kind].rate_hz if rate_hz is None else rate_hz,
+            channels=FORMATS[kind].channels,
+            sample_bits=FORMATS[kind].dtype.itemsize * 8,
             width=size,
             height=size,
         )
@@ -128,22 +117,12 @@ def validate_descriptor(desc: StreamDescriptor) -> None:
         raise errors.ZeroRate(f"rate_hz must be positive, got {desc.rate_hz}")
     if desc.channels < 1:
         raise errors.ZeroChannels(f"channels must be >= 1, got {desc.channels}")
-    if desc.sample_bits not in VALID_SAMPLE_BITS:
+    bits = FORMATS[desc.kind].dtype.itemsize * 8
+    if desc.sample_bits != bits:
         raise errors.UnknownKind(
-            f"sample_bits must be one of {VALID_SAMPLE_BITS}, got {desc.sample_bits}")
+            f"sample_bits of {desc.kind.name} must be {bits}, got {desc.sample_bits}")
     if not (0 <= desc.stream_id <= 0xFFFF):
         raise errors.UnknownKind(f"stream_id must fit u16, got {desc.stream_id}")
-
-
-# Canonical little-endian payload dtypes per modality.
-PAYLOAD_DTYPES = {
-    ModalityKind.VISUOTACTILE: np.dtype("u1"),
-    ModalityKind.SURFACE_AUDIO: np.dtype("<i2"),
-    ModalityKind.SURFACE_PRESSURE: np.dtype("<f4"),
-    ModalityKind.INERTIAL: np.dtype("<f4"),
-    ModalityKind.GAS: np.dtype("<f4"),
-    ModalityKind.HEAT: np.dtype("<f4"),
-}
 
 
 def row_shape(desc: StreamDescriptor) -> tuple:
@@ -207,10 +186,10 @@ class StreamColumns:
         elif o is not None:
             rows = -1
         if (self.t_ns.dtype != np.uint64 or self.t_ns.shape != (n,)
-                or self.payload.dtype != PAYLOAD_DTYPES[desc.kind]
+                or self.payload.dtype != FORMATS[desc.kind].dtype
                 or self.payload.shape != (rows, *row_shape(desc))):
             raise errors.ShapeMismatch(
-                f"stream {desc.stream_id}: columns do not hold {PAYLOAD_DTYPES[desc.kind]} "
+                f"stream {desc.stream_id}: columns do not hold {FORMATS[desc.kind].dtype} "
                 f"rows of shape {row_shape(desc)}")
 
 
@@ -242,6 +221,8 @@ class RecordLog:
         for desc in descriptors:
             log.add_stream(desc)
         for sid, cols in columns.items():
+            if sid not in log.descriptors:
+                raise errors.UnknownKind(f"no descriptor for stream {sid}")
             cols.check(log.descriptors[sid])
             log._columns[sid] = cols
         sids = np.concatenate([np.full(len(c), sid, dtype=np.uint16)
@@ -263,7 +244,7 @@ class RecordLog:
         audio = desc.kind is ModalityKind.SURFACE_AUDIO
         self._columns[desc.stream_id] = StreamColumns(
             np.empty(0, dtype=np.uint64),
-            np.empty((0, *row_shape(desc)), dtype=PAYLOAD_DTYPES[desc.kind]),
+            np.empty((0, *row_shape(desc)), dtype=FORMATS[desc.kind].dtype),
             np.zeros(1, dtype=np.int64) if audio else None)
 
     def append(self, sample: ModalitySample) -> None:
@@ -320,9 +301,6 @@ class RecordLog:
         return [ModalitySample(stream_id, t, cols.chunk(k))
                 for k, t in enumerate(cols.t_ns.tolist())]
 
-    def streams_of_kind(self, kind: ModalityKind) -> list[StreamDescriptor]:
-        return [d for d in self.descriptors.values() if d.kind is kind]
-
     def validate_sorted(self) -> None:
         for sid in self.descriptors:
             t = self.stream(sid).t_ns
@@ -340,10 +318,11 @@ WINDOW_T = 10
 ACTIONS = ("slide", "tap", "stir")
 MATERIALS = ("wood", "plastic", "silicone")
 
-VISUOTACTILE_WINDOW_SHAPE = (WINDOW_T, IMAGE_SIZE, IMAGE_SIZE, 3)
-INERTIAL_WINDOW_SHAPE = (WINDOW_T, 3)
-PRESSURE_WINDOW_SHAPE = (WINDOW_T, 4)
-AUDIO_WINDOW_SHAPE = (WINDOW_T * 4, 64, 1)
+VISUOTACTILE_WINDOW_SHAPE = (WINDOW_T, IMAGE_SIZE, IMAGE_SIZE,
+                             FORMATS[ModalityKind.VISUOTACTILE].channels)
+INERTIAL_WINDOW_SHAPE = (WINDOW_T, FORMATS[ModalityKind.INERTIAL].channels)
+PRESSURE_WINDOW_SHAPE = (WINDOW_T, FORMATS[ModalityKind.SURFACE_PRESSURE].channels)
+AUDIO_WINDOW_SHAPE = (WINDOW_T * FORMATS[ModalityKind.SURFACE_AUDIO].channels, 64, 1)
 
 
 @dataclass(frozen=True)

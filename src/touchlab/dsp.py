@@ -24,6 +24,7 @@ from .core import (
     RecordLog,
     StreamDescriptor,
     WindowSample,
+    finger_of,
 )
 
 # --- filtering ----------------------------------------------------------------
@@ -99,16 +100,16 @@ def mel_band_edges(n_bands: int, fmin_hz: float, fmax_hz: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def mel_filterbank(n_bands: int, n_fft: int, rate_hz: float) -> np.ndarray:
-    """Triangular mel filterbank, shape (n_bands, n_fft//2 + 1).
+def mel_filterbank(rate_hz: float) -> np.ndarray:
+    """Triangular mel filterbank, shape (MEL_BANDS, N_FFT//2 + 1).
 
-    Cached per argument triple and returned read-only, since every caller
-    gets the same array.
+    Cached per rate and returned read-only, since every caller gets the
+    same array.
     """
-    edges = mel_band_edges(n_bands, 0.0, rate_hz / 2)
-    freqs = np.fft.rfftfreq(n_fft, d=1.0 / rate_hz)
-    fb = np.zeros((n_bands, freqs.size))
-    for m in range(n_bands):
+    edges = mel_band_edges(MEL_BANDS, 0.0, rate_hz / 2)
+    freqs = np.fft.rfftfreq(N_FFT, d=1.0 / rate_hz)
+    fb = np.zeros((MEL_BANDS, freqs.size))
+    for m in range(MEL_BANDS):
         lo, mid, hi = edges[m], edges[m + 1], edges[m + 2]
         up = (freqs >= lo) & (freqs <= mid)
         down = (freqs > mid) & (freqs <= hi)
@@ -120,9 +121,9 @@ def mel_filterbank(n_bands: int, n_fft: int, rate_hz: float) -> np.ndarray:
     return fb
 
 
-def _frame(x: np.ndarray, n_fft: int, hop: int) -> np.ndarray:
-    n_frames = 1 + (x.size - n_fft) // hop
-    idx = np.arange(n_fft)[None, :] + hop * np.arange(n_frames)[:, None]
+def _frame(x: np.ndarray) -> np.ndarray:
+    n_frames = 1 + (x.size - N_FFT) // HOP
+    idx = np.arange(N_FFT)[None, :] + HOP * np.arange(n_frames)[:, None]
     return x[idx]
 
 
@@ -132,10 +133,10 @@ def mel_power(audio: np.ndarray, rate_hz: float) -> np.ndarray:
     if audio.size < N_FFT:
         raise errors.TooShort(
             f"need at least n_fft={N_FFT} samples, got {audio.size}")
-    frames = _frame(audio, N_FFT, HOP)
+    frames = _frame(audio)
     window = np.hanning(N_FFT)
     power = np.abs(np.fft.rfft(frames * window, axis=1)) ** 2  # (n_frames, bins)
-    return power @ mel_filterbank(MEL_BANDS, N_FFT, rate_hz).T
+    return power @ mel_filterbank(rate_hz).T
 
 
 def mel_spectrogram(audio: np.ndarray, rate_hz: float) -> np.ndarray:
@@ -230,10 +231,10 @@ def decay_time(series: np.ndarray, rate_hz: float) -> float:
 
 
 def _finger_streams(log: RecordLog) -> dict[int, dict[ModalityKind, StreamDescriptor]]:
-    """Group descriptors by finger: stream_id // 8 is the finger index."""
+    """Group descriptors by finger."""
     fingers: dict[int, dict[ModalityKind, StreamDescriptor]] = {}
     for desc in log.descriptors.values():
-        fingers.setdefault(desc.stream_id // 8, {})[desc.kind] = desc
+        fingers.setdefault(finger_of(desc.stream_id), {})[desc.kind] = desc
     return fingers
 
 
@@ -251,8 +252,8 @@ def sample_times(t_ns: np.ndarray, offsets, rate_hz: float) -> np.ndarray:
     return np.repeat(times, lengths) + within / rate_hz
 
 
-def _uniform_indices(n: int, t: int) -> np.ndarray:
-    return np.round(np.linspace(0, n - 1, t)).astype(int)
+def _uniform_indices(n: int) -> np.ndarray:
+    return np.round(np.linspace(0, n - 1, WINDOW_T)).astype(int)
 
 
 def _interp_columns(times, values, query_times):
@@ -317,7 +318,7 @@ def window_plan(times: dict, rates: dict, stride_s: float) -> list:
         if inside.size < WINDOW_T:
             raise errors.InsufficientData(
                 f"only {inside.size} visuotactile frames in window at {start:.3f}s")
-        plan.append((start, inside[_uniform_indices(inside.size, WINDOW_T)]))
+        plan.append((start, inside[_uniform_indices(inside.size)]))
         start += stride_s
     return plan
 

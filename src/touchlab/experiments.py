@@ -16,7 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import dsp, errors, nn, pool, synth
-from .core import ACTIONS, MATERIALS as CLS_MATERIALS, ModalityKind, RecordLog
+from .core import (ACTIONS, FORMATS, MATERIALS as CLS_MATERIALS, WINDOW_T, ModalityKind,
+                   RecordLog, finger_of)
 from .dsp import build_windows, decay_time, peak_frequency
 from .synth import (
     GAS_MATERIALS,
@@ -53,8 +54,7 @@ MAX_APPROACHES, MAX_TRIALS_PER_CLASS = 10**5, 10**4
 @dataclass
 class GasDataset:
     series: list               # list of (n, 4) arrays at GAS_RATE_HZ
-    labels: np.ndarray
-    label_names: tuple
+    labels: np.ndarray         # index into GAS_MATERIALS
 
 
 def make_gas_dataset(n_per_material: int = 60, duration_s: float = GAS_APPROACH_S,
@@ -71,8 +71,7 @@ def make_gas_dataset(n_per_material: int = 60, duration_s: float = GAS_APPROACH_
         for _ in range(n_per_material):
             series.append(gen_gas_approach(obj, duration_s, rng=rng))
             labels.append(label)
-    return GasDataset(series=series, labels=np.array(labels),
-                      label_names=GAS_MATERIALS)
+    return GasDataset(series=series, labels=np.array(labels))
 
 
 @dataclass
@@ -84,7 +83,7 @@ class GasResult:
     confusion: np.ndarray
 
 
-def _split(n: int, test_frac: float, labels: np.ndarray, rng):
+def _split(test_frac: float, labels: np.ndarray, rng):
     """Stratified 70/30 split; strata with a single sample stay in train."""
     train_idx, test_idx = [], []
     for label in np.unique(labels):
@@ -112,9 +111,7 @@ def gas_experiment(dataset: GasDataset, integration_time_s: float,
         raise errors.ConfigError(
             f"integration time must be finite and positive, got "
             f"{integration_time_s}")
-    n_classes = len(dataset.label_names)
-    if n_classes < 1:
-        raise errors.EmptyDataset("no materials")
+    n_classes = len(GAS_MATERIALS)
     max_dur = min(s.shape[0] for s in dataset.series) / GAS_RATE_HZ
     if integration_time_s > max_dur + 1e-9:
         raise errors.ConfigError(
@@ -124,7 +121,7 @@ def gas_experiment(dataset: GasDataset, integration_time_s: float,
     feats = np.stack([s[:n_keep].mean(axis=0) for s in dataset.series])
 
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x6A5E)))
-    train_idx, test_idx = _split(feats.shape[0], 0.3, dataset.labels, rng)
+    train_idx, test_idx = _split(0.3, dataset.labels, rng)
     if not test_idx.size:
         raise errors.EmptyDataset(
             "the split leaves no test rows: need at least 2 approaches per "
@@ -199,9 +196,10 @@ def encode_visuotactile(vt: np.ndarray) -> np.ndarray:
 
 
 def encode_audio(audio: np.ndarray) -> np.ndarray:
-    tiles = audio[:, :, 0].reshape(4, 10, 64)  # (channel, time, band)
+    channels = FORMATS[ModalityKind.SURFACE_AUDIO].channels
+    tiles = audio[:, :, 0].reshape(channels, WINDOW_T, -1)  # (channel, time, band)
     feats = []
-    for c in range(4):
+    for c in range(channels):
         bands = tiles[c].mean(axis=0)                       # (64,)
         grouped = bands.reshape(8, 8).mean(axis=1)           # (8,)
         envelope = tiles[c].mean(axis=1)                     # (10,)
@@ -437,7 +435,7 @@ def fusion_experiment(windows, mode: str = FINGER_DEPENDENT,
         ym = ym[perm]
 
     strata = ya * len(CLS_MATERIALS) + ym
-    train_idx, test_idx = _split(x.shape[0], 0.3, strata, rng)
+    train_idx, test_idx = _split(0.3, strata, rng)
     x_tr, x_te = _zscore(x[train_idx], x[test_idx])
 
     spec = nn.MlpSpec((x.shape[1],) + FUSION_HIDDEN,
@@ -448,7 +446,7 @@ def fusion_experiment(windows, mode: str = FINGER_DEPENDENT,
     # Learning-rate grid search on a split of the training set, all
     # candidates in one stacked fit.
     val_rng = np.random.default_rng(np.random.SeedSequence((seed, 0xF051)))
-    tr2, val = _split(len(train_idx), 0.25, strata[train_idx], val_rng)
+    tr2, val = _split(0.25, strata[train_idx], val_rng)
     best_lr, best_acc = LR_GRID[0], -1.0
     if val.size:
         grid = nn.train((x_tr[tr2], {k: y[tr2] for k, y in y_tr.items()}),
@@ -532,8 +530,8 @@ def classify_fill(peak_hz: float) -> str:
 def analyze_liquid(log: RecordLog, finger_id: int = 0) -> list:
     """Per-tap ring-down features and fill-level prediction from a recorded
     log's audio stream."""
-    descs = log.streams_of_kind(ModalityKind.SURFACE_AUDIO)
-    descs = [d for d in descs if d.stream_id // 8 == finger_id]
+    descs = [d for d in log.descriptors.values() if d.kind is ModalityKind.SURFACE_AUDIO
+             and finger_of(d.stream_id) == finger_id]
     if not descs:
         raise errors.MissingModality(f"no audio stream for finger {finger_id}")
     desc = descs[0]

@@ -38,7 +38,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import errors
-from .nn import mlp_macs
 
 #: Event-to-action latency budget (microseconds).
 DEFAULT_BUDGET_US = 2463.0
@@ -210,6 +209,12 @@ HW_ACCEL_FACTOR = 10.0
 #: depth sweep, and the derived throughput (a width-64 layer is 4096 MACs).
 MLP_WIDTH, DEPTH_SWEEP_RUNS = 64, 400
 DEVICE_MACS_PER_US = MLP_WIDTH * MLP_WIDTH / DEVICE_US_PER_LAYER_W64
+
+
+def mlp_macs(layer_sizes) -> int:
+    """Multiply-accumulate count for a dense network."""
+    sizes = list(layer_sizes)
+    return int(sum(a * b for a, b in zip(sizes[:-1], sizes[1:])))
 
 
 def mlp_inference_us(depth: int, hw_accel: bool = False) -> float:

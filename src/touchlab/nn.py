@@ -1,5 +1,4 @@
-"""Dense-network engine: forward, cross-entropy backprop, Adam, and the
-dense MAC count that the latency model scales inference by.
+"""Dense-network engine: forward, cross-entropy backprop and Adam.
 
 One engine serves every classifier: a trunk of activated dense layers
 read out by one softmax layer or by named softmax heads.  A model's weights
@@ -372,9 +371,3 @@ def grad_check(model: MlpModel, x, label) -> GradCheckResult:
         n_checked += 1
     return GradCheckResult(max_rel_error=max_err, n_checked=n_checked,
                            excluded=excluded)
-
-
-def mlp_macs(layer_sizes) -> int:
-    """Multiply-accumulate count for a dense network."""
-    sizes = list(layer_sizes)
-    return int(sum(a * b for a, b in zip(sizes[:-1], sizes[1:])))

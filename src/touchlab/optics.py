@@ -310,26 +310,26 @@ def _perturb_normals(p_unit, contacts):
 # --- rendering -------------------------------------------------------------------
 
 
-def _pixel_index(p, size: int) -> np.ndarray:
+def _pixel_index(p) -> np.ndarray:
     theta = np.arccos(np.clip(p[2] / DOME_RADIUS_MM, -1.0, 1.0))
     phi = np.arctan2(p[1], p[0])
     r = theta / (np.pi / 2.0)
     u = r * np.cos(phi)
     v = r * np.sin(phi)
-    ix = np.clip(((u + 1.0) * 0.5 * size).astype(np.int64), 0, size - 1)
-    iy = np.clip(((v + 1.0) * 0.5 * size).astype(np.int64), 0, size - 1)
-    return iy * size + ix
+    ix = np.clip(((u + 1.0) * 0.5 * IMAGE_SIZE).astype(np.int64), 0, IMAGE_SIZE - 1)
+    iy = np.clip(((v + 1.0) * 0.5 * IMAGE_SIZE).astype(np.int64), 0, IMAGE_SIZE - 1)
+    return iy * IMAGE_SIZE + ix
 
 
-def image_grid(size: int = IMAGE_SIZE):
+def image_grid():
     """(u, v) fisheye coordinates of each pixel centre plus the FOV radius."""
-    axis = (np.arange(size) + 0.5) / size * 2.0 - 1.0
+    axis = (np.arange(IMAGE_SIZE) + 0.5) / IMAGE_SIZE * 2.0 - 1.0
     u, v = np.meshgrid(axis, axis, indexing="xy")
     return u, v, np.sqrt(u * u + v * v)
 
 
-def fov_mask(size: int = IMAGE_SIZE) -> np.ndarray:
-    _, _, r = image_grid(size)
+def fov_mask() -> np.ndarray:
+    _, _, r = image_grid()
     return r <= FOV_R_MAX
 
 
@@ -372,8 +372,7 @@ def _trace(surface, contacts, photons, rng) -> np.ndarray:
     dirs = (sz * np.cos(phi), sz * np.sin(phi), np.sqrt(u))
     del u, phi, sz
 
-    size = IMAGE_SIZE
-    img = np.zeros(size * size)
+    img = np.zeros(IMAGE_SIZE ** 2)
     weight = np.ones(photons)
 
     # Each full-length array is dropped as soon as it has been compacted or
@@ -402,8 +401,8 @@ def _trace(surface, contacts, photons, rng) -> np.ndarray:
         mirror = None if surface.mode == LAMBERTIAN else _reflect(d, n_eff)
         del d, norm
         contrib = weight * _bsdf_toward(surface, mirror, n_eff, toward)
-        pix = _pixel_index(hit_p, size)
-        img += np.bincount(pix, weights=contrib, minlength=size * size)
+        pix = _pixel_index(hit_p)
+        img += np.bincount(pix, weights=contrib, minlength=IMAGE_SIZE ** 2)
         del toward, contrib, pix
 
         dirs = _scatter(surface, mirror, n_eff, rng)
@@ -423,7 +422,7 @@ def count_glints(img: TaxelImage) -> int:
     single glint.
     """
     values = img.scalar()
-    mask = fov_mask(values.shape[0])
+    mask = fov_mask()
     in_fov = values[mask]
     floor = in_fov.mean() * 1e-3
     med = max(float(np.median(in_fov)), floor)
@@ -464,24 +463,21 @@ def uniformity_metrics(img: TaxelImage, mask: np.ndarray) -> dict:
     }
 
 
-def disc_roi(size: int, polar_deg: float, azimuth_deg: float,
-             radius_frac: float) -> np.ndarray:
+def disc_roi(polar_deg: float, azimuth_deg: float, radius_frac: float) -> np.ndarray:
     """Boolean pixel mask of a disc around a dome location in image space."""
-    u, v, _ = image_grid(size)
+    u, v, _ = image_grid()
     r0 = polar_deg / 90.0
     uc = r0 * math.cos(math.radians(azimuth_deg))
     vc = r0 * math.sin(math.radians(azimuth_deg))
     return (u - uc) ** 2 + (v - vc) ** 2 <= radius_frac ** 2
 
 
-def annulus_roi(size: int, polar_deg: float, azimuth_deg: float,
+def annulus_roi(polar_deg: float, azimuth_deg: float,
                 r_inner: float, r_outer: float) -> np.ndarray:
-    u, v, _ = image_grid(size)
-    r0 = polar_deg / 90.0
-    uc = r0 * math.cos(math.radians(azimuth_deg))
-    vc = r0 * math.sin(math.radians(azimuth_deg))
-    d2 = (u - uc) ** 2 + (v - vc) ** 2
-    return (d2 > r_inner ** 2) & (d2 <= r_outer ** 2) & fov_mask(size)
+    """The field-of-view pixels of the ``r_outer`` disc outside the
+    ``r_inner`` one."""
+    return (~disc_roi(polar_deg, azimuth_deg, r_inner)
+            & disc_roi(polar_deg, azimuth_deg, r_outer) & fov_mask())
 
 
 # --- scatter sweep ----------------------------------------------------------------
@@ -558,7 +554,6 @@ def scatter_sweep(alphas=DEFAULT_SWEEP_ALPHAS, photons: int = 1_000_000,
     if not surfaces:
         raise errors.ConfigError("sweep needs at least one point")
     _check_photons(photons)
-    size = IMAGE_SIZE
     mask = fov_mask()
     rows = []
     plan = [(surface, contacts, photons, seed) for surface in surfaces
@@ -573,9 +568,8 @@ def scatter_sweep(alphas=DEFAULT_SWEEP_ALPHAS, photons: int = 1_000_000,
             per_contact = []
             for c in ring_contacts:
                 r_ind = c.angular_radius_rad / (np.pi / 2.0)
-                roi_ind = disc_roi(size, c.polar_deg, c.azimuth_deg, r_ind)
-                roi_bg = annulus_roi(size, c.polar_deg, c.azimuth_deg,
-                                     r_ind * 1.6, r_ind * 3.2)
+                roi_ind = disc_roi(c.polar_deg, c.azimuth_deg, r_ind)
+                roi_bg = annulus_roi(c.polar_deg, c.azimuth_deg, r_ind * 1.6, r_ind * 3.2)
                 per_contact.append(abs(values[roi_ind].mean()
                                        - values[roi_bg].mean()) / noise_ref)
             ring_cnr[ring] = float(np.mean(per_contact))

@@ -42,7 +42,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import errors
 from .core import (
-    PAYLOAD_DTYPES,
+    FORMATS,
     ModalityKind,
     RecordLog,
     StreamColumns,
@@ -172,7 +172,7 @@ def _decode_stream(desc: StreamDescriptor, data, starts: np.ndarray,
                    lengths: np.ndarray, t_ns: np.ndarray) -> StreamColumns:
     """Copy one stream's payloads into columns, checking every length: one
     row per chunk, or for audio a whole number of frame rows."""
-    dtype = PAYLOAD_DTYPES[desc.kind]
+    dtype = FORMATS[desc.kind].dtype
     row = dtype.itemsize * math.prod(row_shape(desc))
     audio = desc.kind is ModalityKind.SURFACE_AUDIO
     bad = (lengths == 0) | (lengths % row != 0) if audio else lengths != row

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import errors, optics, pool
 from .core import (
-    DEFAULT_RATES,
+    FORMATS,
     IMAGE_SIZE,
     ModalityKind,
     RecordLog,
@@ -220,7 +220,7 @@ class ScenarioScript:
     rates: dict = field(default_factory=dict)
 
     def rate(self, kind: ModalityKind) -> float:
-        return float(self.rates.get(kind, DEFAULT_RATES[kind]))
+        return float(self.rates.get(kind, FORMATS[kind].rate_hz))
 
     def validate(self) -> None:
         if not (_is_int(self.seed) and self.seed >= 0):
@@ -253,10 +253,6 @@ class ScenarioScript:
 
 def _is_int(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _event_rng(seed: int, tag: int, event_idx: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, tag, event_idx)))
 
 
 def _frame_noise(key: np.ndarray, frame: int, shape: tuple) -> np.ndarray:
@@ -421,14 +417,15 @@ def _imprint_path(kind: str, t_rel: np.ndarray, duration: float,
 
 
 def _bandpass_noise(n: int, rate_hz: float, center_hz: float, rng) -> np.ndarray:
-    """Unit-rms noise band around center_hz (clipped to the Nyquist range)."""
+    """Unit-rms noise band around center_hz (clipped to the Nyquist range).
+    ``n == 0`` (an event that covers no sample) draws nothing."""
     import scipy.signal
 
+    if n == 0:
+        return np.zeros(0)
     nyq = rate_hz / 2.0
     lo = min(max(center_hz * 0.7, 1.0), nyq * 0.8)
     hi = min(center_hz * 1.3, nyq * 0.95)
-    if hi <= lo:
-        hi = min(lo * 1.2, nyq * 0.98)
     sos = scipy.signal.butter(2, [lo, hi], btype="bandpass", fs=rate_hz,
                               output="sos")
     x = scipy.signal.sosfilt(sos, rng.standard_normal(n))
@@ -537,24 +534,23 @@ def _synth_visuotactile(finger, t, frames, events_scales, key):
     (``_frame_noise``), so a frame comes out the same whichever others are
     made with it.
     """
-    size = IMAGE_SIZE
     noise_sigma = DEFAULT_NOISE[ModalityKind.VISUOTACTILE]
 
-    uu, vv, _ = optics.image_grid(size)
+    uu, vv, _ = optics.image_grid()
     base = _background() * 255.0
     active = [(ed, MATERIALS[ed.event.obj.material].imprint_depth
                * ed.depth_scale)
               for ed in _contacts(events_scales, finger)]
 
     n = t.size
-    out = np.empty((n, size, size, 3), dtype=np.uint8)
+    out = np.empty((n, IMAGE_SIZE, IMAGE_SIZE, 3), dtype=np.uint8)
     # Frames per pass: the float64 temporaries below hold 8 frames (2.8 MB
     # each).
     block = 8
     for b0 in range(0, n, block):
         b1 = min(b0 + block, n)
         tb = t[b0:b1]
-        att = np.ones((b1 - b0, size, size))
+        att = np.ones((b1 - b0, IMAGE_SIZE, IMAGE_SIZE))
         for ed, depth in active:
             ev = ed.event
             if depth <= 0:
@@ -670,7 +666,7 @@ def run_scenario(script: ScenarioScript, frames=None) -> RecordLog:
     # and a frequency jitter that blurs single-modality material cues.
     events_scales = []
     for i, ev in enumerate(script.events):
-        ev_rng = _event_rng(script.seed, 0xE7, i)
+        ev_rng = np.random.default_rng(np.random.SeedSequence((script.seed, 0xE7, i)))
         events_scales.append(EventDraw(
             event=ev,
             amp_scale=ev_rng.uniform(0.6, 1.4),

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import touchlab
 from touchlab import experiments, recordlog, synth
@@ -137,6 +137,19 @@ class TestRecordReplay:
         main(["record", scenario, "--out", str(log)])
         data = bytearray(log.read_bytes())
         data[:4] = b"ZZZZ"
+        log.write_bytes(bytes(data))
+        assert main(["replay", str(log)]) == EXIT_CONFIG
+
+    def test_audio_declaring_32_bit_samples_exit_2(self, tmp_path):
+        # The second 18-byte descriptor is stream 1, finger 0's audio; its
+        # sample_bits byte is 13 bytes in.
+        scenario = write_scenario(tmp_path, SCENARIO)
+        log = tmp_path / "a.d36r"
+        main(["record", scenario, "--out", str(log)])
+        data = bytearray(log.read_bytes())
+        assert data[8 + 18 + 2] == ModalityKind.SURFACE_AUDIO.value
+        assert data[8 + 18 + 13] == 16
+        data[8 + 18 + 13] = 32
         log.write_bytes(bytes(data))
         assert main(["replay", str(log)]) == EXIT_CONFIG
 
@@ -468,6 +481,9 @@ class TestFuzzedInputs:
 
     @settings(max_examples=30, deadline=None)
     @given(doc=scenario_docs)
+    # A 0.8 ms stir covers no pressure or inertial sample.
+    @example(doc={"duration_s": 0.1, "events": [
+        {"t_start": 0.0101, "t_end": 0.0109, "kind": "stir", "material": "wood"}]})
     def test_record_scenario(self, doc):
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "scenario.json")

@@ -3,7 +3,6 @@ import pytest
 
 from touchlab import errors
 from touchlab.core import (
-    DEFAULT_CHANNELS,
     ModalityKind,
     ModalitySample,
     RecordLog,
@@ -38,6 +37,14 @@ class TestValidateDescriptor:
 
     def test_unknown_kind_rejected(self):
         desc = StreamDescriptor(4, "bogus", 1.0, channels=1, sample_bits=32)
+        with pytest.raises(errors.UnknownKind):
+            validate_descriptor(desc)
+
+    @pytest.mark.parametrize("kind, bits", [(ModalityKind.VISUOTACTILE, 32),
+                                            (ModalityKind.SURFACE_AUDIO, 32),
+                                            (ModalityKind.SURFACE_PRESSURE, 16)])
+    def test_sample_bits_must_be_payload_width(self, kind, bits):
+        desc = StreamDescriptor(5, kind, 1.0, channels=1, sample_bits=bits)
         with pytest.raises(errors.UnknownKind):
             validate_descriptor(desc)
 
@@ -100,6 +107,10 @@ class TestFromColumns:
         cols[1] = StreamColumns(cols[1].t_ns, cols[1].payload, np.array([0, 4, 6]))
         with pytest.raises(errors.ShapeMismatch):
             RecordLog.from_columns(self.DESCS, cols)
+
+    def test_columns_without_descriptor_rejected(self):
+        with pytest.raises(errors.UnknownKind):
+            RecordLog.from_columns(self.DESCS[:1], self._columns())
 
 
 def _window_kwargs(**over):

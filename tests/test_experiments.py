@@ -33,7 +33,7 @@ class TestGasExperiment:
         data = make_gas_dataset(n_per_material=5, duration_s=30.0, seed=0)
         assert len(data.series) == 30
         assert all(s.shape == (30, 4) for s in data.series)
-        assert len(data.label_names) == 6
+        assert np.array_equal(data.labels, np.repeat(np.arange(6), 5))
 
     def test_full_integration_accuracy(self):
         data = make_gas_dataset(n_per_material=40, duration_s=90.0, seed=0)

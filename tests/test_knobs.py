@@ -1,6 +1,9 @@
 """Constants, not knobs: every defaulted parameter or dataclass field of
 ``touchlab`` is set by some call in ``src/``, ``demos/``, ``perfbench/``
-or the acceptance tests, or is on ``EXEMPT`` with its reason.  Reach:
+or the acceptance tests, and no parameter or field is given one literal or
+ALL-CAPS constant by every such call where that constant is its default or
+it has none; a parameter that breaks either rule is on ``EXEMPT`` with its
+reason.  A call that leaves a parameter out gives it its default.  Reach:
 every module-level public function, class or constant of ``touchlab`` is
 referenced there, or is on ``UNREACHED`` with its reason.
 
@@ -32,6 +35,9 @@ EXEMPT = {
     "synth.Imprint.depth": "test seam of the recorded imprint model",
     "synth.ObjectSpec.temperature_c":
         "cli.load_scenario sets it through a ** mapping the walk cannot see",
+    "dsp.mel_band_edges.fmin_hz": "acceptance criterion 06 passes 0.0",
+    "synth.gen_visuotactile.contacts":
+        "the unit tests check recorded frames against this model with contacts",
 }
 
 UNREACHED = {
@@ -60,62 +66,74 @@ def _init_false(value) -> bool:
         and k.value.value is False for k in value.keywords)
 
 
-def _function_knobs(fn, callee: str, qualname: str, skip: int):
+def _function_params(fn, callee: str, qualname: str, skip: int):
     """(qualified name, callee, positional index or None, parameter, is a
-    dataclass field) of each defaulted parameter; ``skip`` leading
-    parameters the caller does not pass (``self``)."""
+    dataclass field, default or None) of each named parameter; ``skip``
+    leading parameters the caller does not pass (``self``)."""
     args = fn.args
     positional = args.posonlyargs + args.args
-    first = len(positional) - len(args.defaults)
-    for i, a in enumerate(positional[first:], start=first):
-        yield f"{qualname}.{a.arg}", callee, i - skip, a.arg, False
+    defaults = [None] * (len(positional) - len(args.defaults)) + args.defaults
+    for i, (a, default) in enumerate(zip(positional, defaults)):
+        if i >= skip:
+            yield f"{qualname}.{a.arg}", callee, i - skip, a.arg, False, default
     for a, default in zip(args.kwonlyargs, args.kw_defaults):
-        if default is not None:
-            yield f"{qualname}.{a.arg}", callee, None, a.arg, False
+        yield f"{qualname}.{a.arg}", callee, None, a.arg, False, default
 
 
-def _class_knobs(cls: ast.ClassDef, module: str):
+def _class_params(cls: ast.ClassDef, module: str):
     if _is_dataclass(cls):
         fields = [s for s in cls.body if isinstance(s, ast.AnnAssign)
                   and isinstance(s.target, ast.Name)
                   and not _init_false(s.value)]
         for i, s in enumerate(fields):
-            if s.value is not None:
-                yield (f"{module}.{cls.name}.{s.target.id}", cls.name, i,
-                       s.target.id, True)
+            yield (f"{module}.{cls.name}.{s.target.id}", cls.name, i,
+                   s.target.id, True, s.value)
     for fn in cls.body:
         if not isinstance(fn, ast.FunctionDef):
             continue
         static = any(_name(d) == "staticmethod" for d in fn.decorator_list)
         if fn.name == "__init__":
-            yield from _function_knobs(fn, cls.name, f"{module}.{cls.name}", 1)
+            yield from _function_params(fn, cls.name, f"{module}.{cls.name}", 1)
         else:
-            yield from _function_knobs(fn, fn.name,
-                                       f"{module}.{cls.name}.{fn.name}",
-                                       0 if static else 1)
+            yield from _function_params(fn, fn.name,
+                                        f"{module}.{cls.name}.{fn.name}",
+                                        0 if static else 1)
 
 
-def knobs() -> list:
-    """Every defaulted parameter of a module-level function or a method,
-    and every defaulted dataclass field, of the package."""
+def parameters() -> list:
+    """Every named parameter of a module-level function or a method, and
+    every dataclass field, of the package."""
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         module = path.stem
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, ast.ClassDef):
-                found += _class_knobs(node, module)
+                found += _class_params(node, module)
             elif isinstance(node, ast.FunctionDef):
-                found += _function_knobs(node, node.name,
-                                         f"{module}.{node.name}", 0)
+                found += _function_params(node, node.name,
+                                          f"{module}.{node.name}", 0)
     return found
 
 
+def _constant(node) -> str | None:
+    """A literal's or an ALL-CAPS name's syntax tree as text; None for any
+    other expression."""
+    if isinstance(node, (ast.Name, ast.Attribute)):
+        return ast.dump(node) if _name(node).isupper() else None
+    try:
+        ast.literal_eval(node)
+    except ValueError:
+        return None
+    return ast.dump(node)
+
+
 class _Calls(ast.NodeVisitor):
-    """(callee, keyword) pairs, and the most positional arguments passed
-    to each callee name."""
+    """Every call of each callee name: its positional arguments before any
+    ``*`` (each a ``_constant`` or None), whether a ``*`` follows, its
+    keyword arguments, and whether it passes a ``**`` mapping."""
 
     def __init__(self):
-        self.keywords, self.positional, self.cls = set(), {}, None
+        self.calls, self.cls = {}, None
 
     def visit_ClassDef(self, node):
         outer, self.cls = self.cls, node.name
@@ -127,14 +145,16 @@ class _Calls(ast.NodeVisitor):
         if callee == "cls":
             callee = self.cls
         if callee == "ordered_map" and node.args:
-            self._passes(_name(node.args[0]), float("inf"))
-        self.keywords.update((callee, k.arg) for k in node.keywords if k.arg)
-        self._passes(callee, float("inf") if any(
-            isinstance(a, ast.Starred) for a in node.args) else len(node.args))
+            self._add(_name(node.args[0]), [], True, {}, False)
+        starred = [isinstance(a, ast.Starred) for a in node.args]
+        positional = node.args[:starred.index(True)] if any(starred) else node.args
+        self._add(callee, [_constant(a) for a in positional], any(starred),
+                  {k.arg: _constant(k.value) for k in node.keywords if k.arg},
+                  any(k.arg is None for k in node.keywords))
         self.generic_visit(node)
 
-    def _passes(self, callee, n):
-        self.positional[callee] = max(self.positional.get(callee, 0), n)
+    def _add(self, callee, *call):
+        self.calls.setdefault(callee, []).append(call)
 
 
 def _caller_trees():
@@ -143,20 +163,54 @@ def _caller_trees():
             yield ast.parse(path.read_text())
 
 
-def call_sites() -> _Calls:
-    calls = _Calls()
+def call_sites() -> dict:
+    visitor = _Calls()
     for tree in _caller_trees():
-        calls.visit(tree)
-    return calls
+        visitor.visit(tree)
+    return visitor.calls
+
+
+def _values(calls: dict, callee, index, param, is_field, default):
+    """Whether some call sets the parameter, and the value each call gives
+    it: a ``_constant``, or None when it is not one or the walk cannot see
+    it.  A call that leaves the parameter out gives it its default."""
+    passed, values = False, []
+    for args, starred, keywords, double_star in calls.get(callee, []):
+        if param in keywords:
+            passed, value = True, keywords[param]
+        elif index is not None and (index < len(args) or starred):
+            passed, value = True, args[index] if index < len(args) else None
+        elif double_star or default is None:
+            value = None
+        else:
+            value = _constant(default)
+        values.append(value)
+    if is_field:
+        replaced = [kw[param] for _, _, kw, _ in calls.get("replace", []) if param in kw]
+        passed, values = passed or bool(replaced), values + replaced
+    return passed, values
+
+
+def _settings() -> list:
+    """(qualified name, default, is set by some call, value per call) of
+    every parameter."""
+    calls = call_sites()
+    return [(name, default, *_values(calls, callee, index, param, is_field, default))
+            for name, callee, index, param, is_field, default in parameters()]
 
 
 def unset_knobs() -> list:
-    calls = call_sites()
-    return sorted(
-        name for name, callee, index, param, is_field in knobs()
-        if (callee, param) not in calls.keywords
-        and not (is_field and ("replace", param) in calls.keywords)
-        and not (index is not None and calls.positional.get(callee, 0) > index))
+    return sorted(name for name, default, passed, _ in _settings()
+                  if default is not None and not passed)
+
+
+def fixed_parameters() -> list:
+    """Parameters to which every call passes one literal or ALL-CAPS
+    constant, where that constant is the default or there is none."""
+    return sorted(name for name, default, passed, values in _settings()
+                  if passed and values[0] is not None
+                  and values.count(values[0]) == len(values)
+                  and (default is None or values[0] == _constant(default)))
 
 
 def test_every_knob_is_set_or_exempt():
@@ -164,8 +218,13 @@ def test_every_knob_is_set_or_exempt():
     assert [n for n in unset if n not in EXEMPT] == []
 
 
+def test_no_parameter_is_fixed_by_every_call():
+    assert [n for n in fixed_parameters() if n not in EXEMPT] == []
+
+
 def test_exemptions_are_still_unset():
-    assert sorted(set(EXEMPT) - set(unset_knobs())) == []
+    """Each exemption is still unset or still fixed by every call."""
+    assert sorted(set(EXEMPT) - set(unset_knobs()) - set(fixed_parameters())) == []
 
 
 def public_names() -> list:

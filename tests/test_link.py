@@ -16,6 +16,7 @@ from touchlab.link import (
     latency_budget_check,
     mlp_depth_sweep,
     mlp_inference_us,
+    mlp_macs,
     run_pipeline,
     summarize,
 )
@@ -318,3 +319,8 @@ class TestPinnedPipelineDigests:
         sweep = mlp_depth_sweep(depths=depths, hw_accel=hw_accel)
         rows = json.dumps(sweep["rows"], sort_keys=True).encode()
         assert hashlib.sha256(rows).hexdigest() == want
+
+
+class TestMlpMacs:
+    def test_mlp_macs(self):
+        assert mlp_macs((64, 64, 64)) == 2 * 64 * 64

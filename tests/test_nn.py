@@ -15,7 +15,6 @@ from touchlab.nn import (
     TrainConfig,
     accuracy,
     grad_check,
-    mlp_macs,
     train,
 )
 
@@ -314,8 +313,3 @@ class TestGradCheck:
             assert res.max_rel_error < 1e-4
             assert res.n_checked + len(res.excluded) == model.params.size
             assert res.n_checked > 0.9 * model.params.size
-
-
-class TestMlpMacs:
-    def test_mlp_macs(self):
-        assert mlp_macs((64, 64, 64)) == 2 * 64 * 64

@@ -89,7 +89,7 @@ class TestRender:
         assert count_glints(img) == 8
 
     def test_lambertian_most_uniform(self):
-        mask = fov_mask(120)
+        mask = fov_mask()
         m_lam = uniformity_metrics(
             render(ScatterSurface.lambertian(), photons=200_000, seed=0), mask)
         m_spec = uniformity_metrics(
@@ -107,10 +107,9 @@ class TestRender:
         c = Contact(polar_deg=30.0, azimuth_deg=0.0)
         bg = render(surface, photons=400_000, seed=1).scalar()
         cn = render(surface, contacts=[c], photons=400_000, seed=1).scalar()
-        roi = disc_roi(120, c.polar_deg, c.azimuth_deg,
-                       c.angular_radius_rad / (np.pi / 2.0))
+        roi = disc_roi(c.polar_deg, c.azimuth_deg, c.angular_radius_rad / (np.pi / 2.0))
         delta = np.abs(cn - bg)
-        assert delta[roi].mean() > 3.0 * delta[~roi & fov_mask(120)].mean()
+        assert delta[roi].mean() > 3.0 * delta[~roi & fov_mask()].mean()
 
 
 class TestPinnedDigests:

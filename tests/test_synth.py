@@ -344,7 +344,7 @@ class TestGenVisuotactile:
             events=[Event(0.0, 1.0, "hold", ObjectSpec("silicone"), (1,))])
         frames = run_scenario(script).stream(
             stream_id_for(1, ModalityKind.VISUOTACTILE)).payload
-        draws = synth._event_rng(3, 0xE7, 0)
+        draws = np.random.default_rng(np.random.SeedSequence((3, 0xE7, 0)))
         draws.uniform(0.6, 1.4), draws.uniform(0.75, 1.25)
         depth = synth.MATERIALS["silicone"].imprint_depth * draws.uniform(0.7, 1.3)
         want = 255.0 * gen_visuotactile([Imprint(-0.1, 0.0, depth=depth)]).values
