@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -345,16 +346,15 @@ class Imprint:
 IMPRINT_RADIUS_PX = 7.0
 IMAGE_PSF_PX = 1.8
 
-#: Scattering of the fingertip's reflective layer behind every frame.
-BACKGROUND_SURFACE = optics.ScatterSurface.gaussian(22.0)
-
 
 @lru_cache(maxsize=None)
 def _background() -> np.ndarray:
-    """Rendered illumination background, normalized to mean 0.5."""
-    img = optics.render(BACKGROUND_SURFACE, photons=200_000, seed=0xB6).values
-    mean = img[img > 0].mean() if np.any(img > 0) else 1.0
-    return np.clip(img / (2.0 * mean), 0.0, 1.0)
+    """Illumination background behind every frame, read-only: a stored
+    render of the dome, normalized to mean 0.5 over lit taxels, one channel
+    repeated into three (tests/test_synth.py holds its recipe)."""
+    channel = np.load(Path(__file__).with_name("background.npy"), allow_pickle=False)
+    channel.flags.writeable = False
+    return np.broadcast_to(channel[:, :, None], (IMAGE_SIZE, IMAGE_SIZE, 3))
 
 
 def _imprint_transmission(uu, vv, cu, cv, depth) -> np.ndarray:
@@ -371,9 +371,9 @@ def _imprint_transmission(uu, vv, cu, cv, depth) -> np.ndarray:
 
 
 def gen_visuotactile(contacts) -> optics.TaxelImage:
-    """Noiseless visuotactile frame of static imprints: the cached render of
-    ``BACKGROUND_SURFACE`` times each contact's transmission, the model of
-    every recorded frame.  Values in [0, 1], shape (IMAGE_SIZE, IMAGE_SIZE, 3).
+    """Noiseless visuotactile frame of static imprints: the illumination
+    background times each contact's transmission, the model of every
+    recorded frame.  Values in [0, 1], shape (IMAGE_SIZE, IMAGE_SIZE, 3).
     """
     bg = _background()
     if not contacts:

@@ -1,10 +1,12 @@
 import hashlib
+import io
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from touchlab import errors, experiments, optics, synth
+from touchlab import errors, experiments, optics, pool, synth
 from touchlab.core import ModalityKind, stream_id_for
 from touchlab.dsp import decay_time, peak_frequency
 from touchlab.recordlog import log_to_bytes
@@ -375,6 +377,69 @@ class TestGenVisuotactile:
     def test_contact_outside_surface(self):
         with pytest.raises(errors.ContactOutsideSurface):
             Imprint(0.9, 0.9)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def background_recipe() -> np.ndarray:
+    """The render behind ``touchlab/background.npy``, three channels: the
+    fingertip's reflective layer (Gaussian 22 deg), 200,000 photons, seed
+    0xB6, normalized to mean 0.5 over the lit taxels of all three channels.
+    The file stores channel 0."""
+    img = optics.render(optics.ScatterSurface.gaussian(22.0),
+                        photons=200_000, seed=0xB6).values
+    mean = img[img > 0].mean() if np.any(img > 0) else 1.0
+    return np.clip(img / (2.0 * mean), 0.0, 1.0)
+
+
+class TestBackground:
+    """The illumination background ships as package data; making frames
+    renders nothing."""
+
+    def test_stored_file_is_the_recipe(self):
+        want = background_recipe()
+        buf = io.BytesIO()
+        np.save(buf, want[:, :, 0])
+        assert Path(synth.__file__).with_name("background.npy").read_bytes() \
+            == buf.getvalue(), (
+                "regenerate with: PYTHONPATH=src:tests python -c \"import numpy as np, "
+                "test_synth; np.save('src/touchlab/background.npy', "
+                "test_synth.background_recipe()[:, :, 0])\"")
+        assert synth._background().tobytes() == want.tobytes()
+
+    def test_read_only(self):
+        before = gen_visuotactile([]).values
+        bg = synth._background()
+        with pytest.raises(ValueError):
+            bg[60, 60, 0] = 0.0
+        with pytest.raises(ValueError):
+            bg *= 2.0
+        assert gen_visuotactile([]).values.tobytes() == before.tobytes()
+
+    def test_frames_render_nothing(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a frame rendered the background")
+
+        monkeypatch.setattr(optics, "render", refuse)
+        monkeypatch.setattr(pool, "worker_count", lambda: 1)
+        synth._background.cache_clear()
+        script = ScenarioScript(seed=0, duration_s=0.2, fingers=(0,))
+        frames = run_scenario(script).stream(
+            stream_id_for(0, ModalityKind.VISUOTACTILE)).payload
+        assert len(frames) == 48
+        assert gen_visuotactile([]).values.shape == (120, 120, 3)
+
+    def test_data_files_are_package_data(self):
+        tomllib = pytest.importorskip("tomllib")
+        with open(ROOT / "pyproject.toml", "rb") as fh:
+            package_data = tomllib.load(fh)["tool"]["setuptools"]["package-data"]
+        package = ROOT / "src" / "touchlab"
+        globs = package_data.get("touchlab", []) + package_data.get("*", [])
+        shipped = {p for g in globs for p in package.glob(g)}
+        data = [p for p in package.rglob("*") if p.is_file() and p.suffix != ".py"
+                and "__pycache__" not in p.parts]
+        assert data and [p for p in data if p not in shipped] == []
 
 
 class TestObjectSpec:
