@@ -7,7 +7,8 @@ Reports are machine-first (CSV or JSON) and embed the seed, a hash of the
 effective configuration, and the artifact version.  Exit codes are stable:
 0 success, 2 configuration/parse error, 3 I/O error, 4 empty result.
 ``main`` is the one error boundary: ``OSError`` exits 3, a library
-``TouchlabError`` 2, or 4 for an empty dataset or a log without taps.
+``TouchlabError`` 2, or 4 for an empty dataset or a log without taps.  It
+refuses a negative ``--seed`` with exit 2 before any command runs.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__, errors, experiments, link, optics, reflex, synth
-from .core import ModalityKind
+from .core import FORMATS, ModalityKind
 from .recordlog import read_log, write_log
 
 EXIT_OK = 0
@@ -183,7 +184,7 @@ def cmd_replay(args) -> int:
     for sid in sorted(log.descriptors):
         d = log.descriptors[sid]
         print(f"  stream {sid}: {d.kind.name.lower()} @ {d.rate_hz:g} Hz "
-              f"x{d.channels}, {len(log.stream(sid))} samples")
+              f"x{FORMATS[d.kind].channels}, {len(log.stream(sid))} samples")
     if args.out:
         print(f"replayed to {args.out}")
     return EXIT_OK
@@ -349,9 +350,12 @@ def cmd_report(args) -> int:
     loaded = []
     for path in args.reports:
         try:
-            with open(path) as fh:
-                loaded.append((path, json.load(fh)))
-        except (OSError, json.JSONDecodeError) as exc:
+            with open(path, encoding="utf-8") as fh:
+                rep = json.load(fh)
+            if not (isinstance(rep, dict) and isinstance(rep.get("rows", []), list)):
+                raise errors.ConfigError("a report is a JSON object whose rows are a list")
+            loaded.append((path, rep))
+        except (OSError, ValueError, RecursionError) as exc:
             print(f"skipping {path}: {exc}", file=sys.stderr)
     if not loaded:
         raise errors.EmptyDataset("no readable reports")
@@ -457,6 +461,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise errors.ConfigError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except (errors.TouchlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,10 +1,12 @@
 """Core data model shared by every other module.
 
 Streams are identified by a small integer id and described by a
-:class:`StreamDescriptor` (modality kind, rate, channel count).  A recorded
-session is a :class:`RecordLog` holding each stream's chunks as columns
-(:class:`StreamColumns`): monotonic nanosecond timestamps and one stacked
-payload array whose row shape is fixed by the descriptor.  A single
+:class:`StreamDescriptor` (stream id, modality kind, rate).  A stream's
+channel count, sample width and image size are fixed by its kind's
+:data:`FORMATS` row and :data:`IMAGE_SIZE`, not by the descriptor.  A
+recorded session is a :class:`RecordLog` holding each stream's chunks as
+columns (:class:`StreamColumns`): monotonic nanosecond timestamps and one
+stacked payload array whose row shape is fixed by the kind.  A single
 measurement can also travel as a :class:`ModalitySample`.  Training samples
 are :class:`WindowSample` records with the fixed per-modality tensor layouts
 used throughout the classification pipeline.
@@ -78,35 +80,20 @@ def finger_of(stream_id: int) -> int:
 
 @dataclass(frozen=True)
 class StreamDescriptor:
-    """Rate/channel metadata for one modality stream.
-
-    ``width``/``height`` are only meaningful for image streams and are 0
-    otherwise.
-    """
+    """One modality stream: its id, kind and rate.  The kind's row of
+    :data:`FORMATS` fixes everything else (see :func:`row_shape`)."""
 
     stream_id: int
     kind: ModalityKind
     rate_hz: float
-    channels: int = 1
-    sample_bits: int = 32
-    width: int = 0
-    height: int = 0
 
     @classmethod
     def default(cls, stream_id: int, kind: ModalityKind,
                 rate_hz: float | None = None) -> "StreamDescriptor":
+        """A descriptor at ``rate_hz``, or at the kind's default rate."""
         if kind not in ModalityKind.__members__.values():
             raise errors.UnknownKind(f"unknown modality kind: {kind!r}")
-        size = IMAGE_SIZE if kind is ModalityKind.VISUOTACTILE else 0
-        return cls(
-            stream_id=stream_id,
-            kind=kind,
-            rate_hz=FORMATS[kind].rate_hz if rate_hz is None else rate_hz,
-            channels=FORMATS[kind].channels,
-            sample_bits=FORMATS[kind].dtype.itemsize * 8,
-            width=size,
-            height=size,
-        )
+        return cls(stream_id, kind, FORMATS[kind].rate_hz if rate_hz is None else rate_hz)
 
 
 def validate_descriptor(desc: StreamDescriptor) -> None:
@@ -115,22 +102,18 @@ def validate_descriptor(desc: StreamDescriptor) -> None:
         raise errors.UnknownKind(f"unknown modality kind: {desc.kind!r}")
     if not (desc.rate_hz > 0):
         raise errors.ZeroRate(f"rate_hz must be positive, got {desc.rate_hz}")
-    if desc.channels < 1:
-        raise errors.ZeroChannels(f"channels must be >= 1, got {desc.channels}")
-    bits = FORMATS[desc.kind].dtype.itemsize * 8
-    if desc.sample_bits != bits:
-        raise errors.UnknownKind(
-            f"sample_bits of {desc.kind.name} must be {bits}, got {desc.sample_bits}")
     if not (0 <= desc.stream_id <= 0xFFFF):
         raise errors.UnknownKind(f"stream_id must fit u16, got {desc.stream_id}")
 
 
-def row_shape(desc: StreamDescriptor) -> tuple:
-    """Shape of one payload row: a whole (height, width, channels) image,
-    one audio frame or one vector, each of ``channels`` values."""
-    if desc.kind is ModalityKind.VISUOTACTILE:
-        return (desc.height, desc.width, desc.channels)
-    return (desc.channels,)
+def row_shape(kind: ModalityKind) -> tuple:
+    """Shape of one payload row of a ``kind`` stream: a whole
+    (IMAGE_SIZE, IMAGE_SIZE, channels) image, one audio frame or one
+    vector, each of the kind's ``channels`` values."""
+    channels = FORMATS[kind].channels
+    if kind is ModalityKind.VISUOTACTILE:
+        return (IMAGE_SIZE, IMAGE_SIZE, channels)
+    return (channels,)
 
 
 @dataclass(frozen=True)
@@ -187,10 +170,10 @@ class StreamColumns:
             rows = -1
         if (self.t_ns.dtype != np.uint64 or self.t_ns.shape != (n,)
                 or self.payload.dtype != FORMATS[desc.kind].dtype
-                or self.payload.shape != (rows, *row_shape(desc))):
+                or self.payload.shape != (rows, *row_shape(desc.kind))):
             raise errors.ShapeMismatch(
                 f"stream {desc.stream_id}: columns do not hold {FORMATS[desc.kind].dtype} "
-                f"rows of shape {row_shape(desc)}")
+                f"rows of shape {row_shape(desc.kind)}")
 
 
 class RecordLog:
@@ -244,7 +227,7 @@ class RecordLog:
         audio = desc.kind is ModalityKind.SURFACE_AUDIO
         self._columns[desc.stream_id] = StreamColumns(
             np.empty(0, dtype=np.uint64),
-            np.empty((0, *row_shape(desc)), dtype=FORMATS[desc.kind].dtype),
+            np.empty((0, *row_shape(desc.kind)), dtype=FORMATS[desc.kind].dtype),
             np.zeros(1, dtype=np.int64) if audio else None)
 
     def append(self, sample: ModalitySample) -> None:
@@ -318,10 +301,9 @@ WINDOW_T = 10
 ACTIONS = ("slide", "tap", "stir")
 MATERIALS = ("wood", "plastic", "silicone")
 
-VISUOTACTILE_WINDOW_SHAPE = (WINDOW_T, IMAGE_SIZE, IMAGE_SIZE,
-                             FORMATS[ModalityKind.VISUOTACTILE].channels)
-INERTIAL_WINDOW_SHAPE = (WINDOW_T, FORMATS[ModalityKind.INERTIAL].channels)
-PRESSURE_WINDOW_SHAPE = (WINDOW_T, FORMATS[ModalityKind.SURFACE_PRESSURE].channels)
+VISUOTACTILE_WINDOW_SHAPE = (WINDOW_T, *row_shape(ModalityKind.VISUOTACTILE))
+INERTIAL_WINDOW_SHAPE = (WINDOW_T, *row_shape(ModalityKind.INERTIAL))
+PRESSURE_WINDOW_SHAPE = (WINDOW_T, *row_shape(ModalityKind.SURFACE_PRESSURE))
 AUDIO_WINDOW_SHAPE = (WINDOW_T * FORMATS[ModalityKind.SURFACE_AUDIO].channels, 64, 1)
 
 

@@ -15,10 +15,6 @@ class ZeroRate(TouchlabError, ValueError):
     pass
 
 
-class ZeroChannels(TouchlabError, ValueError):
-    pass
-
-
 class UnknownKind(TouchlabError, ValueError):
     pass
 

@@ -14,10 +14,13 @@ Descriptor table, one entry per stream (sorted by stream_id)::
     stream_id    u16
     kind         u8        ModalityKind value
     rate_hz      f64
-    channels     u16
-    sample_bits  u8
-    width        u16       image streams only, else 0
-    height       u16       image streams only, else 0
+    channels     u16       the kind's FORMATS row
+    sample_bits  u8        the kind's payload width
+    width        u16       IMAGE_SIZE for images, else 0
+    height       u16       IMAGE_SIZE for images, else 0
+
+The kind fixes the last four fields: the writer fills them in, and the
+reader raises ShapeMismatch on a descriptor that declares other values.
 
 Chunks, one per sample, in recorded order::
 
@@ -43,6 +46,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import errors
 from .core import (
     FORMATS,
+    IMAGE_SIZE,
     ModalityKind,
     RecordLog,
     StreamColumns,
@@ -60,6 +64,13 @@ _CHUNK = struct.Struct("<HQI")
 _CHUNK_DTYPE = np.dtype([("stream_id", "<u2"), ("t_ns", "<u8"), ("payload_len", "<u4")])
 
 
+def _geometry(kind: ModalityKind) -> tuple:
+    """The descriptor fields ``kind`` fixes: channels, sample_bits, width
+    and height."""
+    size = IMAGE_SIZE if kind is ModalityKind.VISUOTACTILE else 0
+    return FORMATS[kind].channels, FORMATS[kind].dtype.itemsize * 8, size, size
+
+
 def _pieces(log: RecordLog):
     """Check ``log`` and return an iterator over the bytes of its file: the
     header and descriptor table, then every chunk's header and payload.
@@ -70,8 +81,7 @@ def _pieces(log: RecordLog):
     head = [_HEADER.pack(MAGIC, VERSION, len(log.descriptors))]
     for sid in sorted(log.descriptors):
         d = log.descriptors[sid]
-        head.append(_DESC.pack(d.stream_id, d.kind.value, d.rate_hz, d.channels,
-                               d.sample_bits, d.width, d.height))
+        head.append(_DESC.pack(d.stream_id, d.kind.value, d.rate_hz, *_geometry(d.kind)))
 
     order = log.chunk_streams
     heads = np.empty(order.size, dtype=_CHUNK_DTYPE)
@@ -123,13 +133,17 @@ def log_from_bytes(data) -> RecordLog:
     for _ in range(n_streams):
         if off + _DESC.size > len(data):
             raise errors.TruncatedChunk("descriptor table truncated")
-        sid, kind_v, rate, channels, bits, width, height = _DESC.unpack_from(data, off)
+        sid, kind_v, rate, *geometry = _DESC.unpack_from(data, off)
         off += _DESC.size
         try:
             kind = ModalityKind(kind_v)
         except ValueError as exc:
             raise errors.UnknownKind(f"unknown modality code {kind_v}") from exc
-        table.add_stream(StreamDescriptor(sid, kind, rate, channels, bits, width, height))
+        if tuple(geometry) != _geometry(kind):
+            raise errors.ShapeMismatch(
+                f"stream {sid}: {kind.name.lower()} declares (channels, sample_bits, "
+                f"width, height) {tuple(geometry)}, not {_geometry(kind)}")
+        table.add_stream(StreamDescriptor(sid, kind, rate))
 
     # The one sequential pass: each chunk header gives the next one's offset.
     starts = []
@@ -173,7 +187,7 @@ def _decode_stream(desc: StreamDescriptor, data, starts: np.ndarray,
     """Copy one stream's payloads into columns, checking every length: one
     row per chunk, or for audio a whole number of frame rows."""
     dtype = FORMATS[desc.kind].dtype
-    row = dtype.itemsize * math.prod(row_shape(desc))
+    row = dtype.itemsize * math.prod(row_shape(desc.kind))
     audio = desc.kind is ModalityKind.SURFACE_AUDIO
     bad = (lengths == 0) | (lengths % row != 0) if audio else lengths != row
     if bad.any():
@@ -191,7 +205,7 @@ def _decode_stream(desc: StreamDescriptor, data, starts: np.ndarray,
             sliding_window_view(flat, size, writeable=True)[dest[same]] = \
                 _gather(data, starts[same], size)
     n_rows = int(lengths.sum()) // row if audio else starts.size
-    payload = flat.view(dtype).reshape(n_rows, *row_shape(desc))
+    payload = flat.view(dtype).reshape(n_rows, *row_shape(desc.kind))
     offsets = np.concatenate([[0], np.cumsum(lengths // row)]) if audio else None
     return StreamColumns(t_ns, payload, offsets)
 

@@ -41,6 +41,7 @@ from .core import (
     RecordLog,
     StreamColumns,
     StreamDescriptor,
+    row_shape,
     stream_id_for,
 )
 
@@ -354,7 +355,7 @@ def _background() -> np.ndarray:
     repeated into three (tests/test_synth.py holds its recipe)."""
     channel = np.load(Path(__file__).with_name("background.npy"), allow_pickle=False)
     channel.flags.writeable = False
-    return np.broadcast_to(channel[:, :, None], (IMAGE_SIZE, IMAGE_SIZE, 3))
+    return np.broadcast_to(channel[:, :, None], row_shape(ModalityKind.VISUOTACTILE))
 
 
 def _imprint_transmission(uu, vv, cu, cv, depth) -> np.ndarray:
@@ -543,7 +544,7 @@ def _synth_visuotactile(finger, t, frames, events_scales, key):
               for ed in _contacts(events_scales, finger)]
 
     n = t.size
-    out = np.empty((n, IMAGE_SIZE, IMAGE_SIZE, 3), dtype=np.uint8)
+    out = np.empty((n, *row_shape(ModalityKind.VISUOTACTILE)), dtype=np.uint8)
     # Frames per pass: the float64 temporaries below hold 8 frames (2.8 MB
     # each).
     block = 8
@@ -682,7 +683,7 @@ def run_scenario(script: ScenarioScript, frames=None) -> RecordLog:
             descs.append(desc)
             seq = np.random.SeedSequence((script.seed, 0x57EA, desc.stream_id))
             if kind is ModalityKind.VISUOTACTILE:
-                payload = np.empty((keep.size, IMAGE_SIZE, IMAGE_SIZE, 3), np.uint8)
+                payload = np.empty((keep.size, *row_shape(kind)), np.uint8)
                 key = seq.generate_state(2, np.uint64)
                 for b0 in range(0, keep.size, FRAMES_PER_JOB):
                     sel = keep[b0:b0 + FRAMES_PER_JOB]

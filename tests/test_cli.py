@@ -244,6 +244,33 @@ class TestBenchCommands:
     def test_report_empty_exit_4(self, tmp_path):
         assert main(["report", str(tmp_path / "none.json")]) == EXIT_EMPTY
 
+    def _report_skips(self, tmp_path, capsys, data: bytes):
+        """``report`` skips a file holding ``data`` and reads the good one
+        beside it; alone, the file leaves nothing readable."""
+        good = tmp_path / "good.json"
+        main(["bench-mtf", "--region", "1", "--spacings", "6",
+              "--format", "json", "--out", str(good)])
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(data)
+        capsys.readouterr()
+        assert main(["report", str(bad), str(good)]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"skipping {bad}: ")
+        assert "bench-mtf" in captured.out
+        assert main(["report", str(bad)]) == EXIT_EMPTY
+
+    def test_report_skips_json_array(self, tmp_path, capsys):
+        self._report_skips(tmp_path, capsys, b'[{"command": "bench-mtf"}]')
+
+    def test_report_skips_rows_not_a_list(self, tmp_path, capsys):
+        self._report_skips(tmp_path, capsys, b'{"command": "bench-mtf", "rows": 5}')
+
+    def test_report_skips_undecodable_bytes(self, tmp_path, capsys):
+        self._report_skips(tmp_path, capsys, b'{"command": "\xff"}')
+
+    def test_report_skips_deep_nesting(self, tmp_path, capsys):
+        self._report_skips(tmp_path, capsys, b"[" * 100_000)
+
     @pytest.mark.parametrize("argv", [
         ["bench-reflex", "--trials", "5"],
         ["bench-latency", "--runs", "0"],
@@ -277,6 +304,15 @@ class TestBenchCommands:
         ["bench-mtf", "--spacings", " "],
         ["train-fusion", "--trials-per-class", "10001"],
         ["train-gas", "--approaches", "100001"],
+        ["bench-latency", "--runs", "10", "--seed", "-1"],
+        ["bench-reflex", "--trials", "300", "--seed", "-1"],
+        ["bench-optics", "--alpha-sweep", "5", "--photons", "150000", "--seed", "-1"],
+        ["bench-mtf", "--seed", "-1"],
+        ["train-gas", "--approaches", "2", "--duration", "10",
+         "--integration", "5", "--seed", "-1"],
+        ["train-fusion", "--trials-per-class", "1", "--seed", "-1"],
+        ["analyze-liquid", "missing.d36r", "--seed", "-1"],
+        ["record", "missing.json", "--seed", "-1"],
     ])
     def test_bad_flag_value_exit_2(self, tmp_path, capsys, argv):
         out = tmp_path / "report.json"

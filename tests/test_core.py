@@ -9,6 +9,7 @@ from touchlab.core import (
     StreamColumns,
     StreamDescriptor,
     WindowSample,
+    row_shape,
     validate_descriptor,
 )
 
@@ -17,34 +18,20 @@ class TestValidateDescriptor:
     def test_visuotactile_default_ok(self):
         desc = StreamDescriptor.default(0, ModalityKind.VISUOTACTILE)
         assert desc.rate_hz == 240.0
-        assert desc.channels == 3
+        assert row_shape(desc.kind) == (120, 120, 3)
         validate_descriptor(desc)
 
     def test_zero_rate_rejected(self):
-        desc = StreamDescriptor(1, ModalityKind.SURFACE_AUDIO, 0.0, channels=1,
-                                sample_bits=16)
+        desc = StreamDescriptor(1, ModalityKind.SURFACE_AUDIO, 0.0)
         with pytest.raises(errors.ZeroRate):
             validate_descriptor(desc)
 
     def test_gas_default_ok(self):
-        desc = StreamDescriptor(2, ModalityKind.GAS, 1.0, channels=4, sample_bits=32)
+        desc = StreamDescriptor(2, ModalityKind.GAS, 1.0)
         validate_descriptor(desc)
 
-    def test_zero_channels_rejected(self):
-        desc = StreamDescriptor(3, ModalityKind.HEAT, 1.0, channels=0, sample_bits=32)
-        with pytest.raises(errors.ZeroChannels):
-            validate_descriptor(desc)
-
     def test_unknown_kind_rejected(self):
-        desc = StreamDescriptor(4, "bogus", 1.0, channels=1, sample_bits=32)
-        with pytest.raises(errors.UnknownKind):
-            validate_descriptor(desc)
-
-    @pytest.mark.parametrize("kind, bits", [(ModalityKind.VISUOTACTILE, 32),
-                                            (ModalityKind.SURFACE_AUDIO, 32),
-                                            (ModalityKind.SURFACE_PRESSURE, 16)])
-    def test_sample_bits_must_be_payload_width(self, kind, bits):
-        desc = StreamDescriptor(5, kind, 1.0, channels=1, sample_bits=bits)
+        desc = StreamDescriptor(4, "bogus", 1.0)
         with pytest.raises(errors.UnknownKind):
             validate_descriptor(desc)
 

@@ -8,9 +8,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from touchlab import cli, errors
-from touchlab.core import ModalityKind, ModalitySample, RecordLog, StreamDescriptor
+from touchlab.core import (
+    FORMATS,
+    IMAGE_SIZE,
+    ModalityKind,
+    ModalitySample,
+    RecordLog,
+    StreamDescriptor,
+    row_shape,
+)
 from touchlab.recordlog import (
     MAGIC,
+    VERSION,
     log_from_bytes,
     log_to_bytes,
     read_log,
@@ -26,14 +35,13 @@ def _empty_log():
 
 
 def _payload_for(rng, desc):
-    kind = desc.kind
+    kind, shape = desc.kind, row_shape(desc.kind)
     if kind is ModalityKind.VISUOTACTILE:
-        return rng.integers(0, 256, size=(desc.height, desc.width, desc.channels),
-                            dtype=np.uint8)
+        return rng.integers(0, 256, size=shape, dtype=np.uint8)
     if kind is ModalityKind.SURFACE_AUDIO:
         n = int(rng.integers(1, 64))
-        return rng.integers(-32768, 32768, size=(n, desc.channels)).astype("<i2")
-    return rng.normal(size=desc.channels).astype("<f4")
+        return rng.integers(-32768, 32768, size=(n, *shape)).astype("<i2")
+    return rng.normal(size=shape).astype("<f4")
 
 
 def _random_log(seed, n_samples):
@@ -134,27 +142,29 @@ def partial_item_log() -> bytes:
 
 
 def _small_log() -> bytes:
-    """Every modality kind, 4x3 images, and audio blocks of 1, 4 and 7 frames."""
-    log = RecordLog()
-    for sid, kind in enumerate(ModalityKind):
-        if kind is ModalityKind.VISUOTACTILE:
-            log.add_stream(StreamDescriptor(sid, kind, 30.0, 3, 8, width=4, height=3))
-        else:
-            log.add_stream(StreamDescriptor.default(sid, kind))
+    """Every modality kind: one rig-sized image, and three chunks of every
+    other stream, audio in blocks of 1, 4 and 7 frames."""
+    log = _empty_log()
     rng = np.random.default_rng(3)
     for k in range(3):
         for sid, desc in log.descriptors.items():
+            shape = row_shape(desc.kind)
             if desc.kind is ModalityKind.SURFACE_AUDIO:
-                payload = rng.integers(-99, 99, size=(1 + 3 * k, desc.channels)).astype("<i2")
+                payload = rng.integers(-99, 99, size=(1 + 3 * k, *shape)).astype("<i2")
             elif desc.kind is ModalityKind.VISUOTACTILE:
-                payload = rng.integers(0, 256, size=(3, 4, 3), dtype=np.uint8)
+                if k:
+                    continue
+                payload = rng.integers(0, 256, size=shape, dtype=np.uint8)
             else:
-                payload = rng.normal(size=desc.channels).astype("<f4")
+                payload = rng.normal(size=shape).astype("<f4")
             log.append(ModalitySample(sid, 1000 * k + sid, payload))
     return log_to_bytes(log)
 
 
 SMALL_LOG = _small_log()
+# The header and the descriptor table: the frame is most of the file, so
+# about half of all damage is drawn from here to reach the descriptor checks.
+SMALL_LOG_HEAD = 8 + 18 * len(ModalityKind)
 
 
 def _mutated(edits):
@@ -164,11 +174,64 @@ def _mutated(edits):
     return bytes(data)
 
 
+offsets = st.one_of(st.integers(0, SMALL_LOG_HEAD - 1), st.integers(0, len(SMALL_LOG) - 1))
 damaged_logs = st.one_of(
-    st.integers(0, len(SMALL_LOG) - 1).map(lambda n: SMALL_LOG[:n]),
-    st.lists(st.tuples(st.integers(0, len(SMALL_LOG) - 1), st.integers(0, 255)),
-             min_size=1, max_size=4).map(_mutated),
+    offsets.map(lambda n: SMALL_LOG[:n]),
+    st.lists(st.tuples(offsets, st.integers(0, 255)), min_size=1, max_size=4).map(_mutated),
 )
+
+
+def declared_log(kind, **fields) -> bytes:
+    """A one-chunk ``kind`` log whose descriptor declares ``fields``
+    (channels, sample_bits, width, height) in place of the kind's own; the
+    chunk holds one row of the declared geometry."""
+    size = IMAGE_SIZE if kind is ModalityKind.VISUOTACTILE else 0
+    geometry = {"channels": FORMATS[kind].channels,
+                "sample_bits": FORMATS[kind].dtype.itemsize * 8,
+                "width": size, "height": size, **fields}
+    items = geometry["channels"]
+    if kind is ModalityKind.VISUOTACTILE:
+        items *= geometry["width"] * geometry["height"]
+    payload = bytes(items * geometry["sample_bits"] // 8)
+    return (struct.pack("<4sHH", MAGIC, VERSION, 1)
+            + struct.pack("<HBdHBHH", 0, kind.value, 100.0, *geometry.values())
+            + struct.pack("<HQI", 0, 0, len(payload)) + payload)
+
+
+class TestDescriptorGeometry:
+    """A descriptor's channels, sample_bits, width and height are fixed by
+    its kind; a log that declares other values is refused."""
+
+    @pytest.mark.parametrize("kind", list(ModalityKind), ids=lambda k: k.name.lower())
+    def test_rig_geometry_parses(self, kind):
+        log = log_from_bytes(declared_log(kind))
+        assert log.stream(0).payload.shape[1:] == row_shape(kind)
+
+    def test_zero_channels_rejected(self):
+        with pytest.raises(errors.ShapeMismatch):
+            log_from_bytes(declared_log(ModalityKind.HEAT, channels=0))
+
+    @pytest.mark.parametrize("kind, bits", [(ModalityKind.VISUOTACTILE, 32),
+                                            (ModalityKind.SURFACE_AUDIO, 32),
+                                            (ModalityKind.SURFACE_PRESSURE, 16)])
+    def test_sample_bits_must_be_payload_width(self, kind, bits):
+        with pytest.raises(errors.ShapeMismatch):
+            log_from_bytes(declared_log(kind, sample_bits=bits))
+
+    @pytest.mark.parametrize("kind, fields", [
+        (ModalityKind.INERTIAL, {"channels": 7}),
+        (ModalityKind.VISUOTACTILE, {"width": 5, "height": 9}),
+        (ModalityKind.SURFACE_PRESSURE, {"width": 5, "height": 9}),
+        (ModalityKind.VISUOTACTILE, {"sample_bits": 16}),
+        (ModalityKind.HEAT, {"width": IMAGE_SIZE}),
+        (ModalityKind.VISUOTACTILE, {"height": 9}),
+    ], ids=["inertial_7_channels", "visuotactile_5x9", "pressure_5x9",
+            "visuotactile_16_bit", "heat_width", "visuotactile_height"])
+    def test_replay_exit_2(self, tmp_path, capsys, kind, fields):
+        path = tmp_path / "declared.d36r"
+        path.write_bytes(declared_log(kind, **fields))
+        assert cli.main(["replay", str(path)]) == cli.EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: stream 0: ")
 
 
 class TestDamagedLogs:
