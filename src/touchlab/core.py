@@ -12,7 +12,8 @@ are :class:`WindowSample` records with the fixed per-modality tensor layouts
 used throughout the classification pipeline.
 
 All types are immutable after construction and safe to share across
-threads/processes.
+threads/processes, except the ``_features`` memo of encoded features that
+``experiments`` adds to a :class:`WindowSample` (its arrays stay read-only).
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ import numpy as np
 from . import errors
 from .core import (
     AUDIO_WINDOW_SHAPE,
+    FORMATS,
     WINDOW_DURATION_S,
     WINDOW_T,
     ModalityKind,
@@ -67,7 +68,8 @@ def apply_filter(series: np.ndarray, spec: FilterSpec) -> np.ndarray:
     return scipy.signal.sosfilt(spec.sos(), series, axis=0)
 
 
-def pressure_preprocess(series: np.ndarray, rate_hz: float = 1000.0) -> np.ndarray:
+def pressure_preprocess(series: np.ndarray, rate_hz: float =
+                        FORMATS[ModalityKind.SURFACE_PRESSURE].rate_hz) -> np.ndarray:
     """Two series filters: HPF(0.95 Hz) then LPF(50 Hz).
 
     Removes static grasp offsets while keeping the fast transients the

@@ -95,10 +95,6 @@ class ZeroMean(TouchlabError, ValueError):
     pass
 
 
-class NoPeaksFound(TouchlabError, ValueError):
-    pass
-
-
 # --- neural network engine ---------------------------------------------------
 
 class ShapeMismatch(TouchlabError, ValueError):

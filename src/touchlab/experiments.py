@@ -21,7 +21,6 @@ from .core import (ACTIONS, FORMATS, MATERIALS as CLS_MATERIALS, WINDOW_T, Modal
 from .dsp import build_windows, decay_time, peak_frequency
 from .synth import (
     GAS_MATERIALS,
-    GAS_RATE_HZ,
     Event,
     ObjectSpec,
     ScenarioScript,
@@ -53,7 +52,7 @@ MAX_APPROACHES, MAX_TRIALS_PER_CLASS = 10**5, 10**4
 
 @dataclass
 class GasDataset:
-    series: list               # list of (n, 4) arrays at GAS_RATE_HZ
+    series: list               # list of (n, 4) arrays at FORMATS[GAS].rate_hz
     labels: np.ndarray         # index into GAS_MATERIALS
 
 
@@ -112,12 +111,13 @@ def gas_experiment(dataset: GasDataset, integration_time_s: float,
             f"integration time must be finite and positive, got "
             f"{integration_time_s}")
     n_classes = len(GAS_MATERIALS)
-    max_dur = min(s.shape[0] for s in dataset.series) / GAS_RATE_HZ
+    rate = FORMATS[ModalityKind.GAS].rate_hz
+    max_dur = min(s.shape[0] for s in dataset.series) / rate
     if integration_time_s > max_dur + 1e-9:
         raise errors.ConfigError(
             f"integration time {integration_time_s}s exceeds approach "
             f"duration {max_dur}s")
-    n_keep = max(int(round(integration_time_s * GAS_RATE_HZ)), 1)
+    n_keep = max(int(round(integration_time_s * rate)), 1)
     feats = np.stack([s[:n_keep].mean(axis=0) for s in dataset.series])
 
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x6A5E)))
@@ -374,14 +374,12 @@ def _predict(model: nn.MlpModel, x: np.ndarray):
 
 
 def check_modalities(modalities) -> tuple:
-    """``modalities`` as a tuple; MissingModality unless it names at least
-    one modality and only names from MODALITY_NAMES."""
+    """``modalities`` as a tuple; MissingModality unless it names one or
+    more modalities from MODALITY_NAMES, each at most once."""
     modalities = tuple(modalities)
-    if not modalities:
-        raise errors.MissingModality("need at least one modality")
-    unknown = set(modalities) - set(MODALITY_NAMES)
-    if unknown:
-        raise errors.MissingModality(f"unknown modalities {sorted(unknown)}")
+    if not modalities or len(set(modalities) & set(MODALITY_NAMES)) < len(modalities):
+        raise errors.MissingModality(f"need distinct modalities from {list(MODALITY_NAMES)}, "
+                                     f"got {list(modalities)}")
     return modalities
 
 
@@ -391,8 +389,8 @@ def fusion_experiment(windows, mode: str = FINGER_DEPENDENT,
                       shuffle_labels: bool = False) -> FusionResult:
     """Action/material classification from encoded windows.
 
-    ``windows`` is an iterable of WindowSample or (trial, WindowSample)
-    pairs.  Finger-independent mode treats each finger's window as its own
+    ``windows`` is an iterable of (trial, WindowSample) pairs, nothing
+    else.  Finger-independent mode treats each finger's window as its own
     sample; finger-dependent mode concatenates the four fingers' features
     per (trial, window-start).  Features are encoded lazily: only the
     requested modalities, each at most once per window, memoized on the
@@ -407,7 +405,9 @@ def fusion_experiment(windows, mode: str = FINGER_DEPENDENT,
     feats = {}
     labels = {}
     for item in windows:
-        trial, w = item if isinstance(item, tuple) else (0, item)
+        if not (isinstance(item, tuple) and len(item) == 2):
+            raise errors.ConfigError(f"not a (trial, WindowSample) pair: {type(item).__name__}")
+        trial, w = item
         enc = _window_features(w, modalities)
         vec = np.concatenate([enc[m] for m in modalities])
         key = (trial, w.window_start_ns)

@@ -20,7 +20,7 @@ tilt the local normals, which is what makes indentations visible.
 The same module hosts the background-uniformity metrics used to grade
 illumination designs, the scatter-angle sweep with its contrast-to-noise
 column and frozen combined objective, and the two-prong MTF spatial
-resolution analysis with per-region calibrated Gaussian PSFs.
+resolution analysis, closed form in spacing/PSF sigma up to one scalar root.
 """
 
 from __future__ import annotations
@@ -607,15 +607,33 @@ def scatter_sweep(alphas=DEFAULT_SWEEP_ALPHAS, photons: int = 1_000_000,
 #: PSF of each region is calibrated so mtf(limit) = 0.5.
 REGION_MTF_LIMIT_UM = {1: 6.0, 2: 8.0, 3: 22.0}
 
-# Two-prong profiles are sampled every PROFILE_SAMPLE_UM up to spacings of
-# MAX_SPACING_UM (there every region's MTF is already 1 and a profile holds
-# 50,000 samples); a pair is resolvable at MTF_THRESHOLD.
-PROFILE_SAMPLE_UM, MAX_SPACING_UM, MTF_THRESHOLD = 0.02, 1000.0, 0.5
+# A pair is resolvable at MTF_THRESHOLD.  A spacing above MAX_SPACING_UM
+# is rejected as a typo: there every region's MTF is already 1.
+MAX_SPACING_UM, MTF_THRESHOLD = 1000.0, 0.5
 
 
-def two_prong_profile(spacing_um: float, psf_sigma_um: float) -> np.ndarray:
-    """Taxel intensity line profile of a two-prong contact pair blurred by a
-    Gaussian PSF."""
+def _bisect(below, lo: float, hi: float) -> tuple:
+    """Narrow [lo, hi] to adjacent floats around where ``below`` turns false."""
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if below(mid) else (lo, mid)
+    return lo, hi
+
+
+def _two_prong_mtf(r: float) -> float:
+    """(max - valley) / (max + valley) of two unit Gaussians r apart: 0 up to
+    r = 2 (one merged peak); beyond, the valley 2 exp(-r^2 / 8), 1 once it
+    underflows, and maxima at +-u, the root of u = (r/2) tanh(u r / 2)."""
+    if r <= 2.0:
+        return 0.0
+    a = r / 2.0
+    u = _bisect(lambda z: a * math.tanh(a * z) > z, 0.0, a)[0]
+    peak = math.exp(-0.5 * (u - a) * (u - a)) + math.exp(-0.5 * (u + a) * (u + a))
+    valley = 2.0 * math.exp(-r * r / 8.0)
+    return (peak - valley) / (peak + valley) if valley else 1.0
+
+
+def prong_mtf(spacing_um: float, psf_sigma_um: float) -> dict:
+    """MTF of a two-prong contact pair blurred by a Gaussian PSF."""
     for name, value in (("spacing_um", spacing_um),
                         ("psf_sigma_um", psf_sigma_um)):
         if not (math.isfinite(value) and value > 0):
@@ -623,63 +641,13 @@ def two_prong_profile(spacing_um: float, psf_sigma_um: float) -> np.ndarray:
                 f"{name} must be finite and positive, got {value}")
     if spacing_um > MAX_SPACING_UM:
         raise errors.ConfigError(f"spacing_um must be <= {MAX_SPACING_UM:g}, got {spacing_um}")
-    half = spacing_um / 2.0 + 6.0 * psf_sigma_um
-    x = np.arange(-half, half + PROFILE_SAMPLE_UM, PROFILE_SAMPLE_UM)
-    return (np.exp(-0.5 * ((x - spacing_um / 2.0) / psf_sigma_um) ** 2)
-            + np.exp(-0.5 * ((x + spacing_um / 2.0) / psf_sigma_um) ** 2))
-
-
-def mtf_resolvable(profile: np.ndarray) -> dict:
-    """Two-peak modulation transfer: (max - valley) / (max + valley).
-
-    The profile must contain at least one detectable peak; a single merged
-    peak scores mtf = 0 (not resolvable), two peaks score by the valley
-    between them.
-    """
-    import scipy.signal
-
-    profile = np.asarray(profile, dtype=np.float64).ravel()
-    if profile.size < 8 or profile.max() <= 0:
-        raise errors.NoPeaksFound("profile has no peaks")
-    peaks, _ = scipy.signal.find_peaks(profile, prominence=1e-4 * profile.max())
-    if peaks.size == 0:
-        # A plateau maximum (e.g. merged pair sampled symmetrically) still
-        # counts as a single peak if there is an interior maximum.
-        k = int(np.argmax(profile))
-        if k in (0, profile.size - 1):
-            raise errors.NoPeaksFound("profile has no interior peak")
-        peaks = np.array([k])
-    if peaks.size == 1:
-        return {"mtf": 0.0, "resolvable": False}
-    # Use the two most prominent peaks.
-    order = np.argsort(profile[peaks])[::-1][:2]
-    p1, p2 = sorted(peaks[order])
-    valley = profile[p1:p2 + 1].min()
-    mx = profile.max()
-    mtf = float((mx - valley) / (mx + valley))
-    return {"mtf": mtf, "resolvable": bool(mtf >= MTF_THRESHOLD)}
-
-
-def prong_mtf(spacing_um: float, psf_sigma_um: float) -> dict:
-    return mtf_resolvable(two_prong_profile(spacing_um, psf_sigma_um))
+    mtf = _two_prong_mtf(spacing_um / psf_sigma_um)
+    return {"mtf": mtf, "resolvable": mtf >= MTF_THRESHOLD}
 
 
 @lru_cache(maxsize=None)
 def region_psf_sigma_um(region: int) -> float:
-    """Gaussian PSF width of each fingertip region, fixed by the constraint
-    mtf(region limit) = 0.5."""
+    """Gaussian PSF width of each fingertip region: its limit over the
+    smallest spacing/sigma with mtf >= 0.5, so the limit stays resolvable."""
     limit = REGION_MTF_LIMIT_UM[region]
-
-    def f(sigma):
-        return prong_mtf(limit, sigma)["mtf"] - 0.5
-
-    lo, hi = 0.05 * limit, 1.5 * limit
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if f(mid) >= 0:
-            lo = mid
-        else:
-            hi = mid
-    # lo is the largest probed sigma with mtf >= 0.5: the limit spacing
-    # itself stays resolvable (the threshold is inclusive).
-    return lo
+    return limit / _bisect(lambda r: _two_prong_mtf(r) < MTF_THRESHOLD, 2.0, 8.0)[1]

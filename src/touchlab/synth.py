@@ -68,7 +68,6 @@ GAS_NOISE = np.array([3800.0, 1.9, 0.62, 0.7])
 GAS_DRIFT = np.array([1400.0, 0.6, 0.26, 0.11])
 
 GAS_TAU_S = 30.0
-GAS_RATE_HZ = 1.0
 
 # Container tap acoustics: fill shifts the resonance down from RING_F0_HZ,
 # contact position stretches the decay around RING_TAU0_S.
@@ -272,7 +271,8 @@ def _frame_noise(key: np.ndarray, frame: int, shape: tuple) -> np.ndarray:
 
 
 def gen_ringdown(obj: ObjectSpec, contact_position: float, duration_s: float,
-                 rate_hz: float = 48_000.0, amplitude: float = 1.0) -> np.ndarray:
+                 rate_hz: float = FORMATS[ModalityKind.SURFACE_AUDIO].rate_hz,
+                 amplitude: float = 1.0) -> np.ndarray:
     """Damped sinusoid of a container tap.
 
     Peak frequency depends only on the fill fraction, f = f0 (1 - k * fill);
@@ -313,15 +313,16 @@ def gen_gas_approach(obj: ObjectSpec, approach_duration_s: float,
         raise errors.ConfigError(
             f"approach duration must be finite and positive, got "
             f"{approach_duration_s}")
-    if approach_duration_s * GAS_RATE_HZ > MAX_STREAM_SAMPLES:
+    rate = FORMATS[ModalityKind.GAS].rate_hz
+    if approach_duration_s * rate > MAX_STREAM_SAMPLES:
         raise errors.ConfigError(
-            f"approach of {approach_duration_s} s at {GAS_RATE_HZ} Hz exceeds "
+            f"approach of {approach_duration_s} s at {rate} Hz exceeds "
             f"{MAX_STREAM_SAMPLES} samples")
-    n = int(round(approach_duration_s * GAS_RATE_HZ))
+    n = int(round(approach_duration_s * rate))
     sig = obj.gas_target().astype(np.float64)
     if rng is not None:
         sig = sig + rng.normal(0.0, GAS_DRIFT)
-    series = _relax(AMBIENT_GAS, sig, np.arange(n) / GAS_RATE_HZ, GAS_TAU_S)
+    series = _relax(AMBIENT_GAS, sig, np.arange(n) / rate, GAS_TAU_S)
     if rng is not None:
         series = series + rng.normal(0.0, GAS_NOISE, size=series.shape)
     return series
@@ -446,7 +447,7 @@ def _contacts(events_scales, finger):
 def _synth_pressure(script, finger, t, events_scales, rng):
     rate = script.rate(ModalityKind.SURFACE_PRESSURE)
     out = rng.normal(0.0, DEFAULT_NOISE[ModalityKind.SURFACE_PRESSURE],
-                     size=(t.size, 4))
+                     size=(t.size, *row_shape(ModalityKind.SURFACE_PRESSURE)))
     chan_gain = np.array([1.0, 0.8, 0.65, 0.5])
     for ed in _contacts(events_scales, finger):
         ev = ed.event
@@ -475,7 +476,8 @@ def _synth_pressure(script, finger, t, events_scales, rng):
 
 def _synth_inertial(script, finger, t, events_scales, rng):
     rate = script.rate(ModalityKind.INERTIAL)
-    out = rng.normal(0.0, DEFAULT_NOISE[ModalityKind.INERTIAL], size=(t.size, 3))
+    out = rng.normal(0.0, DEFAULT_NOISE[ModalityKind.INERTIAL],
+                     size=(t.size, *row_shape(ModalityKind.INERTIAL)))
     for ed in _contacts(events_scales, finger):
         ev = ed.event
         sel = (t >= ev.t_start) & (t < ev.t_end)
@@ -495,7 +497,7 @@ def _synth_audio(script, finger, t, events_scales, rng):
     rate = script.rate(ModalityKind.SURFACE_AUDIO)
     n = t.size
     out = rng.normal(0.0, DEFAULT_NOISE[ModalityKind.SURFACE_AUDIO],
-                     size=(n, 4))
+                     size=(n, *row_shape(ModalityKind.SURFACE_AUDIO)))
     chan_gain = np.array([1.0, 0.85, 0.7, 0.6])
     for ed in _contacts(events_scales, finger):
         ev = ed.event

@@ -313,6 +313,7 @@ class TestBenchCommands:
         ["train-fusion", "--trials-per-class", "1", "--seed", "-1"],
         ["analyze-liquid", "missing.d36r", "--seed", "-1"],
         ["record", "missing.json", "--seed", "-1"],
+        ["train-fusion", "--trials-per-class", "1", "--modalities", "audio,audio"],
     ])
     def test_bad_flag_value_exit_2(self, tmp_path, capsys, argv):
         out = tmp_path / "report.json"
@@ -438,12 +439,18 @@ class TestReportMetadata:
 
 
 def test_cli_import_leaves_scipy_unloaded():
+    # The import loads no scipy.signal or scipy.ndimage; bench-mtf then
+    # loads no scipy module at all.
     code = ("import sys, touchlab.cli; "
-            "print([m for m in ('scipy.signal', 'scipy.ndimage') if m in sys.modules])")
+            "print([m for m in ('scipy.signal', 'scipy.ndimage') if m in sys.modules]); "
+            "touchlab.cli.main(['bench-mtf', '--region', '1', '--spacings', '6']); "
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     env = {**os.environ, "PYTHONPATH": str(Path(touchlab.__file__).parents[1])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    lines = out.stdout.splitlines()
+    assert lines[0] == "[]"
+    assert lines[-1] == "[]"
 
 
 def run_quiet(argv):

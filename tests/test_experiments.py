@@ -136,6 +136,12 @@ class TestFusionExperiment:
         with pytest.raises(errors.EmptyDataset):
             fusion_experiment([])
 
+    def test_bare_windows_rejected(self, windows):
+        # Bare windows carry no trial, so windows of different trials
+        # would collide on their start time.
+        with pytest.raises(errors.ConfigError):
+            fusion_experiment([w for _, w in windows], max_epochs=1)
+
     def test_encoders_shapes(self, windows):
         enc = encode_window(windows[0][1])
         assert enc["visuotactile"].shape == (48,)

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from touchlab import errors
 from touchlab.optics import (
+    REGION_MTF_LIMIT_UM,
     SWEEP_CONTACTS,
     Contact,
     ScatterSurface,
@@ -15,14 +16,12 @@ from touchlab.optics import (
     count_glints,
     disc_roi,
     fov_mask,
-    mtf_resolvable,
     prong_mtf,
     region_psf_sigma_um,
     render,
     sample_bsdf,
     scatter_sweep,
     sweep_surface,
-    two_prong_profile,
     uniformity_metrics,
 )
 
@@ -255,13 +254,19 @@ class TestMtf:
     ])
     def test_non_positive_or_nan_rejected(self, spacing, sigma):
         with pytest.raises(errors.ConfigError):
-            two_prong_profile(spacing, sigma)
+            prong_mtf(spacing, sigma)
 
-    def test_no_peaks(self):
-        with pytest.raises(errors.NoPeaksFound):
-            mtf_resolvable(np.zeros(100))
-        with pytest.raises(errors.NoPeaksFound):
-            mtf_resolvable(np.linspace(0.0, 1.0, 100))
+    @pytest.mark.parametrize("k", [1e-3, 0.37, 3.0, 40.0])
+    def test_scale_free(self, k):
+        # The MTF of two equal Gaussians depends on spacing / sigma alone.
+        for spacing, sigma in ((2.5, 1.0), (6.0, 1.6), (9.0, 2.1), (22.0, 5.8)):
+            assert prong_mtf(k * spacing, k * sigma)["mtf"] == pytest.approx(
+                prong_mtf(spacing, sigma)["mtf"], abs=1e-12)
+
+    def test_merge_point(self):
+        # Two unit Gaussians merge into one peak at spacing 2 sigma exactly.
+        assert prong_mtf(2.01, 1.0)["mtf"] > 0.0
+        assert prong_mtf(2.0, 1.0)["mtf"] == 0.0
 
     @settings(max_examples=30, deadline=None)
     @given(st.floats(min_value=0.5, max_value=40.0),
@@ -280,7 +285,8 @@ class TestMtf:
     def test_region_limits_ordered(self):
         assert region_psf_sigma_um(1) < region_psf_sigma_um(2) < region_psf_sigma_um(3)
 
-    def test_profile_shape(self):
-        p = two_prong_profile(10.0, 2.0)
-        assert p.ndim == 1 and p.size > 100
-        assert p.max() <= 2.0 + 1e-9
+    @pytest.mark.parametrize("region", sorted(REGION_MTF_LIMIT_UM))
+    def test_region_limit_resolvable(self, region):
+        res = prong_mtf(REGION_MTF_LIMIT_UM[region], region_psf_sigma_um(region))
+        assert res["resolvable"]
+        assert res["mtf"] == pytest.approx(0.5, abs=1e-12)
