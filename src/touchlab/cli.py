@@ -8,7 +8,9 @@ effective configuration, and the artifact version.  Exit codes are stable:
 0 success, 2 configuration/parse error, 3 I/O error, 4 empty result.
 ``main`` is the one error boundary: ``OSError`` exits 3, a library
 ``TouchlabError`` 2, or 4 for an empty dataset or a log without taps.  It
-refuses a negative ``--seed`` with exit 2 before any command runs.
+refuses a negative ``--seed`` with exit 2 before any command runs.  It is
+also the one place a report is written: a report command returns its rows
+and extra fields and prints its summary lines to stderr.
 """
 
 from __future__ import annotations
@@ -44,18 +46,10 @@ def _config_hash(args: dict) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def _report(command: str, args: dict, rows: list, extra: dict | None = None) -> dict:
-    report = {
-        "schema": REPORT_SCHEMA,
-        "command": command,
-        "version": __version__,
-        "seed": args.get("seed"),
-        "config_hash": _config_hash(args),
-        "rows": rows,
-    }
-    if extra:
-        report.update(extra)
-    return report
+def _report(command: str, args: dict, rows: list, extra: dict) -> dict:
+    return {"schema": REPORT_SCHEMA, "command": command, "version": __version__,
+            "seed": args.get("seed"), "config_hash": _config_hash(args),
+            "rows": rows, **extra}
 
 
 def _emit(report: dict, out: str | None, fmt: str) -> None:
@@ -77,19 +71,15 @@ def _emit(report: dict, out: str | None, fmt: str) -> None:
 def _render(report: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(report, indent=2, default=_jsonable)
+    header = ("schema", "command", "version", "seed", "config_hash")
+    lines = ["# " + " ".join(f"{key}={report[key]}" for key in header)]
+    lines += [f"# {key}={value}" for key, value in report.items()
+              if key not in (*header, "rows")]
     rows = report["rows"]
-    lines = [f"# schema={report['schema']} command={report['command']} "
-             f"version={report['version']} seed={report['seed']} "
-             f"config_hash={report['config_hash']}"]
-    for key, value in report.items():
-        if key not in ("schema", "command", "version", "seed", "config_hash",
-                       "rows"):
-            lines.append(f"# {key}={value}")
     if rows:
-        cols = list(rows[0].keys())
+        cols = list(rows[0])
         lines.append(",".join(cols))
-        for row in rows:
-            lines.append(",".join(_csv_cell(row.get(c)) for c in cols))
+        lines += [",".join(_csv_cell(row.get(c)) for c in cols) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -100,11 +90,7 @@ def _csv_cell(value) -> str:
 
 
 def _jsonable(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.generic, np.ndarray)):
         return obj.tolist()
     return str(obj)
 
@@ -164,7 +150,7 @@ def load_scenario(path: str) -> synth.ScenarioScript:
 # --- subcommands -----------------------------------------------------------------
 
 
-def cmd_record(args) -> int:
+def cmd_record(args) -> None:
     script = load_scenario(args.scenario)
     if args.seed is not None:
         script.seed = args.seed
@@ -172,10 +158,9 @@ def cmd_record(args) -> int:
     n = write_log(log, args.out)
     print(f"wrote {args.out}: {n} bytes, {log.chunk_streams.size} samples, "
           f"{len(log.descriptors)} streams")
-    return EXIT_OK
 
 
-def cmd_replay(args) -> int:
+def cmd_replay(args) -> None:
     log = read_log(args.log)
     if args.out:
         write_log(log, args.out)
@@ -187,33 +172,28 @@ def cmd_replay(args) -> int:
               f"x{FORMATS[d.kind].channels}, {len(log.stream(sid))} samples")
     if args.out:
         print(f"replayed to {args.out}")
-    return EXIT_OK
 
 
-def cmd_bench_latency(args) -> int:
-    rows = []
+def cmd_bench_latency(args) -> tuple:
     budget = args.budget_us
+    link.latency_budget_check(0.0, budget)  # a bad budget exits before any run
+    rows, verdict = [], {}
     for name, path in (("host", link.HOST_PATH), ("device", link.DEVICE_PATH)):
         profile = path.without_jitter() if args.no_jitter else path
         stats = link.run_pipeline(profile, link.Workload(), n_runs=args.runs,
                                   seed=args.seed)
         for stage in (*link.STAGE_NAMES, "total"):
-            s = stats.stats[stage]
-            rows.append({"path": name, "stage": stage, **s})
+            rows.append({"path": name, "stage": stage, **stats.stats[stage]})
         check = link.latency_budget_check(stats, budget)
-        rows.append({"path": name, "stage": "budget_verdict",
-                     "mean": check.total_us, "std": 0.0, "p50": 0.0,
-                     "p95": 0.0, "p99": float(check.margin_us)})
-        print(f"{name}: total mean {stats.stats['total']['mean']:.0f} us, "
-              f"budget {budget:.0f} us -> "
+        verdict[name] = {"total_us": check.total_us,
+                         "margin_us": check.margin_us, "passed": check.passed}
+        print(f"{name}: total mean {check.total_us:.0f} us, budget {budget:.0f} us -> "
               f"{'pass' if check.passed else 'fail'} "
-              f"(margin {check.margin_us:+.0f} us)")
-    _emit(_report("bench-latency", vars(args), rows,
-                  {"budget_us": budget}), args.out, args.format)
-    return EXIT_OK
+              f"(margin {check.margin_us:+.0f} us)", file=sys.stderr)
+    return rows, {"budget_us": budget, "verdict": verdict}
 
 
-def cmd_bench_reflex(args) -> int:
+def cmd_bench_reflex(args) -> tuple:
     names = ("device", "host", "legacy") if args.path == "all" else (args.path,)
     rows = []
     for name in names:
@@ -221,9 +201,8 @@ def cmd_bench_reflex(args) -> int:
                                       seed=args.seed)
         rows.append({"path": name, **res.stats})
         print(f"{name}: mean {res.stats['mean'] / 1000:.3f} ms, "
-              f"std {res.stats['std']:.0f} us")
-    _emit(_report("bench-reflex", vars(args), rows), args.out, args.format)
-    return EXIT_OK
+              f"std {res.stats['std']:.0f} us", file=sys.stderr)
+    return rows, {}
 
 
 def _float_token(token: str, flag: str) -> float:
@@ -243,24 +222,22 @@ def _list_flag(text: str, flag: str, words=()) -> list:
     return values
 
 
-def cmd_bench_optics(args) -> int:
+def cmd_bench_optics(args) -> tuple:
     alphas = _list_flag(args.alpha_sweep, "--alpha-sweep",
                         (optics.LAMBERTIAN, optics.SPECULAR))
     result = optics.scatter_sweep(alphas=alphas, photons=args.photons,
                                   seed=args.seed)
     for row in result["rows"]:
         print(f"{row['alpha']:>11}: std/mean={row['std_over_mean']:.3f} "
-              f"cnr_score={row['cnr_score']:.2f} obj={row['objective']:+.4f}")
+              f"cnr_score={row['cnr_score']:.2f} obj={row['objective']:+.4f}",
+              file=sys.stderr)
     print(f"recommended: {result['recommended']} "
-          f"(band: {', '.join(result['recommended_band'])})")
-    _emit(_report("bench-optics", vars(args), result["rows"],
-                  {"recommended": result["recommended"],
-                   "recommended_band": result["recommended_band"]}),
-          args.out, args.format)
-    return EXIT_OK
+          f"(band: {', '.join(result['recommended_band'])})", file=sys.stderr)
+    return result["rows"], {"recommended": result["recommended"],
+                            "recommended_band": result["recommended_band"]}
 
 
-def cmd_bench_mtf(args) -> int:
+def cmd_bench_mtf(args) -> tuple:
     spacings = _list_flag(args.spacings, "--spacings")
     rows = []
     for region in (1, 2, 3) if args.region == 0 else (args.region,):
@@ -273,34 +250,33 @@ def cmd_bench_mtf(args) -> int:
     for row in rows:
         print(f"region {row['region']} spacing {row['spacing_um']:5.1f} um: "
               f"mtf={row['mtf']:.3f} "
-              f"{'resolvable' if row['resolvable'] else 'not resolvable'}")
-    _emit(_report("bench-mtf", vars(args), rows), args.out, args.format)
-    return EXIT_OK
+              f"{'resolvable' if row['resolvable'] else 'not resolvable'}",
+              file=sys.stderr)
+    return rows, {}
 
 
-def cmd_train_gas(args) -> int:
+def cmd_train_gas(args) -> tuple:
     times = _list_flag(args.integration, "--integration")
+    experiments.check_integration_times(times, args.duration)
     data = experiments.make_gas_dataset(n_per_material=args.approaches,
                                         duration_s=args.duration,
                                         seed=args.seed)
     rows = []
-    last = None
     for t in times:
         last = experiments.gas_experiment(data, t, seed=args.seed)
         rows.append({"integration_s": t, "accuracy": last.accuracy,
                      "n_train": last.n_train, "n_test": last.n_test})
-        print(f"integration {t:5.1f} s: accuracy {last.accuracy:.3f}")
-    if args.confusion_out and last is not None:
+        print(f"integration {t:5.1f} s: accuracy {last.accuracy:.3f}",
+              file=sys.stderr)
+    if args.confusion_out:
         with open(args.confusion_out, "w") as fh:
             fh.write(experiments.confusion_csv(last.confusion, synth.GAS_MATERIALS))
         print(f"wrote confusion matrix (integration {times[-1]:g} s) to "
-              f"{args.confusion_out}")
-    _emit(_report("train-gas", vars(args), rows,
-                  {"materials": list(synth.GAS_MATERIALS)}), args.out, args.format)
-    return EXIT_OK
+              f"{args.confusion_out}", file=sys.stderr)
+    return rows, {"materials": list(synth.GAS_MATERIALS)}
 
 
-def cmd_train_fusion(args) -> int:
+def cmd_train_fusion(args) -> tuple:
     modalities = experiments.check_modalities(
         experiments.MODALITY_NAMES if args.modalities == "all"
         else (m.strip() for m in args.modalities.split(",")))
@@ -309,7 +285,6 @@ def cmd_train_fusion(args) -> int:
     modes = (experiments.FINGER_DEPENDENT, experiments.FINGER_INDEPENDENT) \
         if args.mode == "both" else (f"finger_{args.mode}",)
     rows = []
-    last = None
     for mode in modes:
         last = experiments.fusion_experiment(windows, mode=mode,
                                              modalities=modalities,
@@ -321,19 +296,20 @@ def cmd_train_fusion(args) -> int:
             "lr": last.lr, "n_train": last.n_train, "n_test": last.n_test,
         })
         print(f"{mode}: action {last.action_accuracy:.3f}, "
-              f"material {last.material_accuracy:.3f} (lr={last.lr})")
-    if args.confusion_out and last is not None:
+              f"material {last.material_accuracy:.3f} (lr={last.lr})",
+              file=sys.stderr)
+    if args.confusion_out:
         from .core import ACTIONS, MATERIALS
         with open(args.confusion_out, "w") as fh:
             fh.write(experiments.confusion_csv(last.confusion_action, ACTIONS))
             fh.write(experiments.confusion_csv(last.confusion_material,
                                                MATERIALS))
-        print(f"wrote confusion matrices to {args.confusion_out}")
-    _emit(_report("train-fusion", vars(args), rows), args.out, args.format)
-    return EXIT_OK
+        print(f"wrote confusion matrices to {args.confusion_out}",
+              file=sys.stderr)
+    return rows, {}
 
 
-def cmd_analyze_liquid(args) -> int:
+def cmd_analyze_liquid(args) -> tuple:
     log = read_log(args.log)
     taps = experiments.analyze_liquid(log, finger_id=args.finger)
     rows = [{"t_start_s": t.t_start_s, "peak_hz": t.peak_hz,
@@ -341,12 +317,12 @@ def cmd_analyze_liquid(args) -> int:
             for t in taps]
     for row in rows:
         print(f"tap @ {row['t_start_s']:.3f} s: peak {row['peak_hz']:.1f} Hz, "
-              f"tau {row['tau_s'] * 1e3:.1f} ms -> {row['predicted_fill']}")
-    _emit(_report("analyze-liquid", vars(args), rows), args.out, args.format)
-    return EXIT_OK
+              f"tau {row['tau_s'] * 1e3:.1f} ms -> {row['predicted_fill']}",
+              file=sys.stderr)
+    return rows, {}
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> None:
     loaded = []
     for path in args.reports:
         try:
@@ -363,18 +339,15 @@ def cmd_report(args) -> int:
         print(f"{path}: {rep.get('command')} v{rep.get('version')} "
               f"seed={rep.get('seed')} config={rep.get('config_hash')} "
               f"rows={len(rep.get('rows', []))}")
-    return EXIT_OK
 
 
 # --- parser -----------------------------------------------------------------------
 
 
-def _add_common(p, runs_default=None):
+def _add_common(p):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="report output path")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    if runs_default is not None:
-        p.add_argument("--runs", type=int, default=runs_default)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -397,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("bench-latency", help="host vs on-device stage table")
-    _add_common(p, runs_default=10_000)
+    _add_common(p)
+    p.add_argument("--runs", type=int, default=10_000)
     p.add_argument("--budget-us", type=float, default=link.DEFAULT_BUDGET_US)
     p.add_argument("--no-jitter", action="store_true")
     p.set_defaults(func=cmd_bench_latency)
@@ -411,8 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench-optics", help="surface scattering sweep")
     _add_common(p)
-    p.add_argument("--alpha-sweep",
-                   default="1,5,10,15,20,25," + optics.LAMBERTIAN)
+    p.add_argument("--alpha-sweep", default=",".join(
+        f"{a:g}" if isinstance(a, float) else a
+        for a in optics.DEFAULT_SWEEP_ALPHAS))
     p.add_argument("--photons", type=int, default=1_000_000)
     p.set_defaults(func=cmd_bench_optics)
 
@@ -426,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-gas", help="gas material classification")
     _add_common(p)
     p.add_argument("--approaches", type=int, default=60)
-    p.add_argument("--duration", type=float, default=90.0)
+    p.add_argument("--duration", type=float, default=experiments.GAS_APPROACH_S)
     p.add_argument("--integration", default="6,15,30,60,90")
     p.add_argument("--confusion-out", default=None,
                    help="write the final confusion matrix as CSV")
@@ -463,7 +438,11 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise errors.ConfigError(f"--seed must be >= 0, got {args.seed}")
-        return args.func(args)
+        report = args.func(args)
+        if report is not None:
+            _emit(_report(args.command, vars(args), *report), args.out,
+                  args.format)
+        return EXIT_OK
     except (errors.TouchlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, OSError):

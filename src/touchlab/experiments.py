@@ -102,21 +102,26 @@ def _zscore(train: np.ndarray, test: np.ndarray):
     return (train - mu) / sd, (test - mu) / sd
 
 
+def check_integration_times(times, duration_s: float) -> None:
+    """Raise ``ConfigError`` unless there is at least one integration time
+    and each is finite and in (0, ``duration_s``] seconds."""
+    if not times:
+        raise errors.ConfigError("need at least one integration time")
+    for t in times:
+        if not (math.isfinite(t) and 0 < t <= duration_s):
+            raise errors.ConfigError(
+                f"integration time must be finite and in (0, {duration_s}] s, "
+                f"got {t}")
+
+
 def gas_experiment(dataset: GasDataset, integration_time_s: float,
                    seed: int = 0, max_epochs: int = 300) -> GasResult:
     """Classify materials from per-channel means over the first
     ``integration_time_s`` seconds of each approach."""
-    if not (math.isfinite(integration_time_s) and integration_time_s > 0):
-        raise errors.ConfigError(
-            f"integration time must be finite and positive, got "
-            f"{integration_time_s}")
     n_classes = len(GAS_MATERIALS)
     rate = FORMATS[ModalityKind.GAS].rate_hz
-    max_dur = min(s.shape[0] for s in dataset.series) / rate
-    if integration_time_s > max_dur + 1e-9:
-        raise errors.ConfigError(
-            f"integration time {integration_time_s}s exceeds approach "
-            f"duration {max_dur}s")
+    check_integration_times(
+        [integration_time_s], min(s.shape[0] for s in dataset.series) / rate)
     n_keep = max(int(round(integration_time_s * rate)), 1)
     feats = np.stack([s[:n_keep].mean(axis=0) for s in dataset.series])
 
@@ -152,12 +157,7 @@ def gas_integration_sweep(integration_times, n_seeds: int = 10,
     times = list(integration_times)
     if n_seeds < 1:
         raise errors.ConfigError(f"need at least one seed, got {n_seeds}")
-    if not times:
-        raise errors.ConfigError("sweep needs at least one integration time")
-    for t in times:
-        if not (math.isfinite(t) and 0 < t <= GAS_APPROACH_S):
-            raise errors.ConfigError(
-                f"integration time must be in (0, {GAS_APPROACH_S}] s, got {t}")
+    check_integration_times(times, GAS_APPROACH_S)
     jobs = [(times, n_per_material, s) for s in range(n_seeds)]
     acc = np.array(list(pool.ordered_map(_seed_accuracies, jobs)))
     return {"integration_times": times, "mean_accuracy": acc.mean(axis=0),

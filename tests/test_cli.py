@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import touchlab
-from touchlab import experiments, recordlog, synth
+from touchlab import experiments, link, recordlog, synth
 from touchlab.cli import EXIT_CONFIG, EXIT_EMPTY, EXIT_OK, main
 from touchlab.core import ModalityKind, ModalitySample, RecordLog, StreamDescriptor
 
@@ -192,7 +192,7 @@ class TestBenchCommands:
         rows = {(r["path"], r["stage"]): r for r in rep["rows"]}
         assert rows[("host", "total")]["mean"] == pytest.approx(3146, rel=0.10)
         assert rows[("device", "total")]["mean"] == pytest.approx(683, rel=0.10)
-        text = capsys.readouterr().out
+        text = capsys.readouterr().err
         assert "host" in text and "fail" in text
         assert "device" in text and "pass" in text
 
@@ -204,6 +204,22 @@ class TestBenchCommands:
         rows = {(r["path"], r["stage"]): r for r in rep["rows"]}
         assert rows[("host", "total")]["mean"] == pytest.approx(3146.0)
         assert rows[("device", "total")]["mean"] == pytest.approx(683.0)
+
+    def test_bench_latency_verdict_block(self, tmp_path):
+        out = tmp_path / "l.json"
+        assert main(["bench-latency", "--runs", "1", "--no-jitter", "--format",
+                     "json", "--out", str(out)]) == EXIT_OK
+        rep = json.loads(out.read_text())
+        assert len(rep["rows"]) == 14
+        assert {r["stage"] for r in rep["rows"]} == {*link.STAGE_NAMES, "total"}
+        budget = rep["budget_us"]
+        totals = {r["path"]: r["mean"] for r in rep["rows"] if r["stage"] == "total"}
+        assert rep["verdict"] == {
+            name: {"total_us": total, "margin_us": budget - total,
+                   "passed": total <= budget}
+            for name, total in totals.items()}
+        assert not rep["verdict"]["host"]["passed"]
+        assert rep["verdict"]["device"]["passed"]
 
     def test_bench_reflex(self, tmp_path):
         out = tmp_path / "reflex.json"
@@ -323,6 +339,51 @@ class TestBenchCommands:
         assert not out.exists()
 
 
+REPORT_COMMANDS = [
+    ["bench-latency", "--runs", "10"],
+    ["bench-reflex", "--trials", "100"],
+    ["bench-optics", "--alpha-sweep", "5", "--photons", "100000"],
+    ["bench-mtf", "--region", "1", "--spacings", "6"],
+    ["train-gas", "--approaches", "2", "--duration", "10", "--integration", "5"],
+    ["train-fusion", "--trials-per-class", "1", "--modalities", "audio"],
+    ["analyze-liquid", "LOG"],
+]
+
+
+@pytest.fixture(scope="module")
+def bottle_log(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("bottle")
+    log = tmp / "bottle.d36r"
+    assert main(["record", write_scenario(tmp, BOTTLE_SCENARIO),
+                 "--out", str(log)]) == EXIT_OK
+    return str(log)
+
+
+@pytest.fixture(scope="module")
+def fusion_windows():
+    """Built once: synthesis is most of a small ``train-fusion`` run."""
+    return list(experiments.iter_fusion_windows(trials_per_class=1, seed=0))
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("argv", REPORT_COMMANDS, ids=lambda argv: argv[0])
+def test_stdout_holds_only_the_report(monkeypatch, capsys, bottle_log,
+                                      fusion_windows, argv, fmt):
+    """Without ``--out`` stdout is the report alone; summaries go to stderr."""
+    monkeypatch.delenv("TOUCHLAB_OUT_DIR", raising=False)
+    monkeypatch.setattr(experiments, "iter_fusion_windows",
+                        lambda **kwargs: iter(fusion_windows))
+    capsys.readouterr()
+    assert main([bottle_log if a == "LOG" else a for a in argv]
+                + ["--format", fmt]) == EXIT_OK
+    captured = capsys.readouterr()
+    if fmt == "json":
+        assert "rows" in json.loads(captured.out)
+    else:
+        assert captured.out.startswith("# schema=")
+    assert captured.err
+
+
 class TestAnalyzeLiquid:
     def test_full_bottle(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path, BOTTLE_SCENARIO)
@@ -416,6 +477,23 @@ class TestTrainingExitCodes:
         assert main(["train-fusion", f"--modalities={modalities}",
                      "--out", str(out)]) == EXIT_CONFIG
         assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["train-gas", "--approaches", "12", "--duration", "30",
+         "--integration", "6,60"],
+        ["train-gas", "--integration", "nan"],
+        ["bench-latency", "--budget-us", "nan"],
+    ], ids=["gas_time_beyond_duration", "gas_time_nan", "latency_budget_nan"])
+    def test_flags_checked_before_work(self, monkeypatch, tmp_path, capsys, argv):
+        def fail(*args, **kwargs):
+            raise AssertionError("work started before the flags were checked")
+        monkeypatch.setattr(experiments, "make_gas_dataset", fail)
+        monkeypatch.setattr(link, "run_pipeline", fail)
+        out = tmp_path / "report.json"
+        assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
         assert not out.exists()
 
 

@@ -62,6 +62,15 @@ class TestGasExperiment:
         with pytest.raises(errors.ConfigError):
             make_gas_dataset(n_per_material=2, duration_s=0.0)
 
+    @pytest.mark.parametrize("times", [[], [0.0], [-5.0], [float("nan")],
+                                       [float("inf")], [6.0, 30.5]])
+    def test_check_integration_times_rejects(self, times):
+        with pytest.raises(errors.ConfigError):
+            experiments.check_integration_times(times, 30.0)
+
+    def test_check_integration_times_accepts_the_duration(self):
+        experiments.check_integration_times([0.5, 30.0], 30.0)
+
     @pytest.mark.parametrize("t", [0.0, -5.0, float("nan"), float("inf")])
     def test_non_positive_or_nan_integration_rejected(self, t):
         data = make_gas_dataset(n_per_material=2, duration_s=10.0, seed=0)
