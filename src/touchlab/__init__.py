@@ -34,7 +34,6 @@ from .core import (
     StreamDescriptor,
     WindowSample,
     stream_id_for,
-    validate_descriptor,
 )
 from .recordlog import read_log, write_log
 
@@ -49,7 +48,6 @@ __all__ = [
     "errors",
     "read_log",
     "stream_id_for",
-    "validate_descriptor",
     "write_log",
     "__version__",
 ]

@@ -16,6 +16,7 @@ and extra fields and prints its summary lines to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -69,12 +70,11 @@ def _emit(report: dict, out: str | None, fmt: str) -> None:
 
 
 def _render(report: dict, fmt: str) -> str:
+    """JSON, or CSV: a ``# key=<JSON>`` line per non-row field, then the rows."""
     if fmt == "json":
         return json.dumps(report, indent=2, default=_jsonable)
-    header = ("schema", "command", "version", "seed", "config_hash")
-    lines = ["# " + " ".join(f"{key}={report[key]}" for key in header)]
-    lines += [f"# {key}={value}" for key, value in report.items()
-              if key not in (*header, "rows")]
+    lines = [f"# {key}={json.dumps(value, default=_jsonable)}"
+             for key, value in report.items() if key != "rows"]
     rows = report["rows"]
     if rows:
         cols = list(rows[0])
@@ -90,16 +90,17 @@ def _csv_cell(value) -> str:
 
 
 def _jsonable(obj):
+    """A numpy value as plain JSON; any other unknown type is a TypeError."""
     if isinstance(obj, (np.generic, np.ndarray)):
         return obj.tolist()
-    return str(obj)
+    return json.JSONEncoder().default(obj)
 
 
 # --- scenario files --------------------------------------------------------------
 
 
 def load_scenario(path: str) -> synth.ScenarioScript:
-    """Parse and validate a scenario file (JSON, schema in the README)."""
+    """Parse a scenario file (JSON, schema in the README) into a script."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.loads(fh.read())
@@ -132,14 +133,12 @@ def load_scenario(path: str) -> synth.ScenarioScript:
             except (KeyError, ValueError, TypeError, OverflowError) as exc:
                 raise errors.ScenarioParseError(
                     f"event {i}: {exc}") from exc
-        script = synth.ScenarioScript(
+        return synth.ScenarioScript(
             seed=doc.get("seed", 0),
             duration_s=float(doc["duration_s"]),
             events=events,
             fingers=tuple(doc.get("fingers", synth.FINGERS)),
             rates=rates)
-        script.validate()
-        return script
     except KeyError as exc:
         raise errors.ScenarioParseError(
             f"{path}: missing required field {exc}") from exc
@@ -153,7 +152,7 @@ def load_scenario(path: str) -> synth.ScenarioScript:
 def cmd_record(args) -> None:
     script = load_scenario(args.scenario)
     if args.seed is not None:
-        script.seed = args.seed
+        script = dataclasses.replace(script, seed=args.seed)
     log = synth.run_scenario(script)
     n = write_log(log, args.out)
     print(f"wrote {args.out}: {n} bytes, {log.chunk_streams.size} samples, "

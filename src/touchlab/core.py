@@ -11,15 +11,18 @@ measurement can also travel as a :class:`ModalitySample`.  Training samples
 are :class:`WindowSample` records with the fixed per-modality tensor layouts
 used throughout the classification pipeline.
 
-All types are immutable after construction and safe to share across
-threads/processes, except the ``_features`` memo of encoded features that
+Every type checks its invariants when it is made.  All are immutable after
+construction and safe to share across threads/processes, except a log's
+appended samples and the ``_features`` memo of encoded features that
 ``experiments`` adds to a :class:`WindowSample` (its arrays stay read-only).
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -30,6 +33,8 @@ from . import errors
 TimestampNs = int
 
 MAX_TIMESTAMP_NS = 2**64 - 1
+#: Highest stream rate: a u64 nanosecond clock cannot time samples closer than 1 ns.
+MAX_RATE_HZ = 1e9
 
 
 class ModalityKind(enum.Enum):
@@ -82,29 +87,28 @@ def finger_of(stream_id: int) -> int:
 @dataclass(frozen=True)
 class StreamDescriptor:
     """One modality stream: its id, kind and rate.  The kind's row of
-    :data:`FORMATS` fixes everything else (see :func:`row_shape`)."""
+    :data:`FORMATS` fixes everything else (see :func:`row_shape`).  Made with
+    an unknown kind or a stream id outside u16 it raises UnknownKind, with a
+    rate outside (0, MAX_RATE_HZ] (nan too) ZeroRate."""
 
     stream_id: int
     kind: ModalityKind
     rate_hz: float
 
+    def __post_init__(self):
+        if not isinstance(self.kind, ModalityKind):
+            raise errors.UnknownKind(f"unknown modality kind: {self.kind!r}")
+        if not (0 < self.rate_hz <= MAX_RATE_HZ):
+            raise errors.ZeroRate(
+                f"rate_hz must be in (0, {MAX_RATE_HZ:g}], got {self.rate_hz}")
+        if not (0 <= self.stream_id <= 0xFFFF):
+            raise errors.UnknownKind(f"stream_id must fit u16, got {self.stream_id}")
+
     @classmethod
-    def default(cls, stream_id: int, kind: ModalityKind,
-                rate_hz: float | None = None) -> "StreamDescriptor":
-        """A descriptor at ``rate_hz``, or at the kind's default rate."""
-        if kind not in ModalityKind.__members__.values():
-            raise errors.UnknownKind(f"unknown modality kind: {kind!r}")
-        return cls(stream_id, kind, FORMATS[kind].rate_hz if rate_hz is None else rate_hz)
-
-
-def validate_descriptor(desc: StreamDescriptor) -> None:
-    """Raise a named error unless every descriptor invariant holds."""
-    if not isinstance(desc.kind, ModalityKind):
-        raise errors.UnknownKind(f"unknown modality kind: {desc.kind!r}")
-    if not (desc.rate_hz > 0):
-        raise errors.ZeroRate(f"rate_hz must be positive, got {desc.rate_hz}")
-    if not (0 <= desc.stream_id <= 0xFFFF):
-        raise errors.UnknownKind(f"stream_id must fit u16, got {desc.stream_id}")
+    def default(cls, stream_id: int, kind: ModalityKind) -> "StreamDescriptor":
+        """A descriptor at the kind's default rate (the constructor refuses a
+        kind with no FORMATS row)."""
+        return cls(stream_id, kind, FORMATS[kind].rate_hz if kind in FORMATS else 0.0)
 
 
 def row_shape(kind: ModalityKind) -> tuple:
@@ -140,7 +144,9 @@ class StreamColumns:
     chunks' rows (:func:`row_shape`) stacked in the canonical dtype.  A
     chunk is one row, except that audio chunk k is the block of frames
     ``payload[offsets[k]:offsets[k + 1]]``.  The arrays are made read-only,
-    not copied.
+    not copied.  Made with a ``t_ns`` that is not one uint64 axis it raises
+    ShapeMismatch, with a timestamp below the one before it UnsortedSamples;
+    :meth:`check` holds the checks that need the stream's descriptor.
     """
 
     t_ns: np.ndarray
@@ -148,29 +154,28 @@ class StreamColumns:
     offsets: np.ndarray | None = None
 
     def __post_init__(self):
-        for arr in (self.t_ns, self.payload, self.offsets):
+        t = self.t_ns
+        if t.dtype != np.uint64 or t.ndim != 1:
+            raise errors.ShapeMismatch(
+                f"timestamps must be one uint64 axis, got {t.dtype} of shape {t.shape}")
+        back = np.flatnonzero(t[1:] < t[:-1])
+        if back.size:
+            raise errors.UnsortedSamples(f"timestamp {t[back[0] + 1]} after {t[back[0]]}")
+        for arr in (t, self.payload, self.offsets):
             if arr is not None:
                 arr.setflags(write=False)
 
     def __len__(self) -> int:
         return self.t_ns.size
 
-    def chunk(self, k: int) -> np.ndarray:
-        if self.offsets is None:
-            return self.payload[k]
-        return self.payload[self.offsets[k]:self.offsets[k + 1]]
-
     def check(self, desc: StreamDescriptor) -> None:
         """Raise ShapeMismatch unless the columns follow ``desc``'s contract."""
         n, o = len(self), self.offsets
-        rows = n
+        rows = n if o is None else -1
         if desc.kind is ModalityKind.SURFACE_AUDIO:
             tiled = o is not None and o.shape == (n + 1,) and o[0] == 0 and np.all(o[1:] > o[:-1])
             rows = o[-1] if tiled else -1
-        elif o is not None:
-            rows = -1
-        if (self.t_ns.dtype != np.uint64 or self.t_ns.shape != (n,)
-                or self.payload.dtype != FORMATS[desc.kind].dtype
+        if (self.payload.dtype != FORMATS[desc.kind].dtype
                 or self.payload.shape != (rows, *row_shape(desc.kind))):
             raise errors.ShapeMismatch(
                 f"stream {desc.stream_id}: columns do not hold {FORMATS[desc.kind].dtype} "
@@ -178,21 +183,27 @@ class StreamColumns:
 
 
 class RecordLog:
-    """In-memory form of a recorded session: the stream descriptors plus
-    each stream's chunks as :class:`StreamColumns`.
+    """In-memory form of a recorded session: the stream descriptors (a
+    read-only view) plus each stream's chunks as :class:`StreamColumns`.
 
-    ``chunk_streams`` holds the stream id of every chunk in file order
-    (interleaved streams); timestamps are non-decreasing within each stream.
-    ``append`` adds one :class:`ModalitySample` at the end; appended samples
-    are folded into the columns when the log is next read.  ``samples`` and
-    ``stream_samples`` build ModalitySample views of the columns.
+    A log is valid by construction, so the writer trusts it: descriptors
+    check themselves, ``add_stream`` (called by ``from_columns``) refuses a
+    duplicate stream id, StreamColumns their timestamp order, and
+    ``from_columns`` each stream's columns and the chunk order.
+    ``chunk_streams`` holds the stream id of every chunk in file order.
+    ``append`` and ``samples`` are a per-sample view kept for the benchmark
+    in ``perfbench/``: appended samples are folded into the columns when the
+    log is next read, and a fold that breaks timestamp order raises
+    UnsortedSamples and leaves the log as it was.
     """
 
     def __init__(self):
-        self.descriptors: dict[int, StreamDescriptor] = {}
+        self._descriptors: dict[int, StreamDescriptor] = {}
         self._columns: dict[int, StreamColumns] = {}
         self._chunk_streams = np.empty(0, dtype=np.uint16)
         self._pending: list[tuple[int, StreamColumns]] = []
+
+    descriptors = property(lambda self: MappingProxyType(self._descriptors))
 
     @classmethod
     def from_columns(cls, descriptors, columns: dict,
@@ -205,9 +216,9 @@ class RecordLog:
         for desc in descriptors:
             log.add_stream(desc)
         for sid, cols in columns.items():
-            if sid not in log.descriptors:
+            if sid not in log._descriptors:
                 raise errors.UnknownKind(f"no descriptor for stream {sid}")
-            cols.check(log.descriptors[sid])
+            cols.check(log._descriptors[sid])
             log._columns[sid] = cols
         sids = np.concatenate([np.full(len(c), sid, dtype=np.uint16)
                                for sid, c in log._columns.items()] or [log._chunk_streams])
@@ -221,10 +232,9 @@ class RecordLog:
         return log
 
     def add_stream(self, desc: StreamDescriptor) -> None:
-        validate_descriptor(desc)
-        if desc.stream_id in self.descriptors:
+        if desc.stream_id in self._descriptors:
             raise errors.DuplicateStream(f"duplicate stream_id {desc.stream_id}")
-        self.descriptors[desc.stream_id] = desc
+        self._descriptors[desc.stream_id] = desc
         audio = desc.kind is ModalityKind.SURFACE_AUDIO
         self._columns[desc.stream_id] = StreamColumns(
             np.empty(0, dtype=np.uint64),
@@ -232,7 +242,7 @@ class RecordLog:
             np.zeros(1, dtype=np.int64) if audio else None)
 
     def append(self, sample: ModalitySample) -> None:
-        desc = self.descriptors.get(sample.stream_id)
+        desc = self._descriptors.get(sample.stream_id)
         if desc is None:
             raise errors.UnknownKind(f"no descriptor for stream {sample.stream_id}")
         p, t_ns = sample.payload, np.array([sample.t_ns], dtype=np.uint64)
@@ -244,24 +254,25 @@ class RecordLog:
         self._pending.append((sample.stream_id, one))
 
     def _flush(self) -> None:
-        """Fold appended samples into the columns, one concatenation per stream."""
+        """Fold appended samples into the columns, one concatenation per
+        stream; a fold that raises changes nothing."""
         if not self._pending:
             return
-        pending, self._pending = self._pending, []
         parts: dict[int, list[StreamColumns]] = {}
-        for sid, one in pending:
+        for sid, one in self._pending:
             parts.setdefault(sid, [self._columns[sid]]).append(one)
+        folded = {}
         for sid, cols in parts.items():
-            offsets = None
-            if cols[0].offsets is not None:
-                lengths = np.concatenate([np.diff(c.offsets) for c in cols])
-                offsets = np.concatenate([[0], np.cumsum(lengths)])
-            self._columns[sid] = StreamColumns(np.concatenate([c.t_ns for c in cols]),
-                                               np.concatenate([c.payload for c in cols]),
-                                               offsets)
+            offsets = None if cols[0].offsets is None else np.concatenate(
+                [[0], np.cumsum(np.concatenate([np.diff(c.offsets) for c in cols]))])
+            folded[sid] = StreamColumns(np.concatenate([c.t_ns for c in cols]),
+                                        np.concatenate([c.payload for c in cols]),
+                                        offsets)
+        self._columns.update(folded)
         self._chunk_streams = np.concatenate([
-            self._chunk_streams, np.array([sid for sid, _ in pending], dtype=np.uint16)])
+            self._chunk_streams, np.array([sid for sid, _ in self._pending], dtype=np.uint16)])
         self._chunk_streams.setflags(write=False)
+        self._pending = []
 
     def stream(self, stream_id: int) -> StreamColumns:
         self._flush()
@@ -275,23 +286,13 @@ class RecordLog:
     @property
     def samples(self) -> list[ModalitySample]:
         """Every chunk as a ModalitySample, in file order."""
-        per_stream = {sid: iter(self.stream_samples(sid)) for sid in self.descriptors}
+        per_stream = {}
+        for sid in self._descriptors:
+            cols = self.stream(sid)
+            rows = cols.payload if cols.offsets is None else \
+                np.split(cols.payload, cols.offsets[1:-1])
+            per_stream[sid] = map(ModalitySample, itertools.repeat(sid), cols.t_ns.tolist(), rows)
         return [next(per_stream[sid]) for sid in self.chunk_streams.tolist()]
-
-    def stream_samples(self, stream_id: int) -> list[ModalitySample]:
-        if stream_id not in self.descriptors:
-            return []
-        cols = self.stream(stream_id)
-        return [ModalitySample(stream_id, t, cols.chunk(k))
-                for k, t in enumerate(cols.t_ns.tolist())]
-
-    def validate_sorted(self) -> None:
-        for sid in self.descriptors:
-            t = self.stream(sid).t_ns
-            back = np.flatnonzero(t[1:] < t[:-1])
-            if back.size:
-                raise errors.UnsortedSamples(
-                    f"stream {sid}: timestamp {t[back[0] + 1]} after {t[back[0]]}")
 
 
 # --- training windows ---------------------------------------------------------

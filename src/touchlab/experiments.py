@@ -24,6 +24,7 @@ from .synth import (
     Event,
     ObjectSpec,
     ScenarioScript,
+    gas_samples,
     gen_gas_approach,
     ring_frequency,
 )
@@ -104,13 +105,15 @@ def _zscore(train: np.ndarray, test: np.ndarray):
 
 def check_integration_times(times, duration_s: float) -> None:
     """Raise ``ConfigError`` unless there is at least one integration time
-    and each is finite and in (0, ``duration_s``] seconds."""
+    and each is finite and in (0, held] s, held being the gas record of one
+    ``duration_s`` approach (:func:`synth.gas_samples` at the gas rate)."""
     if not times:
         raise errors.ConfigError("need at least one integration time")
+    held_s = gas_samples(duration_s) / FORMATS[ModalityKind.GAS].rate_hz
     for t in times:
-        if not (math.isfinite(t) and 0 < t <= duration_s):
+        if not (math.isfinite(t) and 0 < t <= held_s):
             raise errors.ConfigError(
-                f"integration time must be finite and in (0, {duration_s}] s, "
+                f"integration time must be finite and in (0, {held_s}] s, "
                 f"got {t}")
 
 
@@ -122,7 +125,7 @@ def gas_experiment(dataset: GasDataset, integration_time_s: float,
     rate = FORMATS[ModalityKind.GAS].rate_hz
     check_integration_times(
         [integration_time_s], min(s.shape[0] for s in dataset.series) / rate)
-    n_keep = max(int(round(integration_time_s * rate)), 1)
+    n_keep = max(gas_samples(integration_time_s), 1)
     feats = np.stack([s[:n_keep].mean(axis=0) for s in dataset.series])
 
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0x6A5E)))

@@ -13,14 +13,17 @@ Descriptor table, one entry per stream (sorted by stream_id)::
 
     stream_id    u16
     kind         u8        ModalityKind value
-    rate_hz      f64
+    rate_hz      f64       in (0, MAX_RATE_HZ = 1e9]
     channels     u16       the kind's FORMATS row
     sample_bits  u8        the kind's payload width
     width        u16       IMAGE_SIZE for images, else 0
     height       u16       IMAGE_SIZE for images, else 0
 
 The kind fixes the last four fields: the writer fills them in, and the
-reader raises ShapeMismatch on a descriptor that declares other values.
+reader raises ShapeMismatch on other values.  Each record invariant is
+checked once, by the constructor of the value that holds it (see
+``RecordLog``), so the reader builds the log through those constructors and
+the writer trusts it.
 
 Chunks, one per sample, in recorded order::
 
@@ -52,7 +55,6 @@ from .core import (
     StreamColumns,
     StreamDescriptor,
     row_shape,
-    validate_descriptor,
 )
 
 MAGIC = b"D36R"
@@ -62,6 +64,7 @@ _HEADER = struct.Struct("<4sHH")
 _DESC = struct.Struct("<HBdHBHH")
 _CHUNK = struct.Struct("<HQI")
 _CHUNK_DTYPE = np.dtype([("stream_id", "<u2"), ("t_ns", "<u8"), ("payload_len", "<u4")])
+_KINDS = {kind.value: kind for kind in ModalityKind}
 
 
 def _geometry(kind: ModalityKind) -> tuple:
@@ -72,18 +75,15 @@ def _geometry(kind: ModalityKind) -> tuple:
 
 
 def _pieces(log: RecordLog):
-    """Check ``log`` and return an iterator over the bytes of its file: the
-    header and descriptor table, then every chunk's header and payload.
-    Payloads are views of the columns; nothing is copied here."""
-    for desc in log.descriptors.values():
-        validate_descriptor(desc)
-    log.validate_sorted()
+    """An iterator over the bytes of ``log``'s file: the header and
+    descriptor table, then every chunk's header and payload.  The log is
+    valid by construction; payloads are views of the columns, not copies."""
+    order = log.chunk_streams  # folds appended samples, which may raise
     head = [_HEADER.pack(MAGIC, VERSION, len(log.descriptors))]
     for sid in sorted(log.descriptors):
         d = log.descriptors[sid]
         head.append(_DESC.pack(d.stream_id, d.kind.value, d.rate_hz, *_geometry(d.kind)))
 
-    order = log.chunk_streams
     heads = np.empty(order.size, dtype=_CHUNK_DTYPE)
     heads["stream_id"] = order
     start = np.empty(order.size, dtype=np.int64)  # payload offset in its column
@@ -109,7 +109,7 @@ def _pieces(log: RecordLog):
 
 
 def log_to_bytes(log: RecordLog) -> bytes:
-    """Serialize a RecordLog; raises if any invariant is violated."""
+    """Serialize a RecordLog."""
     return b"".join(_pieces(log))
 
 
@@ -129,21 +129,20 @@ def log_from_bytes(data) -> RecordLog:
         raise errors.VersionMismatch(f"unsupported version {version}, expected {VERSION}")
 
     off = _HEADER.size
-    table = RecordLog()  # checks every descriptor, in file order
+    table = {}
     for _ in range(n_streams):
         if off + _DESC.size > len(data):
             raise errors.TruncatedChunk("descriptor table truncated")
-        sid, kind_v, rate, *geometry = _DESC.unpack_from(data, off)
+        sid, code, rate, *geometry = _DESC.unpack_from(data, off)
         off += _DESC.size
-        try:
-            kind = ModalityKind(kind_v)
-        except ValueError as exc:
-            raise errors.UnknownKind(f"unknown modality code {kind_v}") from exc
-        if tuple(geometry) != _geometry(kind):
+        desc = StreamDescriptor(sid, _KINDS.get(code, code), rate)  # checks itself
+        if tuple(geometry) != _geometry(desc.kind):
             raise errors.ShapeMismatch(
-                f"stream {sid}: {kind.name.lower()} declares (channels, sample_bits, "
-                f"width, height) {tuple(geometry)}, not {_geometry(kind)}")
-        table.add_stream(StreamDescriptor(sid, kind, rate))
+                f"stream {sid}: {desc.kind.name.lower()} declares (channels, sample_bits, "
+                f"width, height) {tuple(geometry)}, not {_geometry(desc.kind)}")
+        if sid in table:
+            raise errors.DuplicateStream(f"duplicate stream_id {sid}")
+        table[sid] = desc
 
     # The one sequential pass: each chunk header gives the next one's offset.
     starts = []
@@ -158,20 +157,14 @@ def log_from_bytes(data) -> RecordLog:
 
     starts = np.array(starts, dtype=np.int64)
     heads = _gather(data, starts, _CHUNK.size).view(_CHUNK_DTYPE)[:, 0]
-    chunk_streams = heads["stream_id"]
-    unknown = ~np.isin(chunk_streams, list(table.descriptors))
-    if unknown.any():
-        raise errors.TruncatedChunk(
-            f"chunk references unknown stream {chunk_streams[unknown][0]}")
+    chunk_streams = heads["stream_id"]  # from_columns refuses an unknown stream
     columns = {}
-    for sid, desc in table.descriptors.items():
+    for sid, desc in table.items():
         mine = chunk_streams == sid
         columns[sid] = _decode_stream(desc, data, starts[mine] + _CHUNK.size,
                                       heads["payload_len"][mine].astype(np.int64),
                                       heads["t_ns"][mine])
-    log = RecordLog.from_columns(table.descriptors.values(), columns, chunk_streams)
-    log.validate_sorted()
-    return log
+    return RecordLog.from_columns(table.values(), columns, chunk_streams)
 
 
 def _gather(data, starts: np.ndarray, size: int) -> np.ndarray:

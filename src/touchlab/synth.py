@@ -37,6 +37,7 @@ from . import errors, optics, pool
 from .core import (
     FORMATS,
     IMAGE_SIZE,
+    MAX_RATE_HZ,
     ModalityKind,
     RecordLog,
     StreamColumns,
@@ -210,26 +211,28 @@ DEFAULT_NOISE = {
 MAX_STREAM_SAMPLES = 2**30
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioScript:
-    """A scripted multisensor recording session."""
+    """A scripted multisensor recording session, checked when it is made:
+    ConfigError, or OverlappingEvents for two events on one finger at once."""
 
     seed: int
     duration_s: float
-    events: list = field(default_factory=list)
+    events: tuple = ()
     fingers: tuple = FINGERS
     rates: dict = field(default_factory=dict)
 
     def rate(self, kind: ModalityKind) -> float:
         return float(self.rates.get(kind, FORMATS[kind].rate_hz))
 
-    def validate(self) -> None:
+    def __post_init__(self):
+        object.__setattr__(self, "events", tuple(self.events))
         if not (_is_int(self.seed) and self.seed >= 0):
             raise errors.ConfigError(f"seed {self.seed!r} is not a non-negative integer")
         if not (math.isfinite(self.duration_s) and self.duration_s > 0):
             raise errors.ConfigError(f"duration_s {self.duration_s} is not finite and > 0")
-        if not all(math.isfinite(r) and r > 0 for r in self.rates.values()):
-            raise errors.ConfigError(f"rates {self.rates} are not all finite and > 0")
+        if not all(0 < r <= MAX_RATE_HZ for r in self.rates.values()):
+            raise errors.ConfigError(f"rates {self.rates} are not all in (0, {MAX_RATE_HZ:g}] Hz")
         for kind in ModalityKind:
             if self.duration_s * self.rate(kind) > MAX_STREAM_SAMPLES:
                 raise errors.ConfigError(
@@ -301,6 +304,16 @@ def _relax(start, target, dt: np.ndarray, tau_s: float):
     return target + (start - target) * decay
 
 
+def gas_samples(duration_s: float) -> int:
+    """Samples in ``duration_s`` s of gas record, round(duration_s x rate);
+    ConfigError unless finite, positive and within MAX_STREAM_SAMPLES."""
+    rate = FORMATS[ModalityKind.GAS].rate_hz
+    if not (math.isfinite(duration_s) and 0 < duration_s * rate <= MAX_STREAM_SAMPLES):
+        raise errors.ConfigError(f"approach duration must be finite and in "
+                                 f"(0, {MAX_STREAM_SAMPLES / rate:g}] s, got {duration_s}")
+    return int(round(duration_s * rate))
+
+
 def gen_gas_approach(obj: ObjectSpec, approach_duration_s: float,
                      rng=None) -> np.ndarray:
     """Gas record series (n, 4) of one approach-to-near-contact.
@@ -309,16 +322,8 @@ def gen_gas_approach(obj: ObjectSpec, approach_duration_s: float,
     signature, with per-approach signature drift and per-sample sensor
     noise when a generator is supplied.
     """
-    if not (math.isfinite(approach_duration_s) and approach_duration_s > 0):
-        raise errors.ConfigError(
-            f"approach duration must be finite and positive, got "
-            f"{approach_duration_s}")
     rate = FORMATS[ModalityKind.GAS].rate_hz
-    if approach_duration_s * rate > MAX_STREAM_SAMPLES:
-        raise errors.ConfigError(
-            f"approach of {approach_duration_s} s at {rate} Hz exceeds "
-            f"{MAX_STREAM_SAMPLES} samples")
-    n = int(round(approach_duration_s * rate))
+    n = gas_samples(approach_duration_s)
     sig = obj.gas_target().astype(np.float64)
     if rng is not None:
         sig = sig + rng.normal(0.0, GAS_DRIFT)
@@ -654,14 +659,14 @@ def run_scenario(script: ScenarioScript, frames=None) -> RecordLog:
     frame indices) makes only those visuotactile frames of every finger,
     each byte-equal to the same frame of the full stream; None makes all.
 
-    The script and ``frames`` are checked before any work starts.  The
+    ``frames`` is checked before any work starts (the script checked itself
+    when it was made).  The
     visuotactile frames are made by ``pool.ordered_map`` in jobs of
     FRAMES_PER_JOB frames of one finger (``_synth_visuotactile``), all
     fingers' jobs in one call, and each block is copied into its finger's
     column as it arrives; the other streams are made in this process.
     Called by a job in a worker, the map runs in that worker.
     """
-    script.validate()
     vt_t, vt_t_ns, _ = stream_times(script, ModalityKind.VISUOTACTILE)
     keep = np.arange(vt_t.size) if frames is None else _frame_indices(frames, vt_t.size)
     # Per-event randomization shared across fingers: a global amplitude
@@ -680,8 +685,7 @@ def run_scenario(script: ScenarioScript, frames=None) -> RecordLog:
     descs, columns, jobs, blocks = [], {}, [], []  # blocks: where each job's frames go
     for finger in script.fingers:
         for kind in ModalityKind:
-            desc = StreamDescriptor.default(
-                stream_id_for(finger, kind), kind, rate_hz=script.rate(kind))
+            desc = StreamDescriptor(stream_id_for(finger, kind), kind, script.rate(kind))
             descs.append(desc)
             seq = np.random.SeedSequence((script.seed, 0x57EA, desc.stream_id))
             if kind is ModalityKind.VISUOTACTILE:

@@ -165,8 +165,10 @@ class TestRecordReplay:
         (8 + 3, struct.pack("<d", 0.0)),           # zero rate
         (8 + 11, struct.pack("<H", 0)),            # zero channels
         (8 + 2 * 18 + (14 + 16) + 2, struct.pack("<Q", 0)),  # t goes back
+        (8 + 3, struct.pack("<d", float("inf"))),   # rate not finite
+        (8 + 3, struct.pack("<d", 1e300)),         # rate above MAX_RATE_HZ
     ], ids=["unknown_kind", "duplicate_stream", "zero_rate", "zero_channels",
-            "backwards_timestamp"])
+            "backwards_timestamp", "inf_rate", "huge_rate"])
     def test_malformed_log_exit_2(self, tmp_path, offset, raw):
         log = RecordLog()
         for sid, kind in ((2, ModalityKind.SURFACE_PRESSURE),
@@ -384,6 +386,31 @@ def test_stdout_holds_only_the_report(monkeypatch, capsys, bottle_log,
     assert captured.err
 
 
+@pytest.mark.parametrize("argv", [REPORT_COMMANDS[0], REPORT_COMMANDS[2],
+                                  REPORT_COMMANDS[4]], ids=lambda argv: argv[0])
+def test_csv_fields_are_json(tmp_path, argv):
+    """Every ``# key=`` line of a CSV report holds one JSON value."""
+    out = tmp_path / "report.csv"
+    assert main(argv + ["--format", "csv", "--out", str(out)]) == EXIT_OK
+    fields = {}
+    for line in out.read_text().splitlines():
+        if line.startswith("# "):
+            key, sep, value = line[2:].partition("=")
+            assert sep, line
+            fields[key] = json.loads(value)
+    assert fields["schema"] == 1 and fields["command"] == argv[0]
+    assert len(fields["config_hash"]) == 16
+    assert {"bench-latency": "verdict", "bench-optics": "recommended_band",
+            "train-gas": "materials"}[argv[0]] in fields
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_unknown_report_type_raises(fmt):
+    """A value JSON cannot hold is a TypeError, not its ``str()``."""
+    with pytest.raises(TypeError):
+        touchlab.cli._render(touchlab.cli._report("x", {}, [], {"odd": {1, 2}}), fmt)
+
+
 class TestAnalyzeLiquid:
     def test_full_bottle(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path, BOTTLE_SCENARIO)
@@ -396,6 +423,15 @@ class TestAnalyzeLiquid:
         rows = json.loads(out.read_text())["rows"]
         assert len(rows) == 3
         assert all(r["predicted_fill"] == "full" for r in rows)
+
+    @pytest.mark.parametrize("rate", [float("inf"), 1e300], ids=["inf", "1e300"])
+    def test_bad_audio_rate_exit_2(self, tmp_path, capsys, bottle_log, rate):
+        data = bytearray(Path(bottle_log).read_bytes())
+        struct.pack_into("<d", data, 8 + 18 + 3, rate)  # stream 1: finger 0's audio
+        path = tmp_path / "bad_rate.d36r"
+        path.write_bytes(bytes(data))
+        assert main(["analyze-liquid", str(path)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: rate_hz must be in")
 
     def test_no_taps_exit_4(self, tmp_path):
         doc = dict(BOTTLE_SCENARIO)
@@ -484,7 +520,10 @@ class TestTrainingExitCodes:
          "--integration", "6,60"],
         ["train-gas", "--integration", "nan"],
         ["bench-latency", "--budget-us", "nan"],
-    ], ids=["gas_time_beyond_duration", "gas_time_nan", "latency_budget_nan"])
+        ["train-gas", "--approaches", "2", "--duration", "10.4",
+         "--integration", "10.2"],
+    ], ids=["gas_time_beyond_duration", "gas_time_nan", "latency_budget_nan",
+            "gas_time_beyond_held_record"])
     def test_flags_checked_before_work(self, monkeypatch, tmp_path, capsys, argv):
         def fail(*args, **kwargs):
             raise AssertionError("work started before the flags were checked")

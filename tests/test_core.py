@@ -3,6 +3,7 @@ import pytest
 
 from touchlab import errors
 from touchlab.core import (
+    MAX_RATE_HZ,
     ModalityKind,
     ModalitySample,
     RecordLog,
@@ -10,30 +11,44 @@ from touchlab.core import (
     StreamDescriptor,
     WindowSample,
     row_shape,
-    validate_descriptor,
 )
 
 
 class TestValidateDescriptor:
+    """The descriptor checks itself when it is made."""
+
     def test_visuotactile_default_ok(self):
         desc = StreamDescriptor.default(0, ModalityKind.VISUOTACTILE)
         assert desc.rate_hz == 240.0
         assert row_shape(desc.kind) == (120, 120, 3)
-        validate_descriptor(desc)
 
     def test_zero_rate_rejected(self):
-        desc = StreamDescriptor(1, ModalityKind.SURFACE_AUDIO, 0.0)
         with pytest.raises(errors.ZeroRate):
-            validate_descriptor(desc)
+            StreamDescriptor(1, ModalityKind.SURFACE_AUDIO, 0.0)
 
     def test_gas_default_ok(self):
-        desc = StreamDescriptor(2, ModalityKind.GAS, 1.0)
-        validate_descriptor(desc)
+        assert StreamDescriptor(2, ModalityKind.GAS, 1.0) == \
+            StreamDescriptor.default(2, ModalityKind.GAS)
 
     def test_unknown_kind_rejected(self):
-        desc = StreamDescriptor(4, "bogus", 1.0)
         with pytest.raises(errors.UnknownKind):
-            validate_descriptor(desc)
+            StreamDescriptor(4, "bogus", 1.0)
+        with pytest.raises(errors.UnknownKind):
+            StreamDescriptor.default(4, "bogus")
+
+    @pytest.mark.parametrize("rate", [-1.0, float("nan"), float("inf"), 1e300,
+                                      MAX_RATE_HZ * 1.5])
+    def test_rate_out_of_range_rejected(self, rate):
+        with pytest.raises(errors.ZeroRate):
+            StreamDescriptor(1, ModalityKind.SURFACE_AUDIO, rate)
+
+    def test_max_rate_accepted(self):
+        assert StreamDescriptor(1, ModalityKind.SURFACE_AUDIO, MAX_RATE_HZ).rate_hz == 1e9
+
+    @pytest.mark.parametrize("stream_id", [-1, 0x10000])
+    def test_stream_id_outside_u16_rejected(self, stream_id):
+        with pytest.raises(errors.UnknownKind):
+            StreamDescriptor(stream_id, ModalityKind.HEAT, 1.0)
 
 
 class TestRecordLogModel:
@@ -67,7 +82,30 @@ class TestRecordLogModel:
         log.append(ModalitySample(0, 10, np.zeros(1, dtype="<f4")))
         log.append(ModalitySample(0, 5, np.zeros(1, dtype="<f4")))
         with pytest.raises(errors.UnsortedSamples):
-            log.validate_sorted()
+            log.stream(0)
+
+    def test_failed_fold_leaves_the_log_as_it_was(self):
+        log = RecordLog()
+        for sid in (0, 1):
+            log.add_stream(StreamDescriptor.default(sid, ModalityKind.HEAT))
+        log.append(ModalitySample(0, 10, np.zeros(1, dtype="<f4")))
+        assert len(log.stream(0)) == 1
+        log.append(ModalitySample(0, 20, np.zeros(1, dtype="<f4")))
+        log.append(ModalitySample(1, 30, np.zeros(1, dtype="<f4")))
+        log.append(ModalitySample(1, 5, np.zeros(1, dtype="<f4")))
+        for _ in range(2):  # the bad samples stay pending, so each read refuses
+            with pytest.raises(errors.UnsortedSamples):
+                log.chunk_streams
+        assert log._columns[0].t_ns.tolist() == [10]
+        assert log._columns[1].t_ns.tolist() == []
+        assert log._chunk_streams.tolist() == [0]
+
+    def test_descriptors_are_read_only(self):
+        log = RecordLog()
+        log.add_stream(StreamDescriptor.default(0, ModalityKind.HEAT))
+        with pytest.raises(TypeError):
+            log.descriptors[1] = StreamDescriptor.default(1, ModalityKind.GAS)
+        assert list(log.descriptors) == [0]
 
 
 class TestFromColumns:
@@ -94,6 +132,18 @@ class TestFromColumns:
         cols[1] = StreamColumns(cols[1].t_ns, cols[1].payload, np.array([0, 4, 6]))
         with pytest.raises(errors.ShapeMismatch):
             RecordLog.from_columns(self.DESCS, cols)
+
+    @pytest.mark.parametrize("t_ns", [[5, 4], [0, 9, 3]])
+    def test_backwards_timestamp_rejected(self, t_ns):
+        with pytest.raises(errors.UnsortedSamples):
+            StreamColumns(np.array(t_ns, dtype=np.uint64),
+                          np.zeros((len(t_ns), 4), dtype="<f4"))
+
+    @pytest.mark.parametrize("t_ns", [np.zeros(2, dtype=np.int64),
+                                      np.zeros((2, 1), dtype=np.uint64)])
+    def test_timestamps_not_one_uint64_axis_rejected(self, t_ns):
+        with pytest.raises(errors.ShapeMismatch):
+            StreamColumns(t_ns, np.zeros((2, 4), dtype="<f4"))
 
     def test_columns_without_descriptor_rejected(self):
         with pytest.raises(errors.UnknownKind):

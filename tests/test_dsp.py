@@ -190,10 +190,10 @@ def make_log(duration_s=13.3, fingers=(0,), vt_rate=30.0, audio_rate=8000.0,
     log = RecordLog()
     samples = []
     for f in fingers:
-        vt = StreamDescriptor.default(stream_id_for(f, ModalityKind.VISUOTACTILE),
-                                      ModalityKind.VISUOTACTILE, rate_hz=vt_rate)
-        au = StreamDescriptor.default(stream_id_for(f, ModalityKind.SURFACE_AUDIO),
-                                      ModalityKind.SURFACE_AUDIO, rate_hz=audio_rate)
+        vt = StreamDescriptor(stream_id_for(f, ModalityKind.VISUOTACTILE),
+                              ModalityKind.VISUOTACTILE, vt_rate)
+        au = StreamDescriptor(stream_id_for(f, ModalityKind.SURFACE_AUDIO),
+                              ModalityKind.SURFACE_AUDIO, audio_rate)
         pr = StreamDescriptor.default(stream_id_for(f, ModalityKind.SURFACE_PRESSURE),
                                       ModalityKind.SURFACE_PRESSURE)
         im = StreamDescriptor.default(stream_id_for(f, ModalityKind.INERTIAL),

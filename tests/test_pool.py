@@ -225,20 +225,21 @@ class TestWorkers:
                      "--out", str(tmp_path / "r.json")]) == EXIT_CONFIG
 
     @pytest.mark.parametrize("script,frames", [
-        (synth.ScenarioScript(seed=-1, duration_s=1.0), None),
-        (synth.ScenarioScript(seed=0, duration_s=float("nan")), None),
-        (synth.ScenarioScript(seed=0, duration_s=1.0), [3, 1]),
-        (synth.ScenarioScript(seed=0, duration_s=1.0), [5, 5]),
-        (synth.ScenarioScript(seed=0, duration_s=1.0), [0, 240]),
-        (synth.ScenarioScript(seed=0, duration_s=1.0), [-1, 0])],
+        ({"seed": -1, "duration_s": 1.0}, None),
+        ({"seed": 0, "duration_s": float("nan")}, None),
+        ({"seed": 0, "duration_s": 1.0}, [3, 1]),
+        ({"seed": 0, "duration_s": 1.0}, [5, 5]),
+        ({"seed": 0, "duration_s": 1.0}, [0, 240]),
+        ({"seed": 0, "duration_s": 1.0}, [-1, 0])],
         ids=["bad_seed", "nan_duration", "decreasing_frames", "repeated_frame",
              "frame_past_the_end", "negative_frame"])
     def test_scenario_checks_inputs_before_jobs(self, monkeypatch, script, frames):
+        """A bad script is refused when it is made, bad frames by run_scenario."""
         set_workers(monkeypatch, 2)
         monkeypatch.setattr(pool, "ordered_map", refuse)
         monkeypatch.setattr(synth, "_synth_visuotactile", refuse)
         with pytest.raises(errors.ConfigError):
-            synth.run_scenario(script, frames=frames)
+            synth.run_scenario(synth.ScenarioScript(**script), frames=frames)
 
     def test_nested_map_runs_in_the_worker(self, monkeypatch):
         set_workers(monkeypatch, 2)

@@ -11,9 +11,11 @@ from touchlab import cli, errors
 from touchlab.core import (
     FORMATS,
     IMAGE_SIZE,
+    MAX_RATE_HZ,
     ModalityKind,
     ModalitySample,
     RecordLog,
+    StreamColumns,
     StreamDescriptor,
     row_shape,
 )
@@ -257,6 +259,76 @@ class TestDamagedLogs:
             with open(os.devnull, "w") as sink, redirect_stdout(sink):
                 code = cli.main(["replay", path, "--out", os.path.join(tmp, "again.d36r")])
         assert code in (cli.EXIT_OK, cli.EXIT_CONFIG)
+
+
+BOGUS_KINDS = ("bogus", 99, None)
+BAD_RATES = (0.0, -1.0, float("nan"), float("inf"), 1e300)
+
+
+@st.composite
+def stream_specs(draw):
+    """One to three (stream id, kind, rate, timestamps) tuples, each field
+    valid or not: bogus kinds, bad rates, ids up to 0x10000 and timestamps
+    that may go backwards."""
+    specs = []
+    for _ in range(draw(st.integers(1, 3))):
+        sid = draw(st.one_of(st.integers(0, 2), st.integers(0, 0x10000)))
+        kind = draw(st.sampled_from((*ModalityKind, *BOGUS_KINDS)))
+        rate = draw(st.one_of(st.sampled_from(BAD_RATES), st.floats(1e-3, MAX_RATE_HZ)))
+        t = draw(st.lists(st.integers(0, 2**64 - 1), max_size=4))
+        specs.append((sid, kind, rate, sorted(t) if draw(st.booleans()) else t))
+    return specs
+
+
+def _valid(specs) -> bool:
+    return len({sid for sid, *_ in specs}) == len(specs) and all(
+        isinstance(kind, ModalityKind) and 0 < rate <= MAX_RATE_HZ
+        and sid <= 0xFFFF and t == sorted(t) for sid, kind, rate, t in specs)
+
+
+def _by_columns(specs, rng) -> RecordLog:
+    descs, columns = [], {}
+    for sid, kind, rate, t in specs:
+        desc = StreamDescriptor(sid, kind, rate)
+        descs.append(desc)
+        rows = [_payload_for(rng, desc) for _ in t]
+        empty = np.empty((0, *row_shape(kind)), dtype=FORMATS[kind].dtype)
+        offsets = None
+        if kind is ModalityKind.SURFACE_AUDIO:
+            offsets = np.cumsum([0] + [len(r) for r in rows])
+            payload = np.concatenate([empty, *rows])
+        else:
+            payload = np.stack(rows) if rows else empty
+        columns[sid] = StreamColumns(np.array(t, dtype=np.uint64), payload, offsets)
+    return RecordLog.from_columns(descs, columns)
+
+
+def _by_append(specs, rng) -> RecordLog:
+    log = RecordLog()
+    for sid, kind, rate, _ in specs:
+        log.add_stream(StreamDescriptor(sid, kind, rate))
+    for sid, _, _, t in specs:
+        for t_ns in t:
+            log.append(ModalitySample(sid, t_ns, _payload_for(rng, log.descriptors[sid])))
+    return log
+
+
+class TestValidByConstruction:
+    """A log built from any fields either raises a TouchlabError when it is
+    built or first read, exactly when some field breaks an invariant, or
+    writes bytes that read back and re-encode to the same bytes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(specs=stream_specs(), build=st.sampled_from([_by_columns, _by_append]),
+           seed=st.integers(0, 2**16))
+    def test_refused_or_round_trips(self, specs, build, seed):
+        try:
+            data = log_to_bytes(build(specs, np.random.default_rng(seed)))
+        except errors.TouchlabError:
+            assert not _valid(specs)
+            return
+        assert _valid(specs)
+        assert log_to_bytes(log_from_bytes(data)) == data
 
 
 class TestNoAliasing:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 from pathlib import Path
@@ -29,14 +30,15 @@ FAST_RATES = {ModalityKind.VISUOTACTILE: 30.0,
 
 
 class TestScenarioScript:
+    """The script checks itself when it is made."""
+
     def test_overlapping_events_rejected(self):
         obj = ObjectSpec("wood")
-        script = ScenarioScript(seed=0, duration_s=2.0, events=[
-            Event(0.2, 1.0, "slide", obj, (0,)),
-            Event(0.8, 1.5, "tap", obj, (0,)),
-        ])
         with pytest.raises(errors.OverlappingEvents):
-            script.validate()
+            ScenarioScript(seed=0, duration_s=2.0, events=[
+                Event(0.2, 1.0, "slide", obj, (0,)),
+                Event(0.8, 1.5, "tap", obj, (0,)),
+            ])
 
     def test_overlap_on_different_fingers_allowed(self):
         obj = ObjectSpec("wood")
@@ -44,7 +46,7 @@ class TestScenarioScript:
             Event(0.2, 1.0, "slide", obj, (0,)),
             Event(0.8, 1.5, "tap", obj, (1,)),
         ])
-        script.validate()
+        assert isinstance(script.events, tuple) and len(script.events) == 2
 
     @pytest.mark.parametrize("field,value", [
         ("duration_s", -1.0), ("duration_s", 0.0), ("duration_s", float("nan")),
@@ -57,27 +59,35 @@ class TestScenarioScript:
         ("rates", {ModalityKind.INERTIAL: float("inf")}),
         ("duration_s", 1e300),
         ("rates", {ModalityKind.SURFACE_AUDIO: 1e12}),
+        ("rates", {ModalityKind.HEAT: 1e300}),
+        ("rates", {ModalityKind.HEAT: 2e9}),
     ])
     def test_bad_script_field_rejected(self, field, value):
         kwargs = {"seed": 0, "duration_s": 1.0, field: value}
         with pytest.raises(errors.ConfigError):
-            ScenarioScript(**kwargs).validate()
+            ScenarioScript(**kwargs)
 
     @pytest.mark.parametrize("t_start,t_end", [(float("nan"), 0.5),
                                                (0.1, float("nan"))])
     def test_bad_event_rejected(self, t_start, t_end):
-        script = ScenarioScript(seed=0, duration_s=1.0, events=[
-            Event(t_start, t_end, "tap", ObjectSpec("wood"), (0,))])
         with pytest.raises(errors.ConfigError):
-            script.validate()
+            ScenarioScript(seed=0, duration_s=1.0, events=[
+                Event(t_start, t_end, "tap", ObjectSpec("wood"), (0,))])
 
     def test_event_outside_duration_rejected(self):
         obj = ObjectSpec("wood")
-        script = ScenarioScript(seed=0, duration_s=1.0, events=[
-            Event(0.5, 1.5, "tap", obj, (0,)),
-        ])
         with pytest.raises(ValueError):
-            script.validate()
+            ScenarioScript(seed=0, duration_s=1.0, events=[
+                Event(0.5, 1.5, "tap", obj, (0,)),
+            ])
+
+    def test_frozen_and_rechecked_on_replace(self):
+        script = ScenarioScript(seed=0, duration_s=1.0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            script.seed = 1
+        assert dataclasses.replace(script, seed=4).seed == 4
+        with pytest.raises(errors.ConfigError):
+            dataclasses.replace(script, seed=-4)
 
 
 class TestRunScenario:
@@ -85,9 +95,9 @@ class TestRunScenario:
         script = ScenarioScript(seed=0, duration_s=1.0, events=[], fingers=(0,),
                                 rates=FAST_RATES)
         log = run_scenario(script)
-        vt = log.stream_samples(stream_id_for(0, ModalityKind.VISUOTACTILE))
-        pr = log.stream_samples(stream_id_for(0, ModalityKind.SURFACE_PRESSURE))
-        im = log.stream_samples(stream_id_for(0, ModalityKind.INERTIAL))
+        vt = log.stream(stream_id_for(0, ModalityKind.VISUOTACTILE))
+        pr = log.stream(stream_id_for(0, ModalityKind.SURFACE_PRESSURE))
+        im = log.stream(stream_id_for(0, ModalityKind.INERTIAL))
         assert len(vt) == 30
         assert len(pr) == 1000
         assert len(im) == 200
@@ -96,7 +106,7 @@ class TestRunScenario:
         script = ScenarioScript(seed=0, duration_s=1.0, events=[], fingers=(0,),
                                 rates={ModalityKind.SURFACE_AUDIO: 8000.0})
         log = run_scenario(script)
-        vt = log.stream_samples(stream_id_for(0, ModalityKind.VISUOTACTILE))
+        vt = log.stream(stream_id_for(0, ModalityKind.VISUOTACTILE))
         assert len(vt) == 240
 
     def test_same_seed_byte_identical(self):
@@ -118,15 +128,12 @@ class TestRunScenario:
             seed=5, duration_s=1.5, fingers=(0,), rates=FAST_RATES,
             events=[Event(0.5, 0.56, "tap", ObjectSpec("wood"), (0,))])
         log = run_scenario(script)
-        pr = np.stack([s.payload for s in log.stream_samples(
-            stream_id_for(0, ModalityKind.SURFACE_PRESSURE))])
-        tp = np.array([s.t_ns / 1e9 for s in log.stream_samples(
-            stream_id_for(0, ModalityKind.SURFACE_PRESSURE))])
-        peak_t = tp[np.argmax(np.abs(pr[:, 0]))]
+        pressure = log.stream(stream_id_for(0, ModalityKind.SURFACE_PRESSURE))
+        tp = pressure.t_ns / 1e9
+        peak_t = tp[np.argmax(np.abs(pressure.payload[:, 0]))]
         assert 0.5 <= peak_t <= 0.56
 
-        audio = np.concatenate([s.payload for s in log.stream_samples(
-            stream_id_for(0, ModalityKind.SURFACE_AUDIO))])[:, 0]
+        audio = log.stream(stream_id_for(0, ModalityKind.SURFACE_AUDIO)).payload[:, 0]
         ta = np.arange(audio.size) / 8000.0
         peak_a = ta[np.argmax(np.abs(audio))]
         assert 0.5 <= peak_a <= 0.6
