@@ -16,8 +16,10 @@ and extra fields and prints its summary lines to stderr.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -321,16 +323,33 @@ def cmd_analyze_liquid(args) -> tuple:
     return rows, {}
 
 
+def _parse_report(text: str):
+    """A report as :func:`_render` writes it: JSON, or CSV whose ``# key=``
+    lines hold JSON values, followed by the header and one line per row."""
+    if not text.startswith("#"):
+        return json.loads(text)
+    lines = text.splitlines()
+    fields = list(itertools.takewhile(lambda line: line.startswith("#"), lines))
+    rep = {}
+    for line in fields:
+        key, sep, value = line[1:].lstrip().partition("=")
+        if not sep:
+            raise errors.ConfigError(f"a CSV report field is '# key=<JSON>', got {line!r}")
+        rep[key] = json.loads(value)
+    rep["rows"] = list(csv.DictReader(lines[len(fields):]))
+    return rep
+
+
 def cmd_report(args) -> None:
     loaded = []
     for path in args.reports:
         try:
             with open(path, encoding="utf-8") as fh:
-                rep = json.load(fh)
+                rep = _parse_report(fh.read())
             if not (isinstance(rep, dict) and isinstance(rep.get("rows", []), list)):
                 raise errors.ConfigError("a report is a JSON object whose rows are a list")
             loaded.append((path, rep))
-        except (OSError, ValueError, RecursionError) as exc:
+        except (OSError, ValueError, RecursionError, csv.Error) as exc:
             print(f"skipping {path}: {exc}", file=sys.stderr)
     if not loaded:
         raise errors.EmptyDataset("no readable reports")
@@ -424,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--finger", type=int, default=0)
     p.set_defaults(func=cmd_analyze_liquid)
 
-    p = sub.add_parser("report", help="summarize saved JSON reports")
+    p = sub.add_parser("report", help="summarize saved JSON or CSV reports")
     p.add_argument("reports", nargs="+")
     p.set_defaults(func=cmd_report)
 

@@ -54,10 +54,24 @@ class FilterSpec:
                 f"fc={self.fc_hz} Hz outside (0, {self.sample_rate_hz / 2}) Hz")
 
     def sos(self) -> np.ndarray:
-        import scipy.signal
+        return butter_sos(self.kind, self.fc_hz, self.sample_rate_hz)
 
-        return scipy.signal.butter(2, self.fc_hz, btype=self.kind,
-                                   fs=self.sample_rate_hz, output="sos")
+
+def butter_sos(btype: str, fc, fs_hz: float) -> np.ndarray:
+    """Second-order Butterworth design of ``btype`` as second-order
+    sections; ``fc`` is a cutoff or, for a band, a (low, high) pair in Hz.
+    Each design is made once per process and kept; every caller gets a
+    copy, since ``scipy.signal.sosfilt`` refuses read-only sections."""
+    return _butter_sos(btype, fc, fs_hz).copy()
+
+
+@functools.lru_cache(maxsize=128)
+def _butter_sos(btype: str, fc, fs_hz: float) -> np.ndarray:
+    import scipy.signal
+
+    sos = scipy.signal.butter(2, fc, btype=btype, fs=fs_hz, output="sos")
+    sos.flags.writeable = False
+    return sos
 
 
 def apply_filter(series: np.ndarray, spec: FilterSpec) -> np.ndarray:

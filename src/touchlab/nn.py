@@ -12,6 +12,7 @@ weights, and replica r of a stacked fit equals the same fit run alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,9 +72,11 @@ class MlpSpec:
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax over the last axis into one new array, ``z`` left as it is."""
+    z = z - np.maximum.reduce(z, axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
+    return z
 
 
 class _Views(list):
@@ -135,15 +138,18 @@ class MlpModel:
         for w, b in zip(self.weights[:k], self.biases[:k]):
             if cache is not None:
                 cache.append(h)
-            h = h @ w + b[..., None, :]
+            h = np.matmul(h, w)
+            h += b[..., None, :]
             if self.spec.activation == RELU:
                 np.maximum(h, 0.0, out=h)
             else:
                 np.tanh(h, out=h)
         if cache is not None:
             cache.append(h)
-        return [h @ w + b[..., None, :]
-                for w, b in zip(self.weights[k:], self.biases[k:])]
+        outs = [np.matmul(h, w) for w in self.weights[k:]]
+        for z, b in zip(outs, self.biases[k:]):
+            z += b[..., None, :]
+        return outs
 
     def _by_head(self, outs: list):
         return dict(zip((n for n, _ in self.spec.heads), outs)) \
@@ -183,19 +189,40 @@ class MlpModel:
 
     def _layer_grads(self, i: int, h_in: np.ndarray, grad: np.ndarray):
         np.matmul(h_in.swapaxes(-1, -2), grad, out=self.grad_weights[i])
-        np.sum(grad, axis=-2, out=self.grad_biases[i])
+        np.add.reduce(grad, axis=-2, out=self.grad_biases[i])
 
 
 def cross_entropy_loss(logits: np.ndarray, labels: np.ndarray):
     """Mean cross-entropy over a batch, per replica; returns (loss,
     d(loss)/d(logits))."""
+    logits = np.ascontiguousarray(logits)
+    return _cross_entropy(logits, _gather_index(labels, logits.shape))
+
+
+def _gather_index(labels: np.ndarray, shape: tuple) -> np.ndarray:
+    """Flat index of each row's label logit in a C-contiguous array of
+    ``shape`` (..., n, width): one row of n indices per replica."""
+    *lead, n, width = shape
+    rows = np.arange(0, n * width, width) + labels
+    if lead:
+        rows = rows + np.arange(0, math.prod(lead) * n * width,
+                                n * width).reshape(*lead, 1)
+    return rows
+
+
+def _cross_entropy(logits: np.ndarray, rows: np.ndarray):
+    """:func:`cross_entropy_loss` through a precomputed :func:`_gather_index`
+    of C-contiguous ``logits``."""
     n = logits.shape[-2]
     p = softmax(logits)
-    idx = (..., np.arange(n), labels)
-    # The gather comes out replica-minor; a contiguous copy keeps each
-    # replica's mean on numpy's pairwise summation, as for one replica.
-    loss = -np.mean(np.log(np.ascontiguousarray(p[idx]) + 1e-300), axis=-1)
-    p[idx] -= 1.0
+    flat = p.reshape(-1)
+    # Each replica's picked probabilities must lie in one contiguous row:
+    # numpy sums a contiguous row pairwise, so a replica's mean then equals
+    # the mean of the same fit run alone.
+    picked = np.ascontiguousarray(flat[rows])
+    flat[rows] = picked - 1.0
+    picked += 1e-300
+    loss = -(np.add.reduce(np.log(picked, out=picked), axis=-1) / n)
     p /= n
     return loss, p
 
@@ -242,8 +269,9 @@ class AdamState:
         b1, b2 = ADAM_BETA1, ADAM_BETA2
         corr1 = 1.0 - b1 ** self.t
         corr2 = 1.0 - b2 ** self.t
-        rows = map(np.atleast_2d, (params, grads, self.m, self.v, self._a, self._b))
-        for p, g, m, v, a, b, lr in zip(*rows, np.ravel(cfg.lr), strict=True):
+        rows = (params, grads, self.m, self.v, self._a, self._b)
+        rows = zip(*rows) if params.ndim > 1 else [rows]
+        for (p, g, m, v, a, b), lr in zip(rows, np.ravel(cfg.lr), strict=True):
             m *= b1
             m += np.multiply(g, 1.0 - b1, out=a)   # m += (1 - b1) g
             v *= b2
@@ -296,21 +324,29 @@ def train(dataset, spec: MlpSpec, config: TrainConfig = TrainConfig()) -> TrainR
     rng = np.random.default_rng(config.seed + 1)
     batch = n if config.batch_size is None else min(config.batch_size, n)
 
+    lead = (config.replicas,) if config.replicas > 1 else ()
+
+    def gathers(head_labels):
+        return [_gather_index(t, lead + (t.size, w))
+                for t, w in zip(head_labels, widths)]
+
+    full = [(x, gathers(labels))]  # the full batch, its gather built once
     losses = []
     for _ in range(config.max_epochs):
-        order = None if batch == n else rng.permutation(n)
+        batches = full
+        if batch < n:
+            order = rng.permutation(n)
+            batches = [(x[i], gathers([t[i] for t in labels]))
+                       for i in (order[s:s + batch] for s in range(0, n, batch))]
         epoch_loss = 0.0
-        n_batches = 0
-        for start in range(0, n, batch):
-            idx = slice(None) if order is None else order[start:start + batch]
+        for xb, rows in batches:
             cache = []
-            heads = [cross_entropy_loss(z, t[idx]) for z, t in
-                     zip(model._forward(x[idx], cache), labels)]
+            heads = [_cross_entropy(z, r) for z, r in
+                     zip(model._forward(xb, cache), rows)]
             model.backward(cache, [d for _, d in heads])
             opt.step(model.params, model.grads, config)
             epoch_loss += sum(loss for loss, _ in heads)
-            n_batches += 1
-        losses.append(epoch_loss / n_batches)
+        losses.append(epoch_loss / len(batches))
     return TrainResult(model=model, losses=losses)
 
 

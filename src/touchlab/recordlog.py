@@ -177,8 +177,9 @@ def _gather(data, starts: np.ndarray, size: int) -> np.ndarray:
 
 def _decode_stream(desc: StreamDescriptor, data, starts: np.ndarray,
                    lengths: np.ndarray, t_ns: np.ndarray) -> StreamColumns:
-    """Copy one stream's payloads into columns, checking every length: one
-    row per chunk, or for audio a whole number of frame rows."""
+    """Copy one stream's payloads into columns, checking every length (one
+    row per chunk, or for audio a whole number of frame rows) and the
+    timestamp order; either error names the stream."""
     dtype = FORMATS[desc.kind].dtype
     row = dtype.itemsize * math.prod(row_shape(desc.kind))
     audio = desc.kind is ModalityKind.SURFACE_AUDIO
@@ -200,7 +201,10 @@ def _decode_stream(desc: StreamDescriptor, data, starts: np.ndarray,
     n_rows = int(lengths.sum()) // row if audio else starts.size
     payload = flat.view(dtype).reshape(n_rows, *row_shape(desc.kind))
     offsets = np.concatenate([[0], np.cumsum(lengths // row)]) if audio else None
-    return StreamColumns(t_ns, payload, offsets)
+    try:
+        return StreamColumns(t_ns, payload, offsets)
+    except errors.UnsortedSamples as exc:
+        raise errors.UnsortedSamples(f"stream {desc.stream_id}: {exc}") from None
 
 
 def write_log(log: RecordLog, path) -> int:

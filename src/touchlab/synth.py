@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import errors, optics, pool
+from . import dsp, errors, optics, pool
 from .core import (
     FORMATS,
     IMAGE_SIZE,
@@ -433,8 +433,7 @@ def _bandpass_noise(n: int, rate_hz: float, center_hz: float, rng) -> np.ndarray
     nyq = rate_hz / 2.0
     lo = min(max(center_hz * 0.7, 1.0), nyq * 0.8)
     hi = min(center_hz * 1.3, nyq * 0.95)
-    sos = scipy.signal.butter(2, [lo, hi], btype="bandpass", fs=rate_hz,
-                              output="sos")
+    sos = dsp.butter_sos("bandpass", (lo, hi), rate_hz)
     x = scipy.signal.sosfilt(sos, rng.standard_normal(n))
     rms = np.sqrt(np.mean(x ** 2))
     return x / rms if rms > 0 else x

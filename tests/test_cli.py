@@ -170,6 +170,13 @@ class TestRecordReplay:
     ], ids=["unknown_kind", "duplicate_stream", "zero_rate", "zero_channels",
             "backwards_timestamp", "inf_rate", "huge_rate"])
     def test_malformed_log_exit_2(self, tmp_path, offset, raw):
+        assert main(["replay", self.malformed_log(tmp_path, offset, raw)]) \
+            == EXIT_CONFIG
+
+    @staticmethod
+    def malformed_log(tmp_path, offset, raw) -> str:
+        """A pressure stream 2 (samples at 1 and 2 ms) and an inertial
+        stream 3 (one at 5 ms), ``raw`` written over the bytes at ``offset``."""
         log = RecordLog()
         for sid, kind in ((2, ModalityKind.SURFACE_PRESSURE),
                           (3, ModalityKind.INERTIAL)):
@@ -181,7 +188,14 @@ class TestRecordReplay:
         data[offset:offset + len(raw)] = raw
         path = tmp_path / "bad.d36r"
         path.write_bytes(bytes(data))
-        assert main(["replay", str(path)]) == EXIT_CONFIG
+        return str(path)
+
+    def test_backwards_timestamp_names_the_stream(self, tmp_path, capsys):
+        path = self.malformed_log(tmp_path, 8 + 2 * 18 + (14 + 16) + 2,
+                                  struct.pack("<Q", 0))
+        assert main(["replay", path]) == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            "error: stream 2: timestamp 0 after 1000000\n"
 
 
 class TestBenchCommands:
@@ -288,6 +302,26 @@ class TestBenchCommands:
 
     def test_report_skips_deep_nesting(self, tmp_path, capsys):
         self._report_skips(tmp_path, capsys, b"[" * 100_000)
+
+    def test_report_skips_csv_field_not_json(self, tmp_path, capsys):
+        self._report_skips(tmp_path, capsys, b"# schema=1\n# command=bench-mtf\n")
+
+    def test_report_skips_csv_field_without_value(self, tmp_path, capsys):
+        self._report_skips(tmp_path, capsys, b"# schema=1\n# command\n")
+
+    def test_report_reads_csv_as_json(self, tmp_path, capsys):
+        """One report saved as JSON and as CSV gives one summary line."""
+        out = tmp_path / "m.json"
+        main(["bench-mtf", "--region", "1", "--spacings", "6,9",
+              "--format", "json", "--out", str(out)])
+        (tmp_path / "m.csv").write_text(
+            touchlab.cli._render(json.loads(out.read_text()), "csv"))
+        capsys.readouterr()
+        assert main(["report", str(out), str(tmp_path / "m.csv")]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(": ", 1)[1] for line in lines] == \
+            [lines[0].split(": ", 1)[1]] * 2
+        assert lines[0].endswith(" rows=2")
 
     @pytest.mark.parametrize("argv", [
         ["bench-reflex", "--trials", "5"],

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from touchlab import errors
+from touchlab import dsp, errors
 from touchlab.core import (
     ModalityKind,
     ModalitySample,
@@ -16,6 +16,7 @@ from touchlab.dsp import (
     FilterSpec,
     apply_filter,
     build_windows,
+    butter_sos,
     decay_time,
     hz_to_mel,
     mel_band_edges,
@@ -70,6 +71,22 @@ class TestApplyFilter:
         lhs = apply_filter(a * x + b * y, spec)
         rhs = a * apply_filter(x, spec) + b * apply_filter(y, spec)
         assert np.allclose(lhs, rhs, atol=1e-9)
+
+    @pytest.mark.parametrize("btype,fc,fs", [
+        (HIGHPASS, 0.95, 1000.0), (LOWPASS, 50.0, 1000.0),
+        ("bandpass", (21.0, 39.0), 1000.0)])
+    def test_design_made_once_and_copied(self, btype, fc, fs):
+        import scipy.signal
+
+        first = butter_sos(btype, fc, fs)
+        want = scipy.signal.butter(2, fc, btype=btype, fs=fs, output="sos")
+        assert first.tobytes() == want.tobytes()
+        first[...] = 0.0  # a caller's copy is its own
+        again = butter_sos(btype, fc, fs)
+        assert again.flags.writeable and again.tobytes() == want.tobytes()
+        hits = dsp._butter_sos.cache_info().hits
+        butter_sos(btype, fc, fs)
+        assert dsp._butter_sos.cache_info().hits == hits + 1
 
 
 class TestPressurePreprocess:

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from touchlab import errors, experiments, pool, synth
 from touchlab.core import ModalityKind, stream_id_for
@@ -231,6 +232,25 @@ class TestLazyFrames:
         assert full
         assert [window_bytes(w) for w in lazy] == [window_bytes(w) for w in full]
         assert frames.size <= 2 + 10 * len(full) // len(script.fingers)
+
+
+def mean_gray_visuotactile(vt):
+    """The reference visuotactile encoder: gray as the float64 mean over
+    the channel axis."""
+    gray = vt.astype(np.float64).mean(axis=3) / 255.0
+    pooled = experiments._pool2d(gray)
+    motion = np.abs(np.diff(pooled, axis=0)).mean(axis=0)
+    return np.concatenate([pooled.mean(axis=0).ravel(),
+                           pooled.std(axis=0).ravel(),
+                           motion.ravel()])
+
+
+@settings(max_examples=60, deadline=None)
+@given(vt=hnp.arrays(np.uint8, st.tuples(st.integers(2, 12), st.integers(4, 40),
+                                         st.integers(4, 40), st.just(3))))
+def test_visuotactile_encoding_matches_channel_mean(vt):
+    assert experiments.encode_visuotactile(vt).tobytes() == \
+        mean_gray_visuotactile(vt).tobytes()
 
 
 def fresh(windows):

@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from touchlab import errors
 from touchlab.nn import (
@@ -14,6 +16,7 @@ from touchlab.nn import (
     MlpSpec,
     TrainConfig,
     accuracy,
+    cross_entropy_loss,
     grad_check,
     train,
 )
@@ -224,6 +227,41 @@ class TestAdamStep:
                 p -= cfg.lr * (mi / corr1) / (np.sqrt(vi / corr2) + ADAM_EPS)
             opt.step(flat, g, cfg)
             assert flat.tobytes() == b"".join(p.tobytes() for p in params)
+
+
+def tuple_index_cross_entropy(logits, labels):
+    """The reference ``cross_entropy_loss``: softmax through the reduction
+    methods, gather and subtract through an ``(..., arange(n), labels)``
+    index."""
+    n = logits.shape[-2]
+    z = logits - logits.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    p = e / e.sum(axis=-1, keepdims=True)
+    idx = (..., np.arange(n), labels)
+    loss = -np.mean(np.log(np.ascontiguousarray(p[idx]) + 1e-300), axis=-1)
+    p[idx] -= 1.0
+    p /= n
+    return loss, p
+
+
+class TestCrossEntropy:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), lead=st.sampled_from([(), (1,), (3,)]),
+           n=st.integers(1, 300), width=st.integers(1, 9))
+    def test_matches_tuple_index_formula(self, data, lead, n, width):
+        """Byte-equal loss and gradient for single and stacked logits, over
+        row counts on every branch of numpy's pairwise summation."""
+        logits = data.draw(hnp.arrays(np.float64, lead + (n, width), elements=st.floats(
+            -1e4, 1e4, allow_subnormal=True)))
+        labels = data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, width - 1)))
+        before = logits.tobytes()
+        loss, grad = cross_entropy_loss(logits, labels)
+        want_loss, want_grad = tuple_index_cross_entropy(logits, labels)
+        assert logits.tobytes() == before
+        assert type(loss) is type(want_loss)
+        assert np.asarray(loss).tobytes() == np.asarray(want_loss).tobytes()
+        assert grad.shape == want_grad.shape
+        assert grad.tobytes() == want_grad.tobytes()
 
 
 class TestStackedFit:
