@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from touchlab.dsp import (
     peak_frequency,
     pressure_preprocess,
 )
+from touchlab.recordlog import log_to_bytes
 
 
 def sine(freq_hz, rate_hz, duration_s, amp=1.0):
@@ -242,6 +245,19 @@ def make_log(duration_s=13.3, fingers=(0,), vt_rate=30.0, audio_rate=8000.0,
     for s in samples:
         log.append(s)
     return log
+
+
+class TestPinnedMakeLog:
+    """SHA-256 of ``make_log``'s file at one and four fingers, so a change
+    to how the builder fills the log must keep the bytes the window tests
+    read.  Pinned with numpy 2.4.6 on x86_64."""
+
+    @pytest.mark.parametrize("fingers, digest", [
+        ((0,), "424b2aa63d6d79a10f995ef66eca6f7b94e7602b28b7728c55a79c2afbdbb04c"),
+        ((0, 1, 2, 3), "dde11fc6f71787d7a4966f5be6fcf576fb7641eaccf0d0b5dc680db8481db960"),
+    ], ids=["1_finger", "4_fingers"])
+    def test_digest(self, fingers, digest):
+        assert hashlib.sha256(log_to_bytes(make_log(fingers=fingers))).hexdigest() == digest
 
 
 class TestBuildWindows:
