@@ -29,7 +29,6 @@ from .core import (
     ACTIONS,
     MATERIALS,
     ModalityKind,
-    ModalitySample,
     RecordLog,
     StreamDescriptor,
     WindowSample,
@@ -41,7 +40,6 @@ __all__ = [
     "ACTIONS",
     "MATERIALS",
     "ModalityKind",
-    "ModalitySample",
     "RecordLog",
     "StreamDescriptor",
     "WindowSample",

@@ -43,8 +43,10 @@ _RATE_KEYS = {k.name.lower(): k for k in ModalityKind}
 
 
 def _config_hash(args: dict) -> str:
-    payload = json.dumps({k: v for k, v in sorted(args.items())
-                          if k not in ("out", "func", "command")},
+    """Hash of what the report holds: output-only arguments are left out,
+    so one run saved as CSV and as JSON carries one hash."""
+    payload = json.dumps({k: v for k, v in sorted(args.items()) if k not in
+                          ("out", "format", "confusion_out", "func", "command")},
                          default=str, sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 

@@ -12,8 +12,8 @@ are :class:`WindowSample` records with the fixed per-modality tensor layouts
 used throughout the classification pipeline.
 
 Every type checks its invariants when it is made.  All are immutable after
-construction and safe to share across threads/processes, except a log's
-appended samples and the ``_features`` memo of encoded features that
+construction and safe to share across threads/processes, except a log, which
+``append`` extends by replacing whole arrays, and the ``_features`` memo that
 ``experiments`` adds to a :class:`WindowSample` (its arrays stay read-only).
 """
 
@@ -184,26 +184,26 @@ class StreamColumns:
 
 class RecordLog:
     """In-memory form of a recorded session: the stream descriptors (a
-    read-only view) plus each stream's chunks as :class:`StreamColumns`.
+    read-only view) plus each stream's chunks as :class:`StreamColumns`,
+    the log's one store.
 
-    A log is valid by construction, so the writer trusts it: descriptors
-    check themselves, ``add_stream`` (called by ``from_columns``) refuses a
-    duplicate stream id, StreamColumns their timestamp order, and
-    ``from_columns`` each stream's columns and the chunk order.
-    ``chunk_streams`` holds the stream id of every chunk in file order.
-    ``append`` and ``samples`` are a per-sample view kept for the benchmark
-    in ``perfbench/``: appended samples are folded into the columns when the
-    log is next read, and a fold that breaks timestamp order raises
-    UnsortedSamples and leaves the log as it was.
+    A log is valid by construction, so the writer trusts it and no read
+    raises: descriptors check themselves, ``add_stream`` refuses a duplicate
+    stream id, StreamColumns their timestamp order, and ``from_columns``
+    each stream's columns and the chunk order (``chunk_streams``, the stream
+    id of every chunk in file order).  ``append`` and ``samples`` are a
+    per-sample view kept for ``perfbench/``.  ``append`` writes through by
+    copying its stream's columns (so build in bulk with ``from_columns``),
+    or raises and leaves the log as it was.
     """
 
     def __init__(self):
         self._descriptors: dict[int, StreamDescriptor] = {}
         self._columns: dict[int, StreamColumns] = {}
         self._chunk_streams = np.empty(0, dtype=np.uint16)
-        self._pending: list[tuple[int, StreamColumns]] = []
 
     descriptors = property(lambda self: MappingProxyType(self._descriptors))
+    chunk_streams = property(lambda self: self._chunk_streams)
 
     @classmethod
     def from_columns(cls, descriptors, columns: dict,
@@ -242,46 +242,24 @@ class RecordLog:
             np.zeros(1, dtype=np.int64) if audio else None)
 
     def append(self, sample: ModalitySample) -> None:
-        desc = self._descriptors.get(sample.stream_id)
+        sid, p = sample.stream_id, sample.payload
+        desc = self._descriptors.get(sid)
         if desc is None:
-            raise errors.UnknownKind(f"no descriptor for stream {sample.stream_id}")
-        p, t_ns = sample.payload, np.array([sample.t_ns], dtype=np.uint64)
+            raise errors.UnknownKind(f"no descriptor for stream {sid}")
+        old, t_ns = self._columns[sid], np.array([sample.t_ns], dtype=np.uint64)
         if desc.kind is ModalityKind.SURFACE_AUDIO:
             one = StreamColumns(t_ns, p, np.array([0, p.shape[0] if p.ndim else 0]))
         else:
             one = StreamColumns(t_ns, p[None])
         one.check(desc)
-        self._pending.append((sample.stream_id, one))
-
-    def _flush(self) -> None:
-        """Fold appended samples into the columns, one concatenation per
-        stream; a fold that raises changes nothing."""
-        if not self._pending:
-            return
-        parts: dict[int, list[StreamColumns]] = {}
-        for sid, one in self._pending:
-            parts.setdefault(sid, [self._columns[sid]]).append(one)
-        folded = {}
-        for sid, cols in parts.items():
-            offsets = None if cols[0].offsets is None else np.concatenate(
-                [[0], np.cumsum(np.concatenate([np.diff(c.offsets) for c in cols]))])
-            folded[sid] = StreamColumns(np.concatenate([c.t_ns for c in cols]),
-                                        np.concatenate([c.payload for c in cols]),
-                                        offsets)
-        self._columns.update(folded)
-        self._chunk_streams = np.concatenate([
-            self._chunk_streams, np.array([sid for sid, _ in self._pending], dtype=np.uint16)])
+        self._columns[sid] = StreamColumns(
+            np.concatenate([old.t_ns, t_ns]), np.concatenate([old.payload, one.payload]),
+            None if old.offsets is None else np.append(old.offsets, old.offsets[-1] + len(p)))
+        self._chunk_streams = np.append(self._chunk_streams, np.uint16(sid))
         self._chunk_streams.setflags(write=False)
-        self._pending = []
 
     def stream(self, stream_id: int) -> StreamColumns:
-        self._flush()
         return self._columns[stream_id]
-
-    @property
-    def chunk_streams(self) -> np.ndarray:
-        self._flush()
-        return self._chunk_streams
 
     @property
     def samples(self) -> list[ModalitySample]:

@@ -318,9 +318,9 @@ def iter_fusion_windows(trials_per_class: int = 12, seed: int = 0,
     (``sampled_frames``: 30 of 160 per finger at the defaults); the windows
     are byte-equal to those cut from the full log.
     """
-    if trials_per_class > MAX_TRIALS_PER_CLASS:
+    if not 0 <= trials_per_class <= MAX_TRIALS_PER_CLASS:
         raise errors.ConfigError(
-            f"trials per class must be <= {MAX_TRIALS_PER_CLASS}, "
+            f"trials per class must be in [0, {MAX_TRIALS_PER_CLASS}], "
             f"got {trials_per_class}")
     jobs = _fusion_jobs(trials_per_class, seed, duration_s, stride_s)
     with closing(pool.ordered_map(_finger_windows, jobs)) as results:

@@ -78,7 +78,7 @@ def _pieces(log: RecordLog):
     """An iterator over the bytes of ``log``'s file: the header and
     descriptor table, then every chunk's header and payload.  The log is
     valid by construction; payloads are views of the columns, not copies."""
-    order = log.chunk_streams  # folds appended samples, which may raise
+    order = log.chunk_streams
     head = [_HEADER.pack(MAGIC, VERSION, len(log.descriptors))]
     for sid in sorted(log.descriptors):
         d = log.descriptors[sid]
@@ -209,9 +209,8 @@ def _decode_stream(desc: StreamDescriptor, data, starts: np.ndarray,
 
 def write_log(log: RecordLog, path) -> int:
     """Write ``log`` to ``path`` chunk by chunk; returns bytes written."""
-    pieces = _pieces(log)  # checks the log before the file is touched
     with open(path, "wb") as fh:
-        fh.writelines(pieces)
+        fh.writelines(_pieces(log))
         return fh.tell()
 
 

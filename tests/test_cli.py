@@ -15,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 import touchlab
 from touchlab import experiments, link, recordlog, synth
 from touchlab.cli import EXIT_CONFIG, EXIT_EMPTY, EXIT_OK, main
-from touchlab.core import ModalityKind, ModalitySample, RecordLog, StreamDescriptor
+from touchlab.core import ModalityKind, RecordLog, StreamColumns, StreamDescriptor
 
 SCENARIO = {
     "seed": 11,
@@ -65,9 +65,9 @@ class TestRecordReplay:
         assert path.read_bytes() == before
 
     def test_partial_item_payload_exit_2(self, tmp_path):
-        log = RecordLog()
-        log.add_stream(StreamDescriptor.default(3, ModalityKind.INERTIAL))
-        log.append(ModalitySample(3, 0, np.zeros(3, dtype="<f4")))
+        log = RecordLog.from_columns(
+            [StreamDescriptor.default(3, ModalityKind.INERTIAL)],
+            {3: StreamColumns(np.zeros(1, dtype=np.uint64), np.zeros((1, 3), dtype="<f4"))})
         data = bytearray(recordlog.log_to_bytes(log)[:-1])
         struct.pack_into("<I", data, len(data) - 11 - 4, 11)  # an 11-byte chunk
         path = tmp_path / "partial.d36r"
@@ -177,13 +177,13 @@ class TestRecordReplay:
     def malformed_log(tmp_path, offset, raw) -> str:
         """A pressure stream 2 (samples at 1 and 2 ms) and an inertial
         stream 3 (one at 5 ms), ``raw`` written over the bytes at ``offset``."""
-        log = RecordLog()
-        for sid, kind in ((2, ModalityKind.SURFACE_PRESSURE),
-                          (3, ModalityKind.INERTIAL)):
-            log.add_stream(StreamDescriptor.default(sid, kind))
-        for k in range(1, 3):
-            log.append(ModalitySample(2, k * 1_000_000, np.full(4, k, dtype="<f4")))
-        log.append(ModalitySample(3, 5_000_000, np.zeros(3, dtype="<f4")))
+        log = RecordLog.from_columns(
+            [StreamDescriptor.default(2, ModalityKind.SURFACE_PRESSURE),
+             StreamDescriptor.default(3, ModalityKind.INERTIAL)],
+            {2: StreamColumns(np.array([1_000_000, 2_000_000], dtype=np.uint64),
+                              np.array([[1] * 4, [2] * 4], dtype="<f4")),
+             3: StreamColumns(np.array([5_000_000], dtype=np.uint64),
+                              np.zeros((1, 3), dtype="<f4"))})
         data = bytearray(recordlog.log_to_bytes(log))
         data[offset:offset + len(raw)] = raw
         path = tmp_path / "bad.d36r"
@@ -366,6 +366,7 @@ class TestBenchCommands:
         ["analyze-liquid", "missing.d36r", "--seed", "-1"],
         ["record", "missing.json", "--seed", "-1"],
         ["train-fusion", "--trials-per-class", "1", "--modalities", "audio,audio"],
+        ["train-fusion", "--trials-per-class", "-2"],
     ])
     def test_bad_flag_value_exit_2(self, tmp_path, capsys, argv):
         out = tmp_path / "report.json"
@@ -436,6 +437,29 @@ def test_csv_fields_are_json(tmp_path, argv):
     assert len(fields["config_hash"]) == 16
     assert {"bench-latency": "verdict", "bench-optics": "recommended_band",
             "train-gas": "materials"}[argv[0]] in fields
+
+
+@pytest.mark.parametrize("argv", [["bench-mtf"], ["bench-latency", "--runs", "50"],
+                                  ["bench-reflex", "--trials", "100"]],
+                         ids=lambda argv: argv[0])
+def test_report_codec_round_trip(tmp_path, capsys, argv):
+    """One run saved as CSV and as JSON reads back the same: every CSV
+    ``# key=`` line is JSON, ``report`` parses equal header fields and row
+    counts from both, and prints one summary, config hash included."""
+    paths = [tmp_path / f"report.{fmt}" for fmt in ("csv", "json")]
+    for path in paths:
+        assert main(argv + ["--format", path.suffix[1:], "--out", str(path)]) == EXIT_OK
+    for line in paths[0].read_text().splitlines():
+        if line.startswith("# "):
+            json.loads(line[2:].partition("=")[2])
+    csv_rep, json_rep = (touchlab.cli._parse_report(p.read_text()) for p in paths)
+    assert len(csv_rep.pop("rows")) == len(json_rep.pop("rows")) > 0
+    assert csv_rep == json_rep
+    capsys.readouterr()
+    assert main(["report", *map(str, paths)]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert len({line.split(": ", 1)[1] for line in lines}) == 1
+    assert len({line.split("config=")[1].split()[0] for line in lines}) == 1
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -580,6 +604,16 @@ class TestReportMetadata:
         assert len(rep["config_hash"]) == 16
         assert rep["schema"] == 1
         assert rep["version"]
+
+    def test_hash_leaves_out_output_arguments(self, tmp_path):
+        """The same run saved as CSV and as JSON carries one config hash."""
+        hashes = set()
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"m.{fmt}"
+            assert main(["bench-mtf", "--region", "1", "--spacings", "6",
+                         "--format", fmt, "--out", str(out)]) == EXIT_OK
+            hashes.add(touchlab.cli._parse_report(out.read_text())["config_hash"])
+        assert len(hashes) == 1
 
     def test_env_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TOUCHLAB_OUT_DIR", str(tmp_path))

@@ -12,6 +12,7 @@ from touchlab.core import (
     WindowSample,
     row_shape,
 )
+from touchlab.recordlog import log_to_bytes
 
 
 class TestValidateDescriptor:
@@ -80,25 +81,29 @@ class TestRecordLogModel:
         log = RecordLog()
         log.add_stream(StreamDescriptor.default(0, ModalityKind.HEAT))
         log.append(ModalitySample(0, 10, np.zeros(1, dtype="<f4")))
-        log.append(ModalitySample(0, 5, np.zeros(1, dtype="<f4")))
         with pytest.raises(errors.UnsortedSamples):
-            log.stream(0)
+            log.append(ModalitySample(0, 5, np.zeros(1, dtype="<f4")))
+        assert log.stream(0).t_ns.tolist() == [10]
 
-    def test_failed_fold_leaves_the_log_as_it_was(self):
+    def test_refused_append_leaves_the_log_as_it_was(self):
         log = RecordLog()
         for sid in (0, 1):
             log.add_stream(StreamDescriptor.default(sid, ModalityKind.HEAT))
+        log.add_stream(StreamDescriptor.default(2, ModalityKind.SURFACE_AUDIO))
         log.append(ModalitySample(0, 10, np.zeros(1, dtype="<f4")))
-        assert len(log.stream(0)) == 1
-        log.append(ModalitySample(0, 20, np.zeros(1, dtype="<f4")))
+        log.append(ModalitySample(2, 20, np.zeros((3, 4), dtype="<i2")))
         log.append(ModalitySample(1, 30, np.zeros(1, dtype="<f4")))
-        log.append(ModalitySample(1, 5, np.zeros(1, dtype="<f4")))
-        for _ in range(2):  # the bad samples stay pending, so each read refuses
-            with pytest.raises(errors.UnsortedSamples):
-                log.chunk_streams
-        assert log._columns[0].t_ns.tolist() == [10]
-        assert log._columns[1].t_ns.tolist() == []
-        assert log._chunk_streams.tolist() == [0]
+        before = log_to_bytes(log)
+        for sample, refused in (
+                (ModalitySample(1, 5, np.zeros(1, dtype="<f4")), errors.UnsortedSamples),
+                (ModalitySample(2, 5, np.zeros((1, 4), dtype="<i2")), errors.UnsortedSamples),
+                (ModalitySample(0, 40, np.zeros(2, dtype="<f4")), errors.ShapeMismatch),
+                (ModalitySample(2, 40, np.zeros((0, 4), dtype="<i2")), errors.ShapeMismatch),
+                (ModalitySample(7, 40, np.zeros(1, dtype="<f4")), errors.UnknownKind)):
+            with pytest.raises(refused):
+                log.append(sample)
+            assert log_to_bytes(log) == before
+            assert log.chunk_streams.tolist() == [0, 2, 1]
 
     def test_descriptors_are_read_only(self):
         log = RecordLog()

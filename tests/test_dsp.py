@@ -6,7 +6,6 @@ import pytest
 from touchlab import dsp, errors
 from touchlab.core import (
     ModalityKind,
-    ModalitySample,
     RecordLog,
     StreamColumns,
     StreamDescriptor,
@@ -205,46 +204,37 @@ class TestDecayTime:
 
 def make_log(duration_s=13.3, fingers=(0,), vt_rate=30.0, audio_rate=8000.0,
              seed=0, with_gas=True):
-    """Synthesize a minimal multimodal log without the scenario rig."""
+    """Synthesize a minimal multimodal log without the scenario rig: per
+    finger, random frames, 10 ms audio blocks and pressure, inertial and
+    gas rows, each stream evenly spaced from t = 0."""
     rng = np.random.default_rng(seed)
-    log = RecordLog()
-    samples = []
+    block = 0.01  # 10 ms audio blocks
+    n_block = int(audio_rate * block)
+    descs, columns = [], {}
+
+    def add(finger, kind, rate, times_s, payload, offsets=None):
+        desc = StreamDescriptor(stream_id_for(finger, kind), kind, rate)
+        descs.append(desc)
+        columns[desc.stream_id] = StreamColumns((times_s * 1e9).astype(np.uint64),
+                                                payload, offsets)
+
     for f in fingers:
-        vt = StreamDescriptor(stream_id_for(f, ModalityKind.VISUOTACTILE),
-                              ModalityKind.VISUOTACTILE, vt_rate)
-        au = StreamDescriptor(stream_id_for(f, ModalityKind.SURFACE_AUDIO),
-                              ModalityKind.SURFACE_AUDIO, audio_rate)
-        pr = StreamDescriptor.default(stream_id_for(f, ModalityKind.SURFACE_PRESSURE),
-                                      ModalityKind.SURFACE_PRESSURE)
-        im = StreamDescriptor.default(stream_id_for(f, ModalityKind.INERTIAL),
-                                      ModalityKind.INERTIAL)
-        for d in (vt, au, pr, im):
-            log.add_stream(d)
         if with_gas:
-            gas = StreamDescriptor.default(stream_id_for(f, ModalityKind.GAS),
-                                           ModalityKind.GAS)
-            log.add_stream(gas)
-            for i in range(int(duration_s)):
-                samples.append(ModalitySample(gas.stream_id, int(i * 1e9),
-                                              rng.normal(size=4).astype("<f4")))
-        for i in range(int(duration_s * vt_rate)):
-            frame = rng.integers(0, 256, size=(120, 120, 3), dtype=np.uint8)
-            samples.append(ModalitySample(vt.stream_id, int(i / vt_rate * 1e9), frame))
-        block = 0.01  # 10 ms audio blocks
-        n_block = int(audio_rate * block)
-        for i in range(int(duration_s / block)):
-            payload = (rng.normal(size=(n_block, 4)) * 100).astype("<i2")
-            samples.append(ModalitySample(au.stream_id, int(i * block * 1e9), payload))
-        for i in range(int(duration_s * 1000)):
-            samples.append(ModalitySample(pr.stream_id, int(i / 1000 * 1e9),
-                                          rng.normal(size=4).astype("<f4")))
-        for i in range(int(duration_s * 200)):
-            samples.append(ModalitySample(im.stream_id, int(i / 200 * 1e9),
-                                          rng.normal(size=3).astype("<f4")))
-    samples.sort(key=lambda s: (s.t_ns, s.stream_id))
-    for s in samples:
-        log.append(s)
-    return log
+            gas = rng.normal(size=(int(duration_s), 4)).astype("<f4")
+        frames = rng.integers(0, 256, size=(int(duration_s * vt_rate), 120, 120, 3),
+                              dtype=np.uint8)
+        n_au = int(duration_s / block)
+        audio = (rng.normal(size=(n_au * n_block, 4)) * 100).astype("<i2")
+        pressure = rng.normal(size=(int(duration_s * 1000), 4)).astype("<f4")
+        inertial = rng.normal(size=(int(duration_s * 200), 3)).astype("<f4")
+        add(f, ModalityKind.VISUOTACTILE, vt_rate, np.arange(len(frames)) / vt_rate, frames)
+        add(f, ModalityKind.SURFACE_AUDIO, audio_rate, np.arange(n_au) * block, audio,
+            np.arange(n_au + 1) * n_block)
+        add(f, ModalityKind.SURFACE_PRESSURE, 1000.0, np.arange(len(pressure)) / 1000, pressure)
+        add(f, ModalityKind.INERTIAL, 200.0, np.arange(len(inertial)) / 200, inertial)
+        if with_gas:
+            add(f, ModalityKind.GAS, 1.0, np.arange(len(gas)) * 1.0, gas)
+    return RecordLog.from_columns(descs, columns)
 
 
 class TestPinnedMakeLog:

@@ -29,11 +29,12 @@ from touchlab.recordlog import (
 )
 
 
+ALL_KINDS = tuple(StreamDescriptor.default(sid, kind)
+                  for sid, kind in enumerate(ModalityKind))
+
+
 def _empty_log():
-    log = RecordLog()
-    for sid, kind in enumerate(ModalityKind):
-        log.add_stream(StreamDescriptor.default(sid, kind))
-    return log
+    return RecordLog.from_columns(ALL_KINDS, {})
 
 
 def _payload_for(rng, desc):
@@ -46,16 +47,40 @@ def _payload_for(rng, desc):
     return rng.normal(size=shape).astype("<f4")
 
 
+def _columns_of(kind, t, rows) -> StreamColumns:
+    """One ``kind`` stream's columns from its chunks' timestamps and
+    payloads (an audio payload is a block of frames)."""
+    t_ns = np.array(t, dtype=np.uint64)
+    empty = np.empty((0, *row_shape(kind)), dtype=FORMATS[kind].dtype)
+    if kind is ModalityKind.SURFACE_AUDIO:
+        return StreamColumns(t_ns, np.concatenate([empty, *rows]),
+                             np.cumsum([0] + [len(r) for r in rows]))
+    return StreamColumns(t_ns, np.stack(rows) if rows else empty)
+
+
+def _log_of(descs, t, rows, order=None) -> RecordLog:
+    """A log of ``descs`` from each stream's chunk timestamps and payloads
+    (``t`` and ``rows`` map stream id to lists); ``order`` is the chunk
+    order, by default time order."""
+    return RecordLog.from_columns(
+        descs, {d.stream_id: _columns_of(d.kind, t[d.stream_id], rows[d.stream_id])
+                for d in descs}, None if order is None else np.array(order, dtype=np.uint16))
+
+
 def _random_log(seed, n_samples):
+    """``n_samples`` chunks on every kind's stream, each on a stream drawn
+    at random, with random payloads and rising timestamps per stream."""
     rng = np.random.default_rng(seed)
-    log = _empty_log()
-    sids = list(log.descriptors)
-    t = {sid: 0 for sid in sids}
+    sids = [d.stream_id for d in ALL_KINDS]
+    t = {sid: [] for sid in sids}
+    rows = {sid: [] for sid in sids}
+    order = []
     for _ in range(n_samples):
         sid = int(rng.choice(sids))
-        t[sid] += int(rng.integers(1, 10_000_000))
-        log.append(ModalitySample(sid, t[sid], _payload_for(rng, log.descriptors[sid])))
-    return log
+        t[sid].append((t[sid][-1] if t[sid] else 0) + int(rng.integers(1, 10_000_000)))
+        rows[sid].append(_payload_for(rng, ALL_KINDS[sid]))
+        order.append(sid)
+    return _log_of(ALL_KINDS, t, rows, order)
 
 
 def _logs_equal(a, b):
@@ -119,13 +144,17 @@ class TestCorruption:
         with pytest.raises(errors.TruncatedChunk):
             log_from_bytes(data[:-3])
 
-    def test_unsorted_samples_refused_at_write(self):
+    def test_unsorted_samples_refused_at_write(self, tmp_path):
+        """A backwards sample is refused at ``append``, before any file is
+        written, and the log still writes the samples it holds."""
         log = _empty_log()
         sid = 3  # inertial
         log.append(ModalitySample(sid, 100, np.zeros(3, dtype="<f4")))
-        log.append(ModalitySample(sid, 50, np.zeros(3, dtype="<f4")))
         with pytest.raises(errors.UnsortedSamples):
-            log_to_bytes(log)
+            log.append(ModalitySample(sid, 50, np.zeros(3, dtype="<f4")))
+        path = tmp_path / "unsorted.d36r"
+        write_log(log, path)
+        assert read_log(path).stream(sid).t_ns.tolist() == [100]
 
     def test_partial_item_payload(self):
         with pytest.raises(errors.TruncatedChunk):
@@ -135,9 +164,8 @@ class TestCorruption:
 def partial_item_log() -> bytes:
     """A one-chunk inertial log whose chunk holds 11 bytes, not three
     whole float32 values."""
-    log = RecordLog()
-    log.add_stream(StreamDescriptor.default(3, ModalityKind.INERTIAL))
-    log.append(ModalitySample(3, 0, np.zeros(3, dtype="<f4")))
+    log = RecordLog.from_columns([ALL_KINDS[3]], {3: _columns_of(
+        ModalityKind.INERTIAL, [0], [np.zeros(3, dtype="<f4")])})
     data = bytearray(log_to_bytes(log)[:-1])
     struct.pack_into("<I", data, len(data) - 11 - 4, 11)  # payload_len
     return bytes(data)
@@ -146,10 +174,11 @@ def partial_item_log() -> bytes:
 def _small_log() -> bytes:
     """Every modality kind: one rig-sized image, and three chunks of every
     other stream, audio in blocks of 1, 4 and 7 frames."""
-    log = _empty_log()
     rng = np.random.default_rng(3)
+    t = {d.stream_id: [] for d in ALL_KINDS}
+    rows = {d.stream_id: [] for d in ALL_KINDS}
     for k in range(3):
-        for sid, desc in log.descriptors.items():
+        for desc in ALL_KINDS:
             shape = row_shape(desc.kind)
             if desc.kind is ModalityKind.SURFACE_AUDIO:
                 payload = rng.integers(-99, 99, size=(1 + 3 * k, *shape)).astype("<i2")
@@ -159,8 +188,9 @@ def _small_log() -> bytes:
                 payload = rng.integers(0, 256, size=shape, dtype=np.uint8)
             else:
                 payload = rng.normal(size=shape).astype("<f4")
-            log.append(ModalitySample(sid, 1000 * k + sid, payload))
-    return log_to_bytes(log)
+            t[desc.stream_id].append(1000 * k + desc.stream_id)
+            rows[desc.stream_id].append(payload)
+    return log_to_bytes(_log_of(ALL_KINDS, t, rows))
 
 
 SMALL_LOG = _small_log()
@@ -291,15 +321,7 @@ def _by_columns(specs, rng) -> RecordLog:
     for sid, kind, rate, t in specs:
         desc = StreamDescriptor(sid, kind, rate)
         descs.append(desc)
-        rows = [_payload_for(rng, desc) for _ in t]
-        empty = np.empty((0, *row_shape(kind)), dtype=FORMATS[kind].dtype)
-        offsets = None
-        if kind is ModalityKind.SURFACE_AUDIO:
-            offsets = np.cumsum([0] + [len(r) for r in rows])
-            payload = np.concatenate([empty, *rows])
-        else:
-            payload = np.stack(rows) if rows else empty
-        columns[sid] = StreamColumns(np.array(t, dtype=np.uint64), payload, offsets)
+        columns[sid] = _columns_of(kind, t, [_payload_for(rng, desc) for _ in t])
     return RecordLog.from_columns(descs, columns)
 
 
@@ -315,8 +337,8 @@ def _by_append(specs, rng) -> RecordLog:
 
 class TestValidByConstruction:
     """A log built from any fields either raises a TouchlabError when it is
-    built or first read, exactly when some field breaks an invariant, or
-    writes bytes that read back and re-encode to the same bytes."""
+    built, exactly when some field breaks an invariant, or writes bytes
+    that read back and re-encode to the same bytes."""
 
     @settings(max_examples=150, deadline=None)
     @given(specs=stream_specs(), build=st.sampled_from([_by_columns, _by_append]),
@@ -329,6 +351,67 @@ class TestValidByConstruction:
             return
         assert _valid(specs)
         assert log_to_bytes(log_from_bytes(data)) == data
+
+
+@st.composite
+def append_runs(draw):
+    """One to three streams of any kinds, and a run of appends, each valid
+    or not: stream id 3 has no descriptor, a payload may have a wrong row
+    shape or dtype, an audio block may hold no frames, and timestamps may
+    go backwards."""
+    kinds = draw(st.lists(st.sampled_from(list(ModalityKind)), min_size=1, max_size=3))
+    steps = draw(st.lists(st.tuples(
+        st.integers(0, 3), st.integers(0, 40), st.integers(0, 3),
+        st.sampled_from(["ok", "ok", "ok", "rows", "dtype"])), max_size=25))
+    return kinds, steps
+
+
+def _append_payload(kind, frames, flaw, k):
+    shape = row_shape(kind)
+    if kind is ModalityKind.SURFACE_AUDIO:
+        shape = (frames, *shape)
+    if flaw == "rows":
+        shape = (*shape[:-1], shape[-1] + 1)
+    dtype = np.dtype("<f8") if flaw == "dtype" else FORMATS[kind].dtype
+    return np.full(shape, k, dtype=dtype)
+
+
+class TestWriteThroughAppend:
+    """``append`` writes each accepted sample through to its stream's
+    columns and the chunk order; a refused one raises and changes nothing."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(run=append_runs())
+    def test_appends_equal_columns_of_accepted(self, run):
+        kinds, steps = run
+        descs = [StreamDescriptor.default(sid, kind) for sid, kind in enumerate(kinds)]
+        log = RecordLog.from_columns(descs, {})
+        t = {d.stream_id: [] for d in descs}
+        rows = {d.stream_id: [] for d in descs}
+        order = []
+        for k, (sid, t_ns, frames, flaw) in enumerate(steps):
+            kind = kinds[sid] if sid < len(kinds) else ModalityKind.HEAT
+            payload = _append_payload(kind, frames, flaw, k)
+            if sid >= len(kinds):
+                refused = errors.UnknownKind
+            elif flaw != "ok" or (kind is ModalityKind.SURFACE_AUDIO and not frames):
+                refused = errors.ShapeMismatch
+            elif t[sid] and t_ns < t[sid][-1]:
+                refused = errors.UnsortedSamples
+            else:
+                refused = None
+            before = log_to_bytes(log)
+            if refused:
+                with pytest.raises(refused):
+                    log.append(ModalitySample(sid, t_ns, payload))
+                assert log_to_bytes(log) == before
+                continue
+            log.append(ModalitySample(sid, t_ns, payload))
+            t[sid].append(t_ns)
+            rows[sid].append(payload)
+            order.append(sid)
+        assert log.chunk_streams.tolist() == order
+        assert log_to_bytes(log) == log_to_bytes(_log_of(descs, t, rows, order))
 
 
 class TestNoAliasing:
